@@ -5,7 +5,8 @@ needed by the surface construction is defined by continuity along a path.  The
 tracker walks the path, picks at each step the root in the same half plane as
 the previous value, and halves the step until the argument rotates by less
 than pi/4 per step.  That guarantees the correct branch without any global
-branch-cut bookkeeping.
+branch-cut bookkeeping.  ``match_branch`` is this rule for whole arrays of
+candidates; ``_advance_sqrt`` is the scalar halving fallback behind it.
 
 Zeros of the speed are located either from the epitrochoid closed form
 1 + a^2 - 2a cos((k+1)z)  (a = lambda*(k+1), zeros at Re z in (2pi/(k+1))Z,
@@ -126,6 +127,18 @@ def _advance_sqrt(f, z_from: complex, z_to: complex, w_from: complex, depth: int
     return _advance_sqrt(f, mid, z_to, w_mid, depth + 1)
 
 
+def match_branch(cand, ref):
+    """Flip each square-root candidate into the half plane of its reference.
+
+    Returns the flipped candidates and the continuity mask: True where the
+    argument turns by less than ARG_STEP_LIMIT from the reference, which is
+    |Im p| < Re p for p = cand * conj(ref) after the flip.  A vanishing
+    candidate is never continuous.
+    """
+    p = cand * np.conj(ref)
+    return np.where(p.real < 0, -cand, cand), np.abs(p.imag) < np.abs(p.real)
+
+
 def track_sqrt(f, points, w_start: complex) -> list[complex]:
     """Continue a square root of f along an ordered list of points.
 
@@ -180,30 +193,38 @@ def sqrt_along_path(curve: PlanarCurve, path: PathPolyline, seed: BranchValue,
             for p, v in zip(pts, values)]
 
 
-def strip_sqrt(curve: PlanarCurve, z: complex, refinement: float = DEFAULT_REFINEMENT) -> complex:
-    """The strip branch of sqrt(speed^2) at z: positive on the real axis.
+def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEMENT):
+    """The strip branch of sqrt(speed^2) at every point of an array of any shape.
 
-    Continues vertically from (Re z, 0).  Inside the zero-free strip around the
-    geodesic this is the unique holomorphic branch positive on the axis.
+    Each point is continued vertically from its axis foot (Re z, 0), where the
+    root is positive, in n = ceil(max |Im z| / refinement) equal fractions of its
+    own height, all points together.  A point whose root turns by ARG_STEP_LIMIT
+    or more in one fraction is redone by the scalar halving tracker.  Inside the
+    zero-free strip around the geodesic this is the unique holomorphic branch
+    positive on the axis.
     """
-    z = complex(z)
-    t = z.real
-    sp0 = complex(speed_squared(curve, t))
-    w = cmath.sqrt(sp0)
-    if w == 0:
-        raise SingularityOnPath("speed^2 vanishes on the axis at t=%g" % t)
-    if w.real < 0:
-        w = -w
-    if z.imag == 0.0:
-        return w
-    n = max(1, int(math.ceil(abs(z.imag) / refinement)))
+    z = np.asarray(z, dtype=complex)
+    t, s = z.real.ravel(), z.imag.ravel()
+    w = np.sqrt(speed_squared(curve, t).astype(complex))
+    if not np.all(w.real > 0):
+        raise SingularityOnPath("speed^2 vanishes on the axis at t=%g"
+                                % t[np.argmin(w.real)])
+    n = int(math.ceil(float(np.max(np.abs(s), initial=0.0)) / refinement))
     f = lambda zz: speed_squared(curve, zz)
-    prev = complex(t)
+    prev = t.astype(complex)
     for j in range(1, n + 1):
-        nxt = complex(t, z.imag * j / n)
-        w = _advance_sqrt(f, prev, nxt, w)
+        nxt = t + 1j * (s * (j / n))
+        w_prev = w
+        w, ok = match_branch(np.sqrt(speed_squared(curve, nxt)), w_prev)
+        for i in np.nonzero(~ok)[0]:
+            w[i] = _advance_sqrt(f, prev[i], nxt[i], complex(w_prev[i]))
         prev = nxt
-    return w
+    return w.reshape(z.shape)
+
+
+def strip_sqrt(curve: PlanarCurve, z: complex, refinement: float = DEFAULT_REFINEMENT) -> complex:
+    """The strip branch of sqrt(speed^2) at one point: positive on the real axis."""
+    return complex(strip_sqrt_array(curve, complex(z), refinement))
 
 
 def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[complex, ...]:

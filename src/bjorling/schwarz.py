@@ -2,42 +2,70 @@
 
 Given a regular planar curve c, the holomorphic null triple
 
-    Phi(z) = (x'(z), y'(z), i*sqrt(x'(z)^2 + y'(z)^2))
+    Phi(z) = (x'(z), y'(z), i*W(z)),    W = sqrt(x'(z)^2 + y'(z)^2),
 
 integrates to the unique minimal surface through c with the in-plane normal:
-f(z) = c(t0) + Re  int_{t0}^{z} Phi dw.  The square root carries the strip
-branch from the continuation module (positive on the real axis), so the third
-component is i*(positive) there and the s = 0 grid row reproduces the curve.
+f(z) = c(t0) + Re int_{t0}^{z} Phi dw.  W is the strip branch from the
+continuation module (positive on the real axis).  The curves are entire
+series, so this is Bjorling's formula f = Re{c(z) - i int n x c' dw} evaluated
+exactly where it can be:
 
-Quadrature is an adaptive embedded Gauss pair (7/15 nodes) per polyline
-segment; the integrand is entire inside the clamped strip, so panels almost
-never split.
+    f1(t, s) = Re x(t + is),    f2(t, s) = Re y(t + is),
+    f3(t, s) = -int_0^s Re W(t + i sigma) d sigma.
+
+Only f3 needs quadrature (Phi3 is purely imaginary on the axis, so the axis
+adds nothing).  It is one real integral per grid column, done with the nested
+Gauss-Kronrod G7/K15 pair of QUADPACK (Piessens et al., 1983): all columns
+advance together one s level at a time, x' and y' are evaluated once per
+Kronrod node and reused for W, and |K15 - G7| is the per-column error
+estimate.  Columns that fail it, or whose branch turns too fast, are bisected
+on their own.  ``integrate_segment`` applies the same pair adaptively to
+general contour integrals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import continuation
 from .continuation import (
     DEFAULT_REFINEMENT,
     BranchValue,
     PathPolyline,
     derivative_series,
+    match_branch,
     nearest_zero_distance,
     speed_squared,
+    sqrt_along_path,
     strip_sqrt,
+    strip_sqrt_array,
 )
 from .curves import InvalidCurveParameters, PlanarCurve, regularity_margin
 
 MAX_QUAD_DEPTH = 20
 DEFAULT_QUAD_TOL = 1e-11
+# multiple of the unit roundoff in the integrand's own rounding floor
+ROUNDING_SAFETY = 16.0
 
-_G7_NODES, _G7_WEIGHTS = np.polynomial.legendre.leggauss(7)
-_G15_NODES, _G15_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# QUADPACK qk15: Kronrod abscissae xgk and weights wgk on [0, 1] (descending),
+# and the weights wg of the 7-point Gauss rule, whose abscissae are xgk[1::2].
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.000000000000000000000000000000000)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+# the 15 Kronrod nodes on [-1, 1] in ascending order; the Gauss nodes are the
+# odd-indexed ones, K15_NODES[1::2]
+K15_NODES = np.array([-x for x in _XGK[:7]] + list(_XGK[::-1]))
+K15_WEIGHTS = np.array(_WGK + _WGK[6::-1])
+G7_WEIGHTS = np.array(_WG + _WG[2::-1])
 
 
 class QuadratureFailure(RuntimeError):
@@ -59,10 +87,9 @@ def _weighted_sum(weights, values):
 def _quad_recursive(f, a: complex, b: complex, tol: float, depth: int):
     scale = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    v7 = f(mid + scale * _G7_NODES)
-    v15 = f(mid + scale * _G15_NODES)
-    i7 = scale * _weighted_sum(_G7_WEIGHTS, v7)
-    i15 = scale * _weighted_sum(_G15_WEIGHTS, v15)
+    v = f(mid + scale * K15_NODES)
+    i15 = scale * _weighted_sum(K15_WEIGHTS, v)
+    i7 = scale * _weighted_sum(G7_WEIGHTS, v[1::2])
     err = float(np.max(np.abs(i15 - i7)))
     floor = 5e-16 * float(np.max(np.abs(i15))) if i15.size else 0.0
     if err <= max(tol, floor) or abs(b - a) < 1e-14:
@@ -108,64 +135,16 @@ class HolomorphicTriple:
         return np.stack([vx.astype(complex), vy.astype(complex), 1j * w], axis=-1)
 
     def __call__(self, z):
-        """Phi at a scalar or 1-d array of strip points (vertical continuation)."""
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        vx = self._dx(zs)
-        vy = self._dy(zs)
-        w = np.array([strip_sqrt(self.curve, p, self.refinement) for p in zs])
-        out = np.stack([vx, vy, 1j * w], axis=-1)
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return out[0]
-        return out
-
-    def sqrt_grid(self, t_vals, s_vals):
-        """Strip-branch sqrt(speed^2) on the t x s grid, marched per s level.
-
-        Every column starts from the positive axis value; levels move away
-        from s = 0 so each step references the level one closer to the axis.
-        Columns whose step rotates the argument by >= pi/4 fall back to the
-        scalar halving tracker.
-        """
-        t_vals = np.asarray(t_vals, dtype=float)
-        s_vals = np.asarray(s_vals, dtype=float)
-        nt, ns = len(t_vals), len(s_vals)
-        sp_axis = speed_squared(self.curve, t_vals)
-        w_axis = np.sqrt(np.asarray(sp_axis, dtype=float))
-        if np.any(w_axis <= 0):
-            raise InvalidCurveParameters("speed vanishes on the axis")
-        W = np.empty((ns, nt), dtype=complex)
-        order = np.argsort(np.abs(s_vals), kind="stable")
-        prev_by_sign = {1: (0.0, w_axis.astype(complex)), -1: (0.0, w_axis.astype(complex))}
-        f = lambda zz: speed_squared(self.curve, zz)
-        for idx in order:
-            s = s_vals[idx]
-            if s == 0.0:
-                W[idx] = w_axis
-                continue
-            sign = 1 if s > 0 else -1
-            s_prev, w_prev = prev_by_sign[sign]
-            cand = np.sqrt(speed_squared(self.curve, t_vals + 1j * s).astype(complex))
-            flip = (cand * np.conj(w_prev)).real < 0
-            cand[flip] = -cand[flip]
-            bad = np.abs(np.angle(cand / w_prev)) >= continuation.ARG_STEP_LIMIT
-            for j in np.nonzero(bad)[0]:
-                cand[j] = continuation._advance_sqrt(
-                    f, complex(t_vals[j], s_prev), complex(t_vals[j], s), complex(w_prev[j]))
-            W[idx] = cand
-            prev_by_sign[sign] = (s, cand)
-        return W
+        """Phi at strip points of any shape; the result has shape z.shape + (3,)."""
+        z = np.asarray(z, dtype=complex)
+        w = strip_sqrt_array(self.curve, z, self.refinement)
+        return np.stack([self._dx(z), self._dy(z), 1j * w], axis=-1)
 
     def grid_values(self, t_vals, s_vals):
         """Phi on the grid, shape (ns, nt, 3); rows follow s_vals order."""
         t_vals = np.asarray(t_vals, dtype=float)
         s_vals = np.asarray(s_vals, dtype=float)
-        W = self.sqrt_grid(t_vals, s_vals)
-        Z = t_vals[None, :] + 1j * s_vals[:, None]
-        phi = np.empty((len(s_vals), len(t_vals), 3), dtype=complex)
-        phi[:, :, 0] = self._dx(Z)
-        phi[:, :, 1] = self._dy(Z)
-        phi[:, :, 2] = 1j * W
-        return phi
+        return self(t_vals[None, :] + 1j * s_vals[:, None])
 
 
 def phi(curve: PlanarCurve) -> HolomorphicTriple:
@@ -186,9 +165,10 @@ def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | No
                       tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Re integral of Phi from z0 to z1 along a polyline (default: straight).
 
-    The sqrt branch is continued along the actual path, so homotopic paths in
-    the zero-free strip agree and paths winding around a speed^2 zero pick up
-    the monodromy sign.
+    The planar components are exact, Re x(z1) - Re x(z0) and likewise for y.
+    Only Phi3 = i*W is integrated, with the sqrt branch continued along the
+    actual path, so homotopic paths in the zero-free strip agree and paths
+    winding around a speed^2 zero pick up the monodromy sign.
     """
     z0, z1 = complex(z0), complex(z1)
     if path is None:
@@ -197,56 +177,34 @@ def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | No
         path = PathPolyline(vertices=(z0, z1))
     if complex(path.vertices[0]) != z0 or complex(path.vertices[-1]) != z1:
         raise ValueError("path endpoints must match z0 and z1")
-    seed = BranchValue(point=z0, value=strip_sqrt(triple.curve, z0, triple.refinement))
-    chain = continuation.sqrt_along_path(triple.curve, path, seed)
+    curve = triple.curve
+    seed = BranchValue(point=z0, value=strip_sqrt(curve, z0, triple.refinement))
+    chain = sqrt_along_path(curve, path, seed)
     pts = np.array([bv.point for bv in chain], dtype=complex)
     vals = np.array([bv.value for bv in chain], dtype=complex)
-    dx, dy = triple._dx, triple._dy
 
     def integrand(zs):
-        zs = np.asarray(zs, dtype=complex)
-        cand = np.sqrt(speed_squared(triple.curve, zs).astype(complex))
+        # reference: the tracked value at the nearest chain point
         idx = np.abs(zs[:, None] - pts[None, :]).argmin(axis=1)
-        ref = vals[idx]
-        flip = (cand * np.conj(ref)).real < 0
-        cand[flip] = -cand[flip]
-        return np.stack([dx(zs), dy(zs), 1j * cand], axis=-1)
+        w, _ = match_branch(np.sqrt(speed_squared(curve, zs)), vals[idx])
+        return 1j * w[:, None]
 
     n_seg = len(path.vertices) - 1
-    total = np.zeros(3, dtype=complex)
+    f3 = 0.0
     for a, b in zip(path.vertices, path.vertices[1:]):
-        total = total + integrate_segment(integrand, a, b, tol / n_seg)
-    return np.real(total)
+        f3 = f3 + float(np.real(integrate_segment(integrand, a, b, tol / n_seg)[0]))
+    (x0, y0), (x1, y1) = curve.eval(z0), curve.eval(z1)
+    return np.array([np.real(x1) - np.real(x0), np.real(y1) - np.real(y0), f3])
 
 
 def surface_point(triple: HolomorphicTriple, t: float, s: float,
                   tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Anchored surface value f(t + i s) = c(t) + Re int_t^{t+is} Phi dw."""
-    base = np.asarray(triple.curve.point3d(float(t)), dtype=float)
+    """Surface value f(t + i s): exact Re x, Re y and the column integral f3."""
     if s == 0.0:
-        return base
-    dx, dy = triple._dx, triple._dy
-    curve = triple.curve
-    w_ref = [complex(strip_sqrt(curve, float(t), triple.refinement))]
-
-    def integrand(zs):
-        zs = np.asarray(zs, dtype=complex)
-        cand = np.sqrt(speed_squared(curve, zs).astype(complex))
-        flip = (cand * np.conj(w_ref[0])).real < 0
-        cand[flip] = -cand[flip]
-        return np.stack([dx(zs), dy(zs), 1j * cand], axis=-1)
-
-    # march in refinement-sized subsegments so the sign reference stays valid
-    n = max(1, int(math.ceil(abs(s) / triple.refinement)))
-    total = np.zeros(3, dtype=complex)
-    prev = complex(t)
-    for j in range(1, n + 1):
-        nxt = complex(t, s * j / n)
-        total = total + integrate_segment(integrand, prev, nxt, tol / n)
-        w_ref[0] = continuation._advance_sqrt(
-            lambda zz: speed_squared(curve, zz), prev, nxt, w_ref[0])
-        prev = nxt
-    return base + np.real(total)
+        return np.asarray(triple.curve.point3d(float(t)), dtype=float)
+    f3, _ = _march(triple, np.array([float(t)]), np.array([float(s)]), tol)
+    x, y = triple.curve.eval(complex(t, s))
+    return np.array([np.real(x), np.real(y), f3[0, 0]])
 
 
 @dataclass
@@ -295,8 +253,10 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
                   tol: float = DEFAULT_QUAD_TOL, workers: int = 1) -> PatchGrid:
     """Sample the anchored Schwarz surface on a t x s grid.
 
-    The row s = 0 (when present) reproduces the input curve to quadrature
-    accuracy.  Raises StripTooWide when |s| exceeds the clamped strip.
+    The planar coordinates are Re x and Re y on the grid, so the row s = 0
+    (when present) is the input curve itself; f3 comes from the column
+    integrator.  ``workers`` > 1 splits the columns over threads with bitwise
+    the same result.  Raises StripTooWide when |s| exceeds the clamped strip.
     """
     if nt < 2 or ns < 2:
         raise ValueError("nt and ns must be at least 2")
@@ -310,119 +270,104 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     triple = HolomorphicTriple(curve)
     t_vals = np.linspace(t_lo, t_hi, nt)
     s_vals = np.linspace(s_lo, s_hi, ns)
-    W = triple.sqrt_grid(t_vals, s_vals)
-    Z = t_vals[None, :] + 1j * s_vals[:, None]
-    phi_grid = np.empty((ns, nt, 3), dtype=complex)
-    phi_grid[:, :, 0] = triple._dx(Z)
-    phi_grid[:, :, 1] = triple._dy(Z)
-    phi_grid[:, :, 2] = 1j * W
-
-    # cumulative integral along the axis, then along each vertical column
-    axis_int = _axis_cumulative(triple, t_vals, tol)
     if workers > 1:
-        vert_int = _vertical_cumulative_parallel(triple, t_vals, s_vals, W, tol, workers)
+        f3, phi_grid = _march_parallel(triple, t_vals, s_vals, tol, workers)
     else:
-        vert_int = _vertical_cumulative(triple, t_vals, s_vals, W, tol)
-
-    anchor = np.asarray(curve.point3d(t_vals[0]), dtype=float)
-    total = axis_int[None, :, :] + vert_int
-    points = anchor[None, None, :] + np.real(total)
+        f3, phi_grid = _march(triple, t_vals, s_vals, tol)
+    x, y = curve.eval(t_vals[None, :] + 1j * s_vals[:, None])
+    points = np.stack([np.real(x), np.real(y), f3], axis=-1)
     return PatchGrid(curve=curve, t_vals=t_vals, s_vals=s_vals, points=points, phi=phi_grid)
 
 
-def _axis_cumulative(triple: HolomorphicTriple, t_vals, tol: float) -> np.ndarray:
-    nt = len(t_vals)
-    out = np.zeros((nt, 3), dtype=complex)
+def _column_step(triple: HolomorphicTriple, t, s_a: float, s_b: float, w_a, tol: float):
+    """One G7/K15 panel of the f3 increment -int_{s_a}^{s_b} Re W d sigma per column.
 
-    def integrand(zs):
-        return triple.axis_values(np.real(zs))
-
-    seg_tol = tol / max(1, nt)
-    for j in range(1, nt):
-        out[j] = out[j - 1] + integrate_segment(integrand, t_vals[j - 1], t_vals[j], seg_tol)
-    return out
-
-
-def _vertical_cumulative(triple: HolomorphicTriple, t_vals, s_vals, W, tol: float,
-                         columns=None) -> np.ndarray:
-    """Vertical cumulative integrals, batched across columns per s step.
-
-    For each step the embedded pair is evaluated on all columns at once; only
-    columns whose error estimate fails the per-step tolerance are redone with
-    the scalar adaptive integrator.
+    x' and y' are evaluated once per node, on the 15 Kronrod nodes and at s_b,
+    and W at every node is matched to the branch values w_a at s_a.  A column
+    is accepted when every node continues the branch and |K15 - G7| is within
+    tol or within the integrand's own rounding floor,
+    ROUNDING_SAFETY * eps * |h| * sum_k w_k (|x'|^2 + |y'|^2) / |W|
+    (the cancellation in x'^2 + y'^2 limits the relative accuracy of W).
+    Returns (increment, accepted, x' at s_b, y' at s_b, W at s_b).
     """
-    t_vals = np.asarray(t_vals, dtype=float)
-    s_vals = np.asarray(s_vals, dtype=float)
-    if columns is not None:
-        t_vals = t_vals[columns]
-        W = W[:, columns]
-    nt, ns = len(t_vals), len(s_vals)
-    out = np.zeros((ns, nt, 3), dtype=complex)
+    half = 0.5 * (s_b - s_a)
+    ss = np.append(0.5 * (s_a + s_b) + half * K15_NODES, s_b)
+    Z = t[None, :] + 1j * ss[:, None]
+    vx, vy = triple._dx(Z), triple._dy(Z)
+    w, ok = match_branch(np.sqrt(vx * vx + vy * vy), w_a)
+    re = w[:-1].real
+    k15 = _weighted_sum(K15_WEIGHTS, re)
+    err = abs(half) * np.abs(k15 - _weighted_sum(G7_WEIGHTS, re[1::2]))
+    good = np.all(ok, axis=0) & (err <= tol)
+    if not np.all(good):
+        mag2 = vx[:-1].real ** 2 + vx[:-1].imag ** 2 + vy[:-1].real ** 2 + vy[:-1].imag ** 2
+        floor = ROUNDING_SAFETY * np.finfo(float).eps * abs(half) * _weighted_sum(
+            K15_WEIGHTS, mag2 / np.abs(w[:-1]))
+        good = np.all(ok, axis=0) & (err <= np.maximum(tol, floor))
+    return -half * k15, good, vx[-1], vy[-1], w[-1]
+
+
+def _bisect_column(triple: HolomorphicTriple, t: float, s_a: float, s_b: float,
+                   w_a: complex, tol: float, depth: int = 1):
+    """Scalar adaptive fallback for one column step: halves until each panel passes."""
+    if depth > MAX_QUAD_DEPTH:
+        raise QuadratureFailure(
+            "column quadrature did not reach tol=%g between %s and %s"
+            % (tol, complex(t, s_a), complex(t, s_b)))
+    total, w = 0.0, w_a
+    mid = 0.5 * (s_a + s_b)
+    for lo, hi in ((s_a, mid), (mid, s_b)):
+        step, good, _, _, w_hi = _column_step(
+            triple, np.array([t]), lo, hi, np.array([w]), 0.5 * tol)
+        if good[0]:
+            total, w = total + step[0], complex(w_hi[0])
+        else:
+            step, w = _bisect_column(triple, t, lo, hi, w, 0.5 * tol, depth + 1)
+            total = total + step
+    return total, w
+
+
+def _march(triple: HolomorphicTriple, t_vals, s_vals, tol: float):
+    """f3 and Phi on the grid, all columns advanced together one s level at a time.
+
+    Levels are visited outward from s = 0 on each side, each stepping from the
+    level next closer to the axis (from the axis itself for the first), so the
+    branch reference is always one step away and the accumulation order is
+    fixed.  Returns f3 with shape (ns, nt) and Phi with shape (ns, nt, 3).
+    """
+    ns, nt = len(s_vals), len(t_vals)
+    vx0, vy0 = triple._dx(t_vals), triple._dy(t_vals)
+    w0 = np.sqrt(vx0 * vx0 + vy0 * vy0)
+    if np.any(w0 <= 0):
+        raise InvalidCurveParameters("speed vanishes on the axis")
+    f3 = np.zeros((ns, nt))
+    phi_grid = np.empty((ns, nt, 3), dtype=complex)
+    axis = (0.0, np.zeros(nt), w0.astype(complex))
+    last = {1.0: axis, -1.0: axis}
     step_tol = tol / max(1, ns)
-    order = np.argsort(np.abs(s_vals), kind="stable")
-    prev_by_sign = {1: (0.0, None), -1: (0.0, None)}
-    curve = triple.curve
-
-    def batch_eval(nodes, s_a, s_b, w_ref):
-        # nodes: (n,) in [-1, 1] mapped onto the vertical step per column
-        mid, half = 0.5 * (s_a + s_b), 0.5 * (s_b - s_a)
-        ss = mid + half * nodes
-        Zn = t_vals[None, :] + 1j * ss[:, None]
-        cand = np.sqrt(speed_squared(curve, Zn).astype(complex))
-        flip = (cand * np.conj(w_ref)[None, :]).real < 0
-        cand[flip] = -cand[flip]
-        ok = np.abs(np.angle(cand / w_ref[None, :])) < 0.5 * math.pi
-        vals = np.empty(Zn.shape + (3,), dtype=complex)
-        vals[:, :, 0] = triple._dx(Zn)
-        vals[:, :, 1] = triple._dy(Zn)
-        vals[:, :, 2] = 1j * cand
-        return vals, np.all(ok, axis=0)
-
-    for idx in order:
-        s = s_vals[idx]
+    for idx in np.argsort(np.abs(s_vals), kind="stable"):
+        s = float(s_vals[idx])
         if s == 0.0:
-            continue
-        sign = 1 if s > 0 else -1
-        s_prev, prev_idx = prev_by_sign[sign]
-        base = out[prev_idx] if prev_idx is not None else np.zeros((nt, 3), dtype=complex)
-        w_ref = W[prev_idx] if prev_idx is not None else np.sqrt(
-            speed_squared(curve, t_vals).astype(complex))
-        half = 0.5 * (s - s_prev) * 1j
-        v7, ok7 = batch_eval(_G7_NODES, s_prev, s, w_ref)
-        v15, ok15 = batch_eval(_G15_NODES, s_prev, s, w_ref)
-        i7 = half * _weighted_sum(_G7_WEIGHTS, v7)
-        i15 = half * _weighted_sum(_G15_WEIGHTS, v15)
-        err = np.max(np.abs(i15 - i7), axis=-1)
-        floor = 5e-16 * np.max(np.abs(i15), axis=-1)
-        good = ok7 & ok15 & (err <= np.maximum(step_tol, floor))
-        step = i15
-        for j in np.nonzero(~good)[0]:
-            step[j] = _vertical_segment_scalar(triple, t_vals[j], s_prev, s, step_tol)
-        out[idx] = base + step
-        prev_by_sign[sign] = (s, idx)
-    return out
+            vx, vy, w = vx0, vy0, w0
+        else:
+            s_a, f_a, w_a = last[np.sign(s)]
+            step, good, vx, vy, w = _column_step(triple, t_vals, s_a, s, w_a, step_tol)
+            for j in np.nonzero(~good)[0]:
+                step[j], w[j] = _bisect_column(triple, t_vals[j], s_a, s, w_a[j], step_tol)
+            f3[idx] = f_a + step
+            last[np.sign(s)] = (s, f3[idx], w)
+        phi_grid[idx, :, 0] = vx
+        phi_grid[idx, :, 1] = vy
+        phi_grid[idx, :, 2] = 1j * w
+    return f3, phi_grid
 
 
-def _vertical_cumulative_parallel(triple, t_vals, s_vals, W, tol, workers):
+def _march_parallel(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int):
+    """_march over column chunks on threads; every column is computed as in _march."""
     from concurrent.futures import ThreadPoolExecutor
 
-    nt = len(t_vals)
-    workers = max(1, min(int(workers), nt))
-    chunks = np.array_split(np.arange(nt), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda cols: _vertical_cumulative(triple, t_vals, s_vals, W, tol, columns=cols),
-            chunks))
-    return np.concatenate(parts, axis=1)
-
-
-def _vertical_segment_scalar(triple, t, s_a, s_b, tol):
-    curve = triple.curve
-    dx, dy = triple._dx, triple._dy
-
-    def integrand(zs):
-        zs = np.asarray(zs, dtype=complex)
-        w = np.array([strip_sqrt(curve, p, triple.refinement) for p in zs])
-        return np.stack([dx(zs), dy(zs), 1j * w], axis=-1)
-
-    return integrate_segment(integrand, complex(t, s_a), complex(t, s_b), tol)
+    chunks = np.array_split(t_vals, max(1, min(int(workers), len(t_vals))))
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = list(pool.map(lambda t: _march(triple, t, s_vals, tol), chunks))
+    return (np.concatenate([p[0] for p in parts], axis=1),
+            np.concatenate([p[1] for p in parts], axis=1))

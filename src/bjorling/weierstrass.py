@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .continuation import derivative_series, strip_sqrt
+from .continuation import derivative_series, strip_sqrt_array
 from .curves import PlanarCurve
 from .schwarz import HolomorphicTriple, phi, surface_point
 
@@ -43,12 +43,9 @@ def data_from_curve(curve: PlanarCurve) -> WeierstrassData:
         return dx(z) - 1j * dy(z)
 
     def g(z):
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = np.array([strip_sqrt(curve, p) for p in zs])
-        out = 1j * w / (dx(zs) - 1j * dy(zs))
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return complex(out[0])
-        return out
+        zs = np.asarray(z, dtype=complex)
+        out = 1j * strip_sqrt_array(curve, zs) / (dx(zs) - 1j * dy(zs))
+        return complex(out) if out.ndim == 0 else out
 
     return WeierstrassData(g=g, eta=eta, chart="z-strip")
 

@@ -7,11 +7,13 @@ from bjorling.continuation import (
     BranchValue,
     PathPolyline,
     SingularityOnPath,
+    match_branch,
     nearest_zero_distance,
     singularity_scan,
     speed_squared,
     sqrt_along_path,
     strip_sqrt,
+    strip_sqrt_array,
 )
 from bjorling.curves import make_circle, make_cycloid, make_parabola
 
@@ -161,3 +163,24 @@ def test_strip_sqrt_positive_on_axis_and_consistent():
     path = PathPolyline(vertices=(0j, 0.7 + 0j, z))
     via_path = sqrt_along_path(curve, path, BranchValue(0j, 2.0 + 0j))[-1].value
     assert abs(w - via_path) < 1e-10
+
+
+def test_match_branch_flips_and_flags_fast_turns():
+    ref = np.array([1.0, 1.0, 1.0, 1j, 1.0])
+    cand = np.array([-1.0 + 0.1j, 1.0 + 0.9j, 1.0 + 1.1j, -0.2 - 1j, 0.0])
+    w, ok = match_branch(cand, ref)
+    assert np.array_equal(w, [1.0 - 0.1j, 1.0 + 0.9j, 1.0 + 1.1j, 0.2 + 1j, 0.0])
+    assert ok.tolist() == [True, True, False, True, False]
+
+
+def test_strip_sqrt_array_matches_scalar_on_grid():
+    curve = epi(3, 0.6)
+    s_max = 0.8 * math.log(2.4) / 4.0
+    z = np.linspace(0.0, 2 * math.pi, 13)[None, :] + 1j * np.linspace(-s_max, s_max, 5)[:, None]
+    w = strip_sqrt_array(curve, z)
+    assert w.shape == z.shape
+    scalar = np.array([[strip_sqrt(curve, p) for p in row] for row in z])
+    assert np.max(np.abs(w - scalar)) < 1e-12
+    sp = speed_squared(curve, z)
+    assert np.max(np.abs(w * w - sp) / np.abs(sp)) < 1e-12
+    assert np.all(strip_sqrt_array(curve, z.real).real > 0)

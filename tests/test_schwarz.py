@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from bjorling import schwarz
 from bjorling.continuation import PathPolyline
-from bjorling.curves import make_circle, make_cycloid, make_parabola
+from bjorling.curves import TrigPolySeries, make_circle, make_cycloid, make_parabola
 from bjorling.schwarz import (
+    G7_WEIGHTS,
+    K15_NODES,
+    K15_WEIGHTS,
     QuadratureFailure,
     StripTooWide,
     integrate_segment,
@@ -33,6 +37,23 @@ def test_quadrature_engine_exact_on_polynomial():
     z1 = 1.0 + 1j
     assert abs(out[0] - z1**6 / 6.0) < 1e-13
     assert abs(out[1] - (np.exp(z1) - 1.0)) < 1e-13
+
+
+def test_kronrod_pair_degrees_of_exactness():
+    # K15 is exact through degree 22 and G7 (the odd-indexed nodes) through 13
+    g7_nodes = K15_NODES[1::2]
+    assert np.array_equal(g7_nodes, -g7_nodes[::-1])
+    for d in range(0, 26, 2):
+        exact = 2.0 / (d + 1)
+        k15 = abs(K15_WEIGHTS @ K15_NODES**d - exact)
+        g7 = abs(G7_WEIGHTS @ g7_nodes**d - exact)
+        assert (k15 < 1e-15) == (d <= 22), (d, k15)
+        assert (g7 < 1e-15) == (d <= 13), (d, g7)
+    assert abs(K15_WEIGHTS @ K15_NODES**24 - 2.0 / 25) > 1e-10
+    assert abs(G7_WEIGHTS @ g7_nodes**14 - 2.0 / 15) > 1e-10
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(g7_nodes - nodes)) < 1e-15
+    assert np.max(np.abs(G7_WEIGHTS - weights)) < 1e-15
 
 
 def test_quadrature_failure_on_pathological_integrand():
@@ -166,3 +187,77 @@ def test_conformality_residuals_machine_level(test_curve):
     patch = surface_patch(test_curve, test_curve.domain, (-s_max, s_max), 24, 5)
     r_eg, r_f = patch.conformality_residuals()
     assert r_eg < 1e-6 and r_f < 1e-6
+
+
+def _f3_closed_form(k, lam, t, s, panels=16, order=40):
+    # -int_0^s Re W(t + i sigma) d sigma with W = (k+2) sqrt(1 + a^2 - 2a cos((k+1)z)):
+    # the principal root is the strip branch, composite Gauss-Legendre in sigma
+    a = lam * (k + 1)
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    total = np.zeros(np.broadcast(t, s).shape)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        z = t[..., None] + 1j * s[..., None] * (lo + 0.5 * (hi - lo) * (x + 1.0))
+        W = (k + 2) * np.sqrt(1.0 + a * a - 2.0 * a * np.cos((k + 1) * z))
+        total += 0.5 * (hi - lo) * np.sum(w * W.real, axis=-1)
+    return -s * total
+
+
+@pytest.mark.parametrize("k,lam", [(1, 30.0), (2, 0.5), (6, 0.9)])
+def test_f3_matches_closed_form_up_to_strip_cap(k, lam):
+    # a = 60 cancels x'^2 + y'^2 by ~1e4 near the cap: the step test must
+    # accept at the integrand's rounding floor instead of failing
+    curve = epi(k, lam)
+    cap = strip_limit(curve)
+    patch = surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
+    T, S = np.meshgrid(patch.t_vals, patch.s_vals)
+    expect = _f3_closed_form(k, lam, T, S)
+    err = np.abs(patch.points[..., 2] - expect) / np.maximum(1.0, np.abs(expect))
+    assert float(np.max(err)) < 1e-10
+
+
+def test_patch_work_counters(monkeypatch):
+    # series points per 256x33 patch (767446 before the Bjorling-formula
+    # construction) and no per-segment adaptive quadrature at all
+    points = [0]
+    segments = [0]
+    series_call = TrigPolySeries.__call__
+    segment_call = schwarz.integrate_segment
+
+    def counting_series(self, z):
+        points[0] += int(np.size(z))
+        return series_call(self, z)
+
+    def counting_segment(*args, **kwargs):
+        segments[0] += 1
+        return segment_call(*args, **kwargs)
+
+    monkeypatch.setattr(TrigPolySeries, "__call__", counting_series)
+    monkeypatch.setattr(schwarz, "integrate_segment", counting_segment)
+    curve = epi(2, 0.5)
+    cap = strip_limit(curve)
+    surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
+    assert points[0] <= 280064
+    assert segments[0] == 0
+
+
+def test_column_fallback_bisects_and_fails_typed(monkeypatch):
+    curve = epi(2, 0.5)
+    cap = strip_limit(curve)
+    triple = phi(curve)
+    calls = [0]
+    bisect = schwarz._bisect_column
+
+    def counting_bisect(*args, **kwargs):
+        calls[0] += 1
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(schwarz, "_bisect_column", counting_bisect)
+    # one panel from the axis to the cap under a zero turns the branch too fast
+    pt = surface_point(triple, 0.0, cap)
+    assert calls[0] > 0
+    patch = surface_patch(curve, (0.0, 1.0), (0.0, cap), 2, 65)
+    assert np.max(np.abs(pt - patch.points[-1, 0])) < 1e-12
+    # a column through the zero at s = ln(1.5)/3 never continues the branch
+    with pytest.raises(QuadratureFailure):
+        surface_point(triple, 0.0, 0.2)
