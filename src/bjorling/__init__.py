@@ -22,14 +22,13 @@ from .analysis import (
 )
 from .continuation import (
     BranchJump,
-    BranchValue,
     PathPolyline,
     SingularityOnPath,
+    continue_sqrt,
     nearest_zero_distance,
     singularity_scan,
     speed_squared,
-    sqrt_along_path,
-    strip_sqrt,
+    strip_sqrt_array,
 )
 from .curves import (
     EpitrochoidParams,

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import derivative_series, track_sqrt
-from .curves import EpitrochoidParams, InvalidCurveParameters, make_epitrochoid
+from .continuation import continue_sqrt, derivative_series
+from .curves import EpitrochoidParams, make_epitrochoid
 from .schwarz import integrate_segment
 from .weierstrass import data_from_curve
 
@@ -148,10 +148,7 @@ def v_model(k: int, lam: float) -> VModel:
 
 def strip_halfwidth(k: int, lam: float) -> float:
     """|Im z| at which the strip hits degeneration: ln(max(a, 1/a))/(k+1)."""
-    a = lam * (k + 1)
-    if a <= 0 or abs(a - 1.0) < 1e-12:
-        raise InvalidCurveParameters("need a = lambda*(k+1) positive and != 1")
-    return abs(math.log(a)) / (k + 1)
+    return EpitrochoidParams(k=k, lam=lam).zero_height
 
 
 def degeneracy_points(model: VModel) -> tuple[complex, ...]:
@@ -453,20 +450,18 @@ def pullback_residual(model: VModel, n_samples: int = 50) -> float:
 
     Substitutes v = e^{it} and undoes the -pi/2 rotation: the rotated data
     (g', eta') must satisfy g' = -i g_z and eta_z = v * eta'_coeff(v), with w
-    continued along the unit circle from its t = 0 seed -i|1 - a|.
+    continued along the unit circle from its t = 0 seed -i|1 - a| to every
+    sample at once.
     """
     curve = make_epitrochoid(EpitrochoidParams(k=model.k, lam=model.lam))
     data = data_from_curve(curve)
-    dense_n = 32 * n_samples
-    ts = np.linspace(0.0, 2.0 * math.pi, dense_n + 1)
+    ts = 2.0 * math.pi * np.arange(n_samples) / n_samples
     w0 = -1j * abs(1.0 - model.a)
-    w_dense = track_sqrt(lambda t: model.w_squared(cmath.exp(1j * float(np.real(t)))),
-                         ts.tolist(), w0)
+    ws = continue_sqrt(lambda t: model.w_squared(np.exp(1j * t)), 0.0, ts, w0,
+                       4 * n_samples)
     worst = 0.0
-    for i in range(0, dense_n, max(1, dense_n // n_samples)):
-        t = float(ts[i])
+    for t, w in zip(ts.tolist(), ws.tolist()):
         v = cmath.exp(1j * t)
-        w = w_dense[i]
         g_model = model.g(v, w)
         g_strip = complex(data.g(t))
         worst = max(worst, abs(g_model - (-1j) * g_strip))

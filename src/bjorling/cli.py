@@ -28,7 +28,7 @@ from .curves import (
     make_parabola,
     regularity_margin,
 )
-from .schwarz import surface_patch
+from .schwarz import StripTooWide, surface_patch
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -106,7 +106,13 @@ def _write_json(payload: dict, path: str, timestamp: bool) -> None:
         fh.write("\n")
 
 
+def _check_grid(args) -> None:
+    if args.nt < 2 or args.ns < 2:
+        raise InvalidCurveParameters("--nt and --ns must be at least 2")
+
+
 def cmd_generate(args) -> int:
+    _check_grid(args)
     curve = _build_curve(args)
     if not 0.0 < args.s_fraction <= 1.0:
         raise InvalidCurveParameters("--s-fraction must be in (0, 1]")
@@ -222,6 +228,7 @@ def _verify_window(curve, halfwidth: float, nt: int, target: float = 2.5e-4):
 
 
 def cmd_verify(args) -> int:
+    _check_grid(args)
     curve = _build_curve(args)
     distance = nearest_zero_distance(curve)
     halfwidth = (args.s_fraction * distance if math.isfinite(distance)
@@ -298,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidCurveParameters as exc:
+    except (InvalidCurveParameters, StripTooWide) as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
         return EXIT_BAD_PARAMS
     except OSError as exc:

@@ -1,12 +1,16 @@
 """Analytic continuation of sqrt(x'(w)^2 + y'(w)^2) along paths in the strip.
 
 The complexified speed has isolated zeros off the real axis; the square root
-needed by the surface construction is defined by continuity along a path.  The
-tracker walks the path, picks at each step the root in the same half plane as
-the previous value, and halves the step until the argument rotates by less
-than pi/4 per step.  That guarantees the correct branch without any global
-branch-cut bookkeeping.  ``match_branch`` is this rule for whole arrays of
-candidates; ``_advance_sqrt`` is the scalar halving fallback behind it.
+needed by the surface construction is defined by continuity along a path.
+There is one rule for it.  ``match_branch`` picks, for whole arrays of
+candidates, the root in the same half plane as a reference value and flags
+the entries whose argument turned by pi/4 or more.  ``continue_sqrt`` walks
+straight segments in equal fractions with that rule and halves only the
+fractions that fail, so the correct branch follows without any global
+branch-cut bookkeeping.  ``strip_sqrt_array`` is the strip branch: every point
+continued vertically from its axis foot, where the root is positive.  The
+patch column integrator in ``schwarz`` applies the same rule at its
+quadrature nodes.
 
 Zeros of the speed are located either from the epitrochoid closed form
 1 + a^2 - 2a cos((k+1)z)  (a = lambda*(k+1), zeros at Re z in (2pi/(k+1))Z,
@@ -16,7 +20,6 @@ iteration seeded on a 64x64 grid over the requested strip.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -26,7 +29,6 @@ import numpy as np
 from .curves import PlanarCurve
 
 DEFAULT_REFINEMENT = 1e-2
-ARG_STEP_LIMIT = math.pi / 4.0
 MAX_STEP_HALVINGS = 40
 ZERO_RESIDUAL_TOL = 1e-12
 SCAN_GRID = 64
@@ -44,7 +46,7 @@ class BranchJump(RuntimeError):
 class PathPolyline:
     """Piecewise-linear path in the complex strip.
 
-    ``refinement`` is the maximum step length used when walking the path.
+    ``refinement`` is the clearance from speed^2 zeros the path must keep.
     """
 
     vertices: tuple[complex, ...]
@@ -58,24 +60,6 @@ class PathPolyline:
         for a, b in zip(self.vertices, self.vertices[1:]):
             if a == b:
                 raise ValueError("consecutive path vertices must be distinct")
-
-    def refined_points(self) -> list[complex]:
-        pts = [complex(self.vertices[0])]
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            a, b = complex(a), complex(b)
-            n = max(1, int(math.ceil(abs(b - a) / self.refinement)))
-            for j in range(1, n + 1):
-                pts.append(a + (b - a) * (j / n))
-        return pts
-
-
-@dataclass(frozen=True)
-class BranchValue:
-    """One determination of sqrt(speed^2) at a point along a path."""
-
-    point: complex
-    value: complex
-    seed_sign: int = 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,27 +95,11 @@ def speed_squared_prime(curve: PlanarCurve, z):
     return 2.0 * (dx(z) * ddx(z) + dy(z) * ddy(z))
 
 
-def _advance_sqrt(f, z_from: complex, z_to: complex, w_from: complex, depth: int = 0) -> complex:
-    cand = cmath.sqrt(complex(f(z_to)))
-    if cand == 0:
-        raise SingularityOnPath("speed^2 vanishes at %s" % (z_to,))
-    if (cand * w_from.conjugate()).real < 0:
-        cand = -cand
-    if abs(cmath.phase(cand / w_from)) < ARG_STEP_LIMIT:
-        return cand
-    if depth >= MAX_STEP_HALVINGS:
-        raise BranchJump(
-            "square-root continuation lost continuity between %s and %s" % (z_from, z_to))
-    mid = 0.5 * (z_from + z_to)
-    w_mid = _advance_sqrt(f, z_from, mid, w_from, depth + 1)
-    return _advance_sqrt(f, mid, z_to, w_mid, depth + 1)
-
-
 def match_branch(cand, ref):
     """Flip each square-root candidate into the half plane of its reference.
 
     Returns the flipped candidates and the continuity mask: True where the
-    argument turns by less than ARG_STEP_LIMIT from the reference, which is
+    argument turns by less than pi/4 from the reference, which is
     |Im p| < Re p for p = cand * conj(ref) after the flip.  A vanishing
     candidate is never continuous.
     """
@@ -139,58 +107,39 @@ def match_branch(cand, ref):
     return np.where(p.real < 0, -cand, cand), np.abs(p.imag) < np.abs(p.real)
 
 
-def track_sqrt(f, points, w_start: complex) -> list[complex]:
-    """Continue a square root of f along an ordered list of points.
+def continue_sqrt(f, z_from, z_to, w_from, steps):
+    """Continue a square root of f along straight segments, all entries together.
 
-    ``w_start`` must satisfy w_start^2 = f(points[0]).  Generic utility: f is
-    any callable of one complex argument.
+    ``z_from``, ``z_to`` and ``w_from`` broadcast to one shape of any size, with
+    w_from^2 = f(z_from); f maps an array of points to an array of values.  Each
+    segment is walked in ``steps`` equal fractions, every fraction matched to the
+    previous value with ``match_branch``.  The fractions that fail are halved, on
+    just those entries, until they pass.  Raises SingularityOnPath when a root
+    vanishes and BranchJump past MAX_STEP_HALVINGS halvings.
     """
-    w = complex(w_start)
-    out = [w]
-    for a, b in zip(points, points[1:]):
-        w = _advance_sqrt(f, complex(a), complex(b), w)
-        out.append(w)
-    return out
+    shape = np.broadcast(z_from, z_to, w_from).shape
+    a, b, w = (np.array(np.broadcast_to(v, shape), dtype=complex).ravel()
+               for v in (z_from, z_to, w_from))
+    return _continue(f, a, b, w, steps, 0).reshape(shape)
 
 
-def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    denom = (ab * ab.conjugate()).real
-    if denom == 0:
-        return abs(z - a)
-    t = ((z - a) * ab.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * ab))
-
-
-def sqrt_along_path(curve: PlanarCurve, path: PathPolyline, seed: BranchValue,
-                    zeros=None) -> list[BranchValue]:
-    """Continuity-tracked sqrt(speed^2) along a path, one value per refined point.
-
-    Raises SingularityOnPath when a zero of speed^2 lies within ``refinement``
-    of the path, BranchJump when step halving cannot restore continuity.
-    """
-    start = complex(path.vertices[0])
-    f0 = complex(speed_squared(curve, start))
-    if abs(seed.value * seed.value - f0) > 1e-8 * max(1.0, abs(f0)):
-        raise ValueError("seed value does not square to speed^2 at the path start")
-    if zeros is None:
-        res = [complex(v).real for v in path.vertices]
-        ims = [complex(v).imag for v in path.vertices]
-        zeros = singularity_scan(
-            curve,
-            s_max=max(abs(s) for s in ims) + 0.5,
-            t_range=(min(res) - 0.5, max(res) + 0.5),
-        )
-    for z0 in zeros:
-        for a, b in zip(path.vertices, path.vertices[1:]):
-            if _point_segment_distance(z0, complex(a), complex(b)) < path.refinement:
-                raise SingularityOnPath(
-                    "zero of speed^2 at %s is within %g of the path" % (z0, path.refinement))
-    pts = path.refined_points()
-    values = track_sqrt(lambda z: speed_squared(curve, z), pts, seed.value)
-    return [BranchValue(point=p, value=v, seed_sign=seed.seed_sign)
-            for p, v in zip(pts, values)]
+def _continue(f, a, b, w, steps, depth):
+    prev = a
+    for j in range(1, steps + 1):
+        nxt = b if j == steps else a + (b - a) * (j / steps)
+        cand = np.sqrt(np.asarray(f(nxt), dtype=complex))
+        w_next, ok = match_branch(cand, w)
+        bad = np.nonzero(~ok)[0]
+        if bad.size:
+            if np.any(cand[bad] == 0):
+                raise SingularityOnPath("the square root vanishes at %s"
+                                        % nxt[bad][cand[bad] == 0][0])
+            if depth >= MAX_STEP_HALVINGS:
+                raise BranchJump("square-root continuation lost continuity between %s and %s"
+                                 % (prev[bad[0]], nxt[bad[0]]))
+            w_next[bad] = _continue(f, prev[bad], nxt[bad], w[bad], 2, depth + 1)
+        prev, w = nxt, w_next
+    return w
 
 
 def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEMENT):
@@ -198,33 +147,16 @@ def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEME
 
     Each point is continued vertically from its axis foot (Re z, 0), where the
     root is positive, in n = ceil(max |Im z| / refinement) equal fractions of its
-    own height, all points together.  A point whose root turns by ARG_STEP_LIMIT
-    or more in one fraction is redone by the scalar halving tracker.  Inside the
-    zero-free strip around the geodesic this is the unique holomorphic branch
-    positive on the axis.
+    own height, all points together.  Inside the zero-free strip around the
+    geodesic this is the unique holomorphic branch positive on the axis.
     """
     z = np.asarray(z, dtype=complex)
-    t, s = z.real.ravel(), z.imag.ravel()
-    w = np.sqrt(speed_squared(curve, t).astype(complex))
+    w = np.sqrt(speed_squared(curve, z.real).astype(complex))
     if not np.all(w.real > 0):
         raise SingularityOnPath("speed^2 vanishes on the axis at t=%g"
-                                % t[np.argmin(w.real)])
-    n = int(math.ceil(float(np.max(np.abs(s), initial=0.0)) / refinement))
-    f = lambda zz: speed_squared(curve, zz)
-    prev = t.astype(complex)
-    for j in range(1, n + 1):
-        nxt = t + 1j * (s * (j / n))
-        w_prev = w
-        w, ok = match_branch(np.sqrt(speed_squared(curve, nxt)), w_prev)
-        for i in np.nonzero(~ok)[0]:
-            w[i] = _advance_sqrt(f, prev[i], nxt[i], complex(w_prev[i]))
-        prev = nxt
-    return w.reshape(z.shape)
-
-
-def strip_sqrt(curve: PlanarCurve, z: complex, refinement: float = DEFAULT_REFINEMENT) -> complex:
-    """The strip branch of sqrt(speed^2) at one point: positive on the real axis."""
-    return complex(strip_sqrt_array(curve, complex(z), refinement))
+                                % z.real.ravel()[np.argmin(w.real)])
+    n = int(math.ceil(float(np.max(np.abs(z.imag), initial=0.0)) / refinement))
+    return continue_sqrt(lambda zz: speed_squared(curve, zz), z.real, z, w, n)
 
 
 def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[complex, ...]:
@@ -250,8 +182,7 @@ def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[co
 
 def _scan_epitrochoid(curve, s_max, t_lo, t_hi, half_open):
     params = curve.epitrochoid
-    a = params.a
-    s0 = abs(math.log(a)) / (params.k + 1)
+    s0 = params.zero_height
     if s0 > s_max:
         return ()
     period = 2.0 * math.pi / (params.k + 1)
@@ -305,8 +236,7 @@ def nearest_zero_distance(curve: PlanarCurve, t_range=None, s_search: float = 2.
     """
     if curve.epitrochoid is not None:
         # closed form; conservative for subintervals missing the zero lattice
-        params = curve.epitrochoid
-        return abs(math.log(params.a)) / (params.k + 1)
+        return curve.epitrochoid.zero_height
     if t_range is None:
         t_range = curve.domain
     t_lo, t_hi = float(t_range[0]), float(t_range[1])

@@ -87,6 +87,11 @@ class EpitrochoidParams:
     def a(self) -> float:
         return self.lam * (self.k + 1)
 
+    @property
+    def zero_height(self) -> float:
+        """|Im z| of the speed^2 zeros, ln(max(a, 1/a))/(k+1): the strip half-width."""
+        return abs(math.log(self.a)) / (self.k + 1)
+
 
 @dataclass(frozen=True)
 class PlanarCurve:

@@ -18,9 +18,13 @@ adds nothing).  It is one real integral per grid column, done with the nested
 Gauss-Kronrod G7/K15 pair of QUADPACK (Piessens et al., 1983): all columns
 advance together one s level at a time, x' and y' are evaluated once per
 Kronrod node and reused for W, and |K15 - G7| is the per-column error
-estimate.  Columns that fail it, or whose branch turns too fast, are bisected
-on their own.  ``integrate_segment`` applies the same pair adaptively to
-general contour integrals.
+estimate.  W follows the one continuation rule of the continuation module:
+every node is matched to the branch one panel back with ``match_branch``, and
+columns that fail it, or the error test, are bisected on their own.
+``schwarz_integrate`` runs the same panel and bisection along each segment of
+a polyline, so it shares both the quadrature and the branch rule with the
+patch.  ``integrate_segment`` applies the same pair adaptively to general
+contour integrals of integrands that carry no square-root branch.
 """
 
 from __future__ import annotations
@@ -31,14 +35,12 @@ import numpy as np
 
 from .continuation import (
     DEFAULT_REFINEMENT,
-    BranchValue,
     PathPolyline,
+    SingularityOnPath,
     derivative_series,
     match_branch,
     nearest_zero_distance,
-    speed_squared,
-    sqrt_along_path,
-    strip_sqrt,
+    singularity_scan,
     strip_sqrt_array,
 )
 from .curves import InvalidCurveParameters, PlanarCurve, regularity_margin
@@ -123,9 +125,6 @@ class HolomorphicTriple:
         self.refinement = refinement
         self._dx, self._dy = derivative_series(curve)
 
-    def velocity(self, z):
-        return self._dx(z), self._dy(z)
-
     def axis_values(self, t):
         """Phi on the real axis; phi3 = i*positive sqrt, no continuation needed."""
         t = np.asarray(t, dtype=float)
@@ -161,38 +160,50 @@ def planar_normal(curve: PlanarCurve, t):
     return np.stack([-vy / speed, vx / speed, 0.0 * speed], axis=-1)
 
 
+def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
+    ab = b - a
+    t = ((z - a) * ab.conjugate()).real / (ab * ab.conjugate()).real
+    return abs(z - (a + min(1.0, max(0.0, t)) * ab))
+
+
 def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | None = None,
                       tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Re integral of Phi from z0 to z1 along a polyline (default: straight).
 
     The planar components are exact, Re x(z1) - Re x(z0) and likewise for y.
-    Only Phi3 = i*W is integrated, with the sqrt branch continued along the
-    actual path, so homotopic paths in the zero-free strip agree and paths
-    winding around a speed^2 zero pick up the monodromy sign.
+    Only Phi3 = i*W is integrated, by the patch column integrator run along
+    each segment, with W seeded at z0 by the strip branch and continued along
+    the actual path.  So homotopic paths in the zero-free strip agree and paths
+    winding around a speed^2 zero pick up the monodromy sign.  Raises
+    SingularityOnPath when a zero lies within ``path.refinement`` of the path.
     """
     z0, z1 = complex(z0), complex(z1)
     if path is None:
         if z0 == z1:
             return np.zeros(3)
         path = PathPolyline(vertices=(z0, z1))
-    if complex(path.vertices[0]) != z0 or complex(path.vertices[-1]) != z1:
+    verts = [complex(v) for v in path.vertices]
+    if verts[0] != z0 or verts[-1] != z1:
         raise ValueError("path endpoints must match z0 and z1")
     curve = triple.curve
-    seed = BranchValue(point=z0, value=strip_sqrt(curve, z0, triple.refinement))
-    chain = sqrt_along_path(curve, path, seed)
-    pts = np.array([bv.point for bv in chain], dtype=complex)
-    vals = np.array([bv.value for bv in chain], dtype=complex)
-
-    def integrand(zs):
-        # reference: the tracked value at the nearest chain point
-        idx = np.abs(zs[:, None] - pts[None, :]).argmin(axis=1)
-        w, _ = match_branch(np.sqrt(speed_squared(curve, zs)), vals[idx])
-        return 1j * w[:, None]
-
-    n_seg = len(path.vertices) - 1
+    xs, ys = [v.real for v in verts], [v.imag for v in verts]
+    for zero in singularity_scan(curve, s_max=max(abs(y) for y in ys) + 0.5,
+                                 t_range=(min(xs) - 0.5, max(xs) + 0.5)):
+        if any(_point_segment_distance(zero, a, b) < path.refinement
+               for a, b in zip(verts, verts[1:])):
+            raise SingularityOnPath(
+                "zero of speed^2 at %s is within %g of the path" % (zero, path.refinement))
+    w = strip_sqrt_array(curve, np.array([z0]), triple.refinement)
+    seg_tol = tol / (len(verts) - 1)
     f3 = 0.0
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        f3 = f3 + float(np.real(integrate_segment(integrand, a, b, tol / n_seg)[0]))
+    for a, b in zip(verts, verts[1:]):
+        length, direction = abs(b - a), (b - a) / abs(b - a)
+        step, good, _, _, w = _column_step(triple, np.array([a]), 0.0, length, w, seg_tol,
+                                           direction)
+        if not good[0]:
+            step[0], w[0] = _bisect_column(triple, a, 0.0, length, w[0], seg_tol,
+                                           direction=direction)
+        f3 = f3 + float(step[0])
     (x0, y0), (x1, y1) = curve.eval(z0), curve.eval(z1)
     return np.array([np.real(x1) - np.real(x0), np.real(y1) - np.real(y0), f3])
 
@@ -279,9 +290,12 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     return PatchGrid(curve=curve, t_vals=t_vals, s_vals=s_vals, points=points, phi=phi_grid)
 
 
-def _column_step(triple: HolomorphicTriple, t, s_a: float, s_b: float, w_a, tol: float):
-    """One G7/K15 panel of the f3 increment -int_{s_a}^{s_b} Re W d sigma per column.
+def _column_step(triple: HolomorphicTriple, t, s_a: float, s_b: float, w_a, tol: float,
+                 direction: complex = 1j):
+    """One G7/K15 panel of the f3 increment Re int i W dz per column.
 
+    The columns run from t + direction*s_a to t + direction*s_b, so with the
+    default direction i the increment is -int_{s_a}^{s_b} Re W(t + i sigma) d sigma.
     x' and y' are evaluated once per node, on the 15 Kronrod nodes and at s_b,
     and W at every node is matched to the branch values w_a at s_a.  A column
     is accepted when every node continues the branch and |K15 - G7| is within
@@ -292,10 +306,10 @@ def _column_step(triple: HolomorphicTriple, t, s_a: float, s_b: float, w_a, tol:
     """
     half = 0.5 * (s_b - s_a)
     ss = np.append(0.5 * (s_a + s_b) + half * K15_NODES, s_b)
-    Z = t[None, :] + 1j * ss[:, None]
+    Z = t[None, :] + direction * ss[:, None]
     vx, vy = triple._dx(Z), triple._dy(Z)
     w, ok = match_branch(np.sqrt(vx * vx + vy * vy), w_a)
-    re = w[:-1].real
+    re = (1j * direction * w[:-1]).real
     k15 = _weighted_sum(K15_WEIGHTS, re)
     err = abs(half) * np.abs(k15 - _weighted_sum(G7_WEIGHTS, re[1::2]))
     good = np.all(ok, axis=0) & (err <= tol)
@@ -304,25 +318,25 @@ def _column_step(triple: HolomorphicTriple, t, s_a: float, s_b: float, w_a, tol:
         floor = ROUNDING_SAFETY * np.finfo(float).eps * abs(half) * _weighted_sum(
             K15_WEIGHTS, mag2 / np.abs(w[:-1]))
         good = np.all(ok, axis=0) & (err <= np.maximum(tol, floor))
-    return -half * k15, good, vx[-1], vy[-1], w[-1]
+    return half * k15, good, vx[-1], vy[-1], w[-1]
 
 
-def _bisect_column(triple: HolomorphicTriple, t: float, s_a: float, s_b: float,
-                   w_a: complex, tol: float, depth: int = 1):
+def _bisect_column(triple: HolomorphicTriple, t, s_a: float, s_b: float,
+                   w_a: complex, tol: float, depth: int = 1, direction: complex = 1j):
     """Scalar adaptive fallback for one column step: halves until each panel passes."""
     if depth > MAX_QUAD_DEPTH:
         raise QuadratureFailure(
             "column quadrature did not reach tol=%g between %s and %s"
-            % (tol, complex(t, s_a), complex(t, s_b)))
+            % (tol, t + direction * s_a, t + direction * s_b))
     total, w = 0.0, w_a
     mid = 0.5 * (s_a + s_b)
     for lo, hi in ((s_a, mid), (mid, s_b)):
         step, good, _, _, w_hi = _column_step(
-            triple, np.array([t]), lo, hi, np.array([w]), 0.5 * tol)
+            triple, np.array([t]), lo, hi, np.array([w]), 0.5 * tol, direction)
         if good[0]:
             total, w = total + step[0], complex(w_hi[0])
         else:
-            step, w = _bisect_column(triple, t, lo, hi, w, 0.5 * tol, depth + 1)
+            step, w = _bisect_column(triple, t, lo, hi, w, 0.5 * tol, depth + 1, direction)
             total = total + step
     return total, w
 

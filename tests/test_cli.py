@@ -38,6 +38,23 @@ def test_generate_rejects_cusped_parameters(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # past the 0.9 strip cap: StripTooWide
+    ["generate", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
+     "--s-fraction", "0.95"],
+    ["generate", "--curve", "cycloid", "--s-fraction", "1.0"],
+    # grids need two nodes per direction
+    ["generate", "--curve", "circle", "--nt", "1"],
+    ["verify", "--curve", "circle", "--nt", "1"],
+])
+def test_bad_input_exits_with_bad_params(argv, tmp_path, capsys):
+    if argv[0] == "generate":
+        argv = argv + ["--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_generate_io_failure(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")

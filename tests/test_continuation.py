@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 
 from bjorling.continuation import (
-    BranchValue,
     PathPolyline,
     SingularityOnPath,
+    continue_sqrt,
     match_branch,
     nearest_zero_distance,
     singularity_scan,
     speed_squared,
-    sqrt_along_path,
-    strip_sqrt,
     strip_sqrt_array,
 )
 from bjorling.curves import make_circle, make_cycloid, make_parabola
+from bjorling.schwarz import phi, schwarz_integrate
 
 from conftest import epi
+
+
+def _along(curve, vertices, w, h=1e-2):
+    # sqrt(speed^2) continued along a polyline, steps of at most h per segment
+    f = lambda z: speed_squared(curve, z)
+    for a, b in zip(vertices, vertices[1:]):
+        w = continue_sqrt(f, a, b, w, int(math.ceil(abs(b - a) / h)))
+    return complex(w)
 
 
 def test_speed_squared_values():
@@ -37,29 +44,34 @@ def test_speed_squared_closed_form_off_axis(rng):
     assert np.max(np.abs(speed_squared(curve, z) - closed)) < 1e-9
 
 
-def test_sqrt_along_path_constant_for_circle():
-    path = PathPolyline(vertices=(0.0 + 0j, 1.0 + 0.5j, 2.0 + 0j))
-    out = sqrt_along_path(make_circle(), path, BranchValue(0j, 1.0 + 0j))
-    assert all(abs(bv.value - 1.0) < 1e-12 for bv in out)
+def test_continue_sqrt_constant_for_circle():
+    curve = make_circle()
+    f = lambda z: speed_squared(curve, z)
+    # every point of the path 0 -> 1 + 0.5i -> 2, each continued from 0 in one call
+    u = np.linspace(0.0, 1.0, 41)
+    z = np.concatenate([u * (1.0 + 0.5j), 1.0 + 0.5j + u * (1.0 - 0.5j)])
+    w = continue_sqrt(f, 0j, z, 1.0 + 0j, 50)
+    assert w.shape == z.shape
+    assert np.max(np.abs(w - 1.0)) < 1e-12
+    assert abs(_along(curve, (0j, 1.0 + 0.5j, 2.0 + 0j), 1.0 + 0j) - 1.0) < 1e-12
 
 
 def test_sqrt_real_axis_loop_returns_to_seed():
     curve = epi(2, 0.5)
-    path = PathPolyline(vertices=(0j, 2 * math.pi + 0j))
-    out = sqrt_along_path(curve, path, BranchValue(0j, 2.0 + 0j))
-    assert abs(out[-1].value - 2.0) < 1e-10
-    # on the axis the tracked root stays the positive one
-    assert all(bv.value.real > 0 for bv in out)
+    t = np.linspace(0.0, 2 * math.pi, 64)
+    w = continue_sqrt(lambda z: speed_squared(curve, z), 0j, t, 2.0 + 0j, 629)
+    assert abs(w[-1] - 2.0) < 1e-10
+    # on the axis the continued root stays the positive one
+    assert np.all(w.real > 0)
 
 
 def test_sqrt_winding_around_simple_zero_flips_sign():
     curve = epi(2, 0.5)
     z0 = 1j * math.log(1.5) / 3.0  # simple zero of speed^2 above t = 0
-    loop = PathPolyline(vertices=(
-        0j, 0.1 + 0.05j, 0.1 + 0.25j, -0.1 + 0.25j, -0.1 + 0.05j, 0j))
-    out = sqrt_along_path(curve, loop, BranchValue(0j, 2.0 + 0j))
-    assert abs(out[-1].value - (-2.0)) < 1e-9
-    assert abs(out[-1].value ** 2 - speed_squared(curve, 0.0)) < 1e-12
+    loop = (0j, 0.1 + 0.05j, 0.1 + 0.25j, -0.1 + 0.25j, -0.1 + 0.05j, 0j)
+    w = _along(curve, loop, 2.0 + 0j)
+    assert abs(w - (-2.0)) < 1e-9
+    assert abs(w ** 2 - speed_squared(curve, 0.0)) < 1e-12
     assert abs(z0.imag - 0.13515503603605478) < 1e-12
 
 
@@ -77,21 +89,16 @@ def test_sqrt_sign_flip_random_epitrochoids(seed_trial):
     r = 0.45 * s0
     corners = tuple(z0 + r * np.exp(1j * th) for th in
                     (-2.356, -0.785, 0.785, 2.356))  # square around the zero
-    start = corners[0]
-    seed = BranchValue(start, strip_sqrt(curve, start))
-    loop = PathPolyline(vertices=corners + (corners[0],),
-                        refinement=min(1e-2, r / 4))
-    out = sqrt_along_path(curve, loop, seed)
-    assert abs(out[-1].value + seed.value) < 1e-8 * max(1.0, abs(seed.value))
+    seed = complex(strip_sqrt_array(curve, corners[0]))
+    w = _along(curve, corners + (corners[0],), seed, h=min(1e-2, r / 4))
+    assert abs(w + seed) < 1e-8 * max(1.0, abs(seed))
 
 
 def test_homotopic_paths_agree():
     curve = epi(2, 0.5)
     target = 1.0 + 0.1j
-    direct = PathPolyline(vertices=(0j, target))
-    dogleg = PathPolyline(vertices=(0j, 1.0 + 0j, target))
-    w1 = sqrt_along_path(curve, direct, BranchValue(0j, 2.0 + 0j))[-1].value
-    w2 = sqrt_along_path(curve, dogleg, BranchValue(0j, 2.0 + 0j))[-1].value
+    w1 = _along(curve, (0j, target), 2.0 + 0j)
+    w2 = _along(curve, (0j, 1.0 + 0j, target), 2.0 + 0j)
     assert abs(w1 - w2) < 1e-10
 
 
@@ -100,13 +107,35 @@ def test_singularity_on_path_detected():
     z0 = 1j * math.log(1.5) / 3.0
     path = PathPolyline(vertices=(0j, z0 + 1e-4), refinement=1e-2)
     with pytest.raises(SingularityOnPath):
-        sqrt_along_path(curve, path, BranchValue(0j, 2.0 + 0j))
+        schwarz_integrate(phi(curve), 0j, z0 + 1e-4, path=path)
+    # a root that vanishes exactly on the segment
+    with pytest.raises(SingularityOnPath):
+        continue_sqrt(lambda z: z, 1.0, -1.0, 1.0 + 0j, 4)
 
 
-def test_bad_seed_rejected():
-    with pytest.raises(ValueError):
-        sqrt_along_path(epi(2, 0.5), PathPolyline(vertices=(0j, 1.0 + 0j)),
-                        BranchValue(0j, 1.0 + 0j))
+def test_coarse_steps_halve_to_the_fine_root():
+    curve = epi(2, 0.5)
+    calls = [0]
+
+    def f(z):
+        calls[0] += 1
+        return speed_squared(curve, z)
+
+    # one step up each vertical passing just right of the zero above t = 0
+    # turns the root by about pi/2, so the failing entries are halved
+    z_from = np.linspace(0.02, 0.1, 10) + 0j
+    z = z_from + 1.6j * math.log(1.5) / 3.0
+    w0 = np.sqrt(speed_squared(curve, z_from))
+    coarse = continue_sqrt(f, z_from, z, w0, 1)
+    assert calls[0] > 1
+    fine = continue_sqrt(f, z_from, z, w0, 400)
+    assert np.array_equal(coarse, fine)
+    # sqrt(z^2) = z turns by 2.2 rad along this chord; one unhalved step
+    # would flip the endpoint to -z
+    a, b = np.exp(0.1j), np.exp(2.3j)
+    assert abs(match_branch(np.sqrt(b * b), a)[0] + b) < 1e-15
+    assert abs(continue_sqrt(lambda z: z * z, a, b, a, 1) - b) < 1e-15
+    assert np.array_equal(coarse, strip_sqrt_array(curve, z))
 
 
 def test_scan_circle_empty():
@@ -154,15 +183,13 @@ def test_nearest_zero_distance():
 
 def test_strip_sqrt_positive_on_axis_and_consistent():
     curve = epi(2, 0.5)
-    w = strip_sqrt(curve, 1.2)
+    w = complex(strip_sqrt_array(curve, 1.2))
     assert w.imag == 0 and w.real > 0
     z = 0.7 + 0.09j
-    w = strip_sqrt(curve, z)
+    w = complex(strip_sqrt_array(curve, z))
     assert abs(w * w - speed_squared(curve, z)) < 1e-12 * abs(speed_squared(curve, z))
     # matches path continuation along a different (homotopic) route
-    path = PathPolyline(vertices=(0j, 0.7 + 0j, z))
-    via_path = sqrt_along_path(curve, path, BranchValue(0j, 2.0 + 0j))[-1].value
-    assert abs(w - via_path) < 1e-10
+    assert abs(w - _along(curve, (0j, 0.7 + 0j, z), 2.0 + 0j)) < 1e-10
 
 
 def test_match_branch_flips_and_flags_fast_turns():
@@ -174,12 +201,13 @@ def test_match_branch_flips_and_flags_fast_turns():
 
 
 def test_strip_sqrt_array_matches_scalar_on_grid():
+    # the grid in one call against every point on its own
     curve = epi(3, 0.6)
     s_max = 0.8 * math.log(2.4) / 4.0
     z = np.linspace(0.0, 2 * math.pi, 13)[None, :] + 1j * np.linspace(-s_max, s_max, 5)[:, None]
     w = strip_sqrt_array(curve, z)
     assert w.shape == z.shape
-    scalar = np.array([[strip_sqrt(curve, p) for p in row] for row in z])
+    scalar = np.array([[complex(strip_sqrt_array(curve, p)) for p in row] for row in z])
     assert np.max(np.abs(w - scalar)) < 1e-12
     sp = speed_squared(curve, z)
     assert np.max(np.abs(w * w - sp) / np.abs(sp)) < 1e-12

@@ -122,6 +122,18 @@ def test_schwarz_integrate_path_independence():
     assert np.max(np.abs(direct - dog)) < 1e-10
 
 
+def test_schwarz_integrate_matches_patch_column():
+    # t -> t + is along the patch column gives the patch f3 at that node
+    curve = epi(2, 0.5)
+    cap = strip_limit(curve)
+    patch = surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
+    triple = phi(curve)
+    for j, l in ((0, 32), (37, 0), (100, 20), (255, 9)):
+        t, s = patch.t_vals[j], patch.s_vals[l]
+        got = schwarz_integrate(triple, t, t + 1j * s)
+        assert abs(got[2] - patch.points[l, j, 2]) < 1e-13
+
+
 def test_surface_patch_rows_and_anchor():
     curve = make_circle()
     patch = surface_patch(curve, (0.0, 2 * math.pi), (-1.0, 1.0), 33, 9)
