@@ -24,8 +24,9 @@ from .continuation import (
     BranchJump,
     PathPolyline,
     SingularityOnPath,
+    Strip,
     continue_sqrt,
-    nearest_zero_distance,
+    find_strip,
     singularity_scan,
     speed_squared,
     strip_sqrt_array,
@@ -61,7 +62,6 @@ from .schwarz import (
     phi,
     planar_normal,
     schwarz_integrate,
-    strip_limit,
     surface_patch,
     surface_point,
 )

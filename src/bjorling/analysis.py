@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import continue_sqrt, derivative_series
+from .continuation import continue_sqrt
 from .curves import EpitrochoidParams, make_epitrochoid
-from .schwarz import integrate_segment
 from .weierstrass import data_from_curve
 
 ORDER_LEVELS = 9
@@ -403,30 +402,20 @@ def fit_vanishing_exponent(model: VModel, v0: complex, tau0: float = 1e-2,
     return float(np.mean(slopes[-3:]))
 
 
-def intrinsic_distance(model: VModel, quad_tol: float = 1e-10) -> float:
+def intrinsic_distance(model: VModel) -> float:
     """Length of the vertical segment t = 0, s in [0, s0] in the surface metric.
 
     s0 is the strip half-width; the endpoint is the nearest degeneration
-    point.  The conformal factor stays bounded in the z-chart, so the length
-    is finite: the immersion fails at finite distance from the geodesic.
+    point.  On t = 0 the conformal factor is (k+2)^2 max(u^2, v^2) with
+    u = cosh s - a cosh((k+2)s) and v = a sinh((k+2)s) - sinh s.  On [0, s0]
+    |u| >= |v| and u keeps one sign, so the length is exactly |Im y(i s0)|:
+    finite, so the immersion fails at finite distance from the geodesic.
     """
     curve = make_epitrochoid(EpitrochoidParams(k=model.k, lam=model.lam))
-    dx, dy = derivative_series(curve)
-    s0 = strip_halfwidth(model.k, model.lam)
-
-    def integrand(zs):
-        z = 1j * np.real(np.asarray(zs, dtype=complex))
-        vx = dx(z)
-        vy = dy(z)
-        sp = vx * vx + vy * vy
-        dens = 0.5 * (np.abs(vx) ** 2 + np.abs(vy) ** 2 + np.abs(sp))
-        return np.sqrt(dens)[:, None]
-
-    val = integrate_segment(integrand, 0.0, s0, quad_tol)
-    return float(np.real(val[0]))
+    return abs(float(np.imag(curve.y(1j * strip_halfwidth(model.k, model.lam)))))
 
 
-def obstruction_report(model: VModel, quad_tol: float = 1e-10) -> DegeneracyReport:
+def obstruction_report(model: VModel) -> DegeneracyReport:
     """Degeneration points, quadratic-vanishing fits and the finite distance."""
     pts = degeneracy_points(model)
     dens = tuple(model.metric_density(v0, 0.0) for v0 in pts)
@@ -441,7 +430,7 @@ def obstruction_report(model: VModel, quad_tol: float = 1e-10) -> DegeneracyRepo
         density_at_points=dens,
         vanishing_exponents=expos,
         vanishing_order=int(round(float(np.mean(expos)))),
-        intrinsic_distance=intrinsic_distance(model, quad_tol),
+        intrinsic_distance=intrinsic_distance(model),
     )
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, meshing, verify, weierstrass
-from .continuation import nearest_zero_distance
+from .continuation import find_strip
 from .curves import (
     EpitrochoidParams,
     InvalidCurveParameters,
@@ -111,16 +111,23 @@ def _check_grid(args) -> None:
         raise InvalidCurveParameters("--nt and --ns must be at least 2")
 
 
+def _halfwidth(strip, s_fraction: float) -> float:
+    """s_fraction x the distance to the nearest zero; 10/9 stands in for the
+    distance when the strip has no zero, so the default 0.9 gives 1."""
+    if math.isfinite(strip.distance):
+        return s_fraction * strip.distance
+    return s_fraction * 10.0 / 9.0
+
+
 def cmd_generate(args) -> int:
     _check_grid(args)
     curve = _build_curve(args)
     if not 0.0 < args.s_fraction <= 1.0:
         raise InvalidCurveParameters("--s-fraction must be in (0, 1]")
-    distance = nearest_zero_distance(curve)
-    halfwidth = (args.s_fraction * distance if math.isfinite(distance)
-                 else args.s_fraction * 10.0 / 9.0)
+    strip = find_strip(curve)
+    halfwidth = _halfwidth(strip, args.s_fraction)
     patch = surface_patch(curve, curve.domain, (-halfwidth, halfwidth),
-                          args.nt, args.ns, workers=_workers())
+                          args.nt, args.ns, workers=_workers(), strip=strip)
     mesh = meshing.sample_mesh(curve, curve.domain, (-halfwidth, halfwidth),
                                args.nt, args.ns, patch=patch)
     os.makedirs(args.out, exist_ok=True)
@@ -138,7 +145,8 @@ def cmd_generate(args) -> int:
     summary = {
         "curve": curve.label,
         "strip_halfwidth_used": halfwidth,
-        "strip_distance_to_singularity": distance if math.isfinite(distance) else None,
+        "strip_distance_to_singularity": (strip.distance if math.isfinite(strip.distance)
+                                          else None),
         "regularity_margin": regularity_margin(curve),
         "nt": args.nt,
         "ns": args.ns,
@@ -205,7 +213,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _verify_window(curve, halfwidth: float, nt: int, target: float = 2.5e-4):
+def _verify_window(curve, strip, halfwidth: float, nt: int, target: float = 2.5e-4):
     """t-window sized so second-order stencils meet the curvature threshold.
 
     A coarse probe patch estimates the ht^2 error constant; the window is
@@ -214,7 +222,7 @@ def _verify_window(curve, halfwidth: float, nt: int, target: float = 2.5e-4):
     """
     t_lo, t_hi = curve.domain
     length = t_hi - t_lo
-    probe = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), 128, 65)
+    probe = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), 128, 65, strip=strip)
     h_probe = verify.mean_curvature_residual(
         probe.points, probe.t_vals[1] - probe.t_vals[0],
         probe.s_vals[1] - probe.s_vals[0])
@@ -230,13 +238,12 @@ def _verify_window(curve, halfwidth: float, nt: int, target: float = 2.5e-4):
 def cmd_verify(args) -> int:
     _check_grid(args)
     curve = _build_curve(args)
-    distance = nearest_zero_distance(curve)
-    halfwidth = (args.s_fraction * distance if math.isfinite(distance)
-                 else args.s_fraction * 10.0 / 9.0)
+    strip = find_strip(curve)
+    halfwidth = _halfwidth(strip, args.s_fraction)
     ns = args.ns if args.ns % 2 == 1 else args.ns + 1  # keep s = 0 as a row
-    window = _verify_window(curve, halfwidth, args.nt)
+    window = _verify_window(curve, strip, halfwidth, args.nt)
     patch = surface_patch(curve, window, (-halfwidth, halfwidth),
-                          args.nt, ns, workers=_workers())
+                          args.nt, ns, workers=_workers(), strip=strip)
     report = verify.verification_report(curve, patch)
     if args.json:
         _write_json(report.to_json_dict(), args.json, args.timestamp)
@@ -268,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--nt", type=int, default=256)
     p_gen.add_argument("--ns", type=int, default=33)
     p_gen.add_argument("--s-fraction", type=float, default=0.9,
-                       help="fraction of the usable strip half-width")
+                       help="strip half-width as a multiple of the distance to the "
+                            "nearest speed^2 zero (of 10/9 when there is none); values "
+                            "above 0.9 exit 2 on curves that have zeros")
     p_gen.add_argument("--out", default="out")
     p_gen.add_argument("--clip", action="store_true",
                        help="also export the half cut away by the x1x2-plane")

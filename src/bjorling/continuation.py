@@ -15,7 +15,10 @@ quadrature nodes.
 Zeros of the speed are located either from the epitrochoid closed form
 1 + a^2 - 2a cos((k+1)z)  (a = lambda*(k+1), zeros at Re z in (2pi/(k+1))Z,
 |Im z| = ln(max(a, 1/a))/(k+1)) or, for generic curves, by damped Newton
-iteration seeded on a 64x64 grid over the requested strip.
+iteration seeded on a 64x64 grid over the requested strip.  ``find_strip``
+makes the one strip decision a run needs: it locates the zeros once and
+returns a ``Strip`` holding them, the distance from the t-window to the
+nearest one and the usable half-width ``cap``, 0.9 times that distance.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ DEFAULT_REFINEMENT = 1e-2
 MAX_STEP_HALVINGS = 40
 ZERO_RESIDUAL_TOL = 1e-12
 SCAN_GRID = 64
+ZERO_SEARCH_HEIGHT = 2.0  # |Im z| scanned for the zeros bounding a generic strip
 
 
 class SingularityOnPath(RuntimeError):
@@ -228,27 +232,46 @@ def _scan_generic(curve, s_max, t_lo, t_hi, half_open):
     return tuple(zeros)
 
 
-def nearest_zero_distance(curve: PlanarCurve, t_range=None, s_search: float = 2.0) -> float:
-    """Distance from the real-axis segment t_range to the nearest speed^2 zero.
+@dataclass(frozen=True)
+class Strip:
+    """The zero-free strip around the geodesic over the t-window ``t_range``.
 
-    Returns inf when no zero lies within |Im z| <= s_search of an extended
-    window around the segment; that is the unconstrained-strip case.
+    ``zeros`` are the speed^2 zeros found around the window and ``distance``
+    is the distance from the real segment t_range to the nearest one (inf
+    when none lies within |Im z| <= ZERO_SEARCH_HEIGHT).  A zero is never
+    closer to a sub-window than to the whole window, so the strip is valid
+    for every t-window inside t_range.
     """
-    if curve.epitrochoid is not None:
-        # closed form; conservative for subintervals missing the zero lattice
-        return curve.epitrochoid.zero_height
+
+    curve: PlanarCurve
+    t_range: tuple[float, float]
+    zeros: tuple[complex, ...]
+    distance: float
+
+    @property
+    def cap(self) -> float:
+        """Largest usable |Im z|: 0.9 times the distance."""
+        return 0.9 * self.distance
+
+
+def find_strip(curve: PlanarCurve, t_range=None) -> Strip:
+    """Locate the speed^2 zeros around t_range (default: the domain) once.
+
+    Generic curves are scanned over the window widened by a quarter of its
+    length plus 0.5 on each side; epitrochoids take the closed-form lattice
+    and the closed-form distance, conservative for windows that miss the
+    lattice.
+    """
     if t_range is None:
         t_range = curve.domain
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     ext = 0.25 * (t_hi - t_lo) + 0.5
-    zeros = singularity_scan(curve, s_max=s_search, t_range=(t_lo - ext, t_hi + ext))
-    if not zeros:
-        return math.inf
-    best = math.inf
-    for z in zeros:
-        if t_lo <= z.real <= t_hi:
-            d = abs(z.imag)
-        else:
-            d = min(abs(z - t_lo), abs(z - t_hi))
-        best = min(best, d)
-    return best
+    window = (t_lo - ext, t_hi + ext)
+    if curve.epitrochoid is not None:
+        s0 = curve.epitrochoid.zero_height
+        return Strip(curve, (t_lo, t_hi), _scan_epitrochoid(curve, s0, *window, False), s0)
+    zeros = singularity_scan(curve, ZERO_SEARCH_HEIGHT, window)
+    distance = min((abs(z.imag) if t_lo <= z.real <= t_hi
+                    else min(abs(z - t_lo), abs(z - t_hi)) for z in zeros),
+                   default=math.inf)
+    return Strip(curve, (t_lo, t_hi), zeros, distance)

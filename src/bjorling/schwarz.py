@@ -23,8 +23,8 @@ every node is matched to the branch one panel back with ``match_branch``, and
 columns that fail it, or the error test, are bisected on their own.
 ``schwarz_integrate`` runs the same panel and bisection along each segment of
 a polyline, so it shares both the quadrature and the branch rule with the
-patch.  ``integrate_segment`` applies the same pair adaptively to general
-contour integrals of integrands that carry no square-root branch.
+patch.  A patch must stay inside ``Strip.cap`` of the curve's ``Strip`` from
+``continuation.find_strip``.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ from .continuation import (
     DEFAULT_REFINEMENT,
     PathPolyline,
     SingularityOnPath,
+    Strip,
     derivative_series,
+    find_strip,
     match_branch,
-    nearest_zero_distance,
     singularity_scan,
     strip_sqrt_array,
 )
@@ -86,29 +87,6 @@ def _weighted_sum(weights, values):
     return out
 
 
-def _quad_recursive(f, a: complex, b: complex, tol: float, depth: int):
-    scale = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    v = f(mid + scale * K15_NODES)
-    i15 = scale * _weighted_sum(K15_WEIGHTS, v)
-    i7 = scale * _weighted_sum(G7_WEIGHTS, v[1::2])
-    err = float(np.max(np.abs(i15 - i7)))
-    floor = 5e-16 * float(np.max(np.abs(i15))) if i15.size else 0.0
-    if err <= max(tol, floor) or abs(b - a) < 1e-14:
-        return i15
-    if depth >= MAX_QUAD_DEPTH:
-        raise QuadratureFailure(
-            "adaptive quadrature did not reach tol=%g between %s and %s" % (tol, a, b))
-    left = _quad_recursive(f, a, mid, 0.5 * tol, depth + 1)
-    right = _quad_recursive(f, mid, b, 0.5 * tol, depth + 1)
-    return left + right
-
-
-def integrate_segment(f, a, b, tol: float = DEFAULT_QUAD_TOL):
-    """Integrate a vector integrand f: (n,) complex -> (n, m) along [a, b]."""
-    return _quad_recursive(f, complex(a), complex(b), tol, 0)
-
-
 class HolomorphicTriple:
     """The null curve Phi = (x', y', i*sqrt(x'^2+y'^2)) with the strip branch.
 
@@ -124,14 +102,6 @@ class HolomorphicTriple:
         self.curve = curve
         self.refinement = refinement
         self._dx, self._dy = derivative_series(curve)
-
-    def axis_values(self, t):
-        """Phi on the real axis; phi3 = i*positive sqrt, no continuation needed."""
-        t = np.asarray(t, dtype=float)
-        vx = self._dx(t)
-        vy = self._dy(t)
-        w = np.sqrt(vx * vx + vy * vy)
-        return np.stack([vx.astype(complex), vy.astype(complex), 1j * w], axis=-1)
 
     def __call__(self, z):
         """Phi at strip points of any shape; the result has shape z.shape + (3,)."""
@@ -255,29 +225,31 @@ class PatchGrid:
         return float(np.max(np.abs(E - G) / E)), float(np.max(np.abs(F) / E))
 
 
-def strip_limit(curve: PlanarCurve, t_range=None) -> float:
-    """Largest usable |Im z|: 0.9x the distance to the nearest speed^2 zero."""
-    return 0.9 * nearest_zero_distance(curve, t_range)
-
-
 def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
-                  tol: float = DEFAULT_QUAD_TOL, workers: int = 1) -> PatchGrid:
+                  tol: float = DEFAULT_QUAD_TOL, workers: int = 1,
+                  strip: Strip | None = None) -> PatchGrid:
     """Sample the anchored Schwarz surface on a t x s grid.
 
     The planar coordinates are Re x and Re y on the grid, so the row s = 0
     (when present) is the input curve itself; f3 comes from the column
     integrator.  ``workers`` > 1 splits the columns over threads with bitwise
-    the same result.  Raises StripTooWide when |s| exceeds the clamped strip.
+    the same result.  ``strip`` is the curve's strip over a t-window covering
+    t_range (found here when not given; ValueError when it belongs to another
+    curve or window).  Raises StripTooWide when |s| exceeds ``strip.cap``.
     """
     if nt < 2 or ns < 2:
         raise ValueError("nt and ns must be at least 2")
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
-    cap = strip_limit(curve, (t_lo, t_hi))
-    if max(abs(s_lo), abs(s_hi)) > cap + 1e-12:
+    if strip is None:
+        strip = find_strip(curve, (t_lo, t_hi))
+    elif strip.curve != curve or not strip.t_range[0] <= t_lo <= t_hi <= strip.t_range[1]:
+        raise ValueError("the strip for %s over %s does not cover %s over %s"
+                         % (strip.curve.label, strip.t_range, curve.label, (t_lo, t_hi)))
+    if max(abs(s_lo), abs(s_hi)) > strip.cap + 1e-12:
         raise StripTooWide(
             "requested |s| up to %g exceeds the usable strip half-width %g"
-            % (max(abs(s_lo), abs(s_hi)), cap))
+            % (max(abs(s_lo), abs(s_hi)), strip.cap))
     triple = HolomorphicTriple(curve)
     t_vals = np.linspace(t_lo, t_hi, nt)
     s_vals = np.linspace(s_lo, s_hi, ns)

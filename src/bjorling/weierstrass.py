@@ -101,17 +101,14 @@ def gauss_map_check(curve: PlanarCurve, t_samples, h: float = 1e-3) -> float:
     return worst
 
 
-def period_residual(curve: PlanarCurve, tol: float = 1e-12) -> np.ndarray:
-    """Re of the loop integral of Phi over the closed curve at s = 0."""
+def period_residual(curve: PlanarCurve) -> np.ndarray:
+    """Re of the loop integral of Phi over the closed curve at s = 0.
+
+    Phi1 and Phi2 integrate to x and y exactly and Re Phi3 = 0 on the axis, so
+    the residual is (x(t_hi) - x(t_lo), y(t_hi) - y(t_lo), 0).
+    """
     if not curve.closed:
         raise ValueError("period residual is defined for closed curves")
-    from .schwarz import integrate_segment
-
-    triple = phi(curve)
-
-    def integrand(zs):
-        return triple.axis_values(np.real(zs))
-
     t_lo, t_hi = curve.domain
-    total = integrate_segment(integrand, t_lo, t_hi, tol)
-    return np.real(total)
+    (x0, y0), (x1, y1) = curve.eval(t_lo), curve.eval(t_hi)
+    return np.array([x1 - x0, y1 - y0, 0.0])

@@ -18,11 +18,12 @@ from bjorling.analysis import (
 )
 from bjorling.cli import main
 from bjorling.curves import make_circle, make_cycloid, make_parabola
-from bjorling.schwarz import phi, planar_normal, strip_limit, surface_patch, surface_point
+from bjorling.continuation import find_strip
+from bjorling.schwarz import phi, planar_normal, surface_patch, surface_point
 from bjorling.verify import mean_curvature_residual, symmetry_residual
 from bjorling.weierstrass import data_from_curve, period_residual
 
-from conftest import EPI_PARAMS, epi
+from conftest import EPI_PARAMS, epi, metric_length_by_quadrature
 
 WITNESS_PARAMS = [(2, 0.5), (2, 2.0), (3, 0.6), (4, 0.4)]
 
@@ -34,7 +35,7 @@ def all_test_curves():
 
 
 def safe_smax(curve, frac=0.8):
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     return frac * cap if math.isfinite(cap) else frac
 
 
@@ -154,20 +155,19 @@ def test_criterion_06_order_tables():
 def test_criterion_07_degeneration_witness():
     worst_density = 0.0
     worst_expo = 0.0
-    worst_stability = 0.0
+    worst_distance = 0.0
     for k, lam in WITNESS_PARAMS:
         model = v_model(k, lam)
         rep = obstruction_report(model)
         worst_density = max(worst_density, max(rep.density_at_points))
         worst_expo = max(worst_expo, max(abs(e - 2.0) for e in rep.vanishing_exponents))
-        d_coarse = intrinsic_distance(model, quad_tol=1e-9)
-        d_fine = intrinsic_distance(model, quad_tol=1e-12)
-        assert math.isfinite(d_fine) and d_fine > 0
-        worst_stability = max(worst_stability, abs(d_coarse - d_fine))
-    ok = worst_density < 1e-10 and worst_expo < 0.05 and worst_stability < 1e-6
+        d = intrinsic_distance(model)
+        assert math.isfinite(d) and d > 0
+        worst_distance = max(worst_distance, abs(d - metric_length_by_quadrature(k, lam)))
+    ok = worst_density < 1e-10 and worst_expo < 0.05 and worst_distance < 1e-6
     report(7, "degeneration witness", ok,
-           "density %.2e, |expo-2| %.3f, distance drift %.2e"
-           % (worst_density, worst_expo, worst_stability))
+           "density %.2e, |expo-2| %.3f, distance vs Gauss-Legendre %.2e"
+           % (worst_density, worst_expo, worst_distance))
 
 
 def test_criterion_08_minimality():

@@ -22,6 +22,8 @@ from bjorling.analysis import (
 )
 from bjorling.curves import InvalidCurveParameters
 
+from conftest import metric_length_by_quadrature
+
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 WITNESS_PARAMS = [(2, 0.5), (2, 2.0), (3, 0.6), (4, 0.4)]
@@ -218,14 +220,15 @@ def test_vanishing_exponent_is_two(k, lam):
 
 
 def test_intrinsic_distance_finite_and_stable():
-    m = v_model(2, 0.5)
-    d1 = intrinsic_distance(m, quad_tol=1e-9)
-    d2 = intrinsic_distance(m, quad_tol=1e-12)
-    assert 0.0 < d1 < math.inf
-    assert abs(d1 - d2) < 1e-6
+    # the closed form against quadrature, including a near 1 and a >> 1
+    for k, lam in ((1, 0.3), (2, 0.5), (2, 2.0), (3, 0.6), (4, 0.15), (6, 0.9),
+                   (1, 30.0), (5, 3.0)):
+        d = intrinsic_distance(v_model(k, lam))
+        assert 0.0 < d < math.inf
+        assert abs(d - metric_length_by_quadrature(k, lam)) < 1e-6 * max(1.0, d)
     # crude sanity: length >= min speed * strip height
     s0 = strip_halfwidth(2, 0.5)
-    assert d1 > 2.0 * s0 * 0.5
+    assert intrinsic_distance(v_model(2, 0.5)) > 2.0 * s0 * 0.5
 
 
 @pytest.mark.parametrize("k,lam", [(2, 0.5), (2, 2.0)])

@@ -8,9 +8,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_bench_epi_paper_traced_smoke():
+def _traced_smoke(workload):
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "bench", "run.py"), "--workload", "epi_paper",
+        [sys.executable, os.path.join(ROOT, "bench", "run.py"), "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
@@ -18,3 +18,12 @@ def test_bench_epi_paper_traced_smoke():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_bench_epi_paper_traced_smoke():
+    _traced_smoke("epi_paper")
+
+
+def test_bench_generic_strip_traced_smoke():
+    # the workload whose curves have no closed-form zeros, so the scan runs
+    _traced_smoke("generic_strip")

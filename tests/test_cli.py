@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from bjorling import continuation, schwarz
 from bjorling.cli import main
 
 
@@ -17,6 +19,50 @@ def test_generate_circle(tmp_path, capsys):
     assert summary["period_residual"] < 1e-10
     assert summary["strip_distance_to_singularity"] is None
     assert abs(summary["strip_halfwidth_used"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5", "--nt", "24", "--ns", "7"], {
+        "epitrochoid_k2_lam0p5.obj":
+            "11277d4c8242ba281ca57b0ed8b280b573e2dacc3c6d0968d8b56a0e7d9ef695",
+        "epitrochoid_k2_lam0p5.ply":
+            "8a137299d828ef990da4f1cad3b2d453299bbbbe3c152a4a1cc4dca4f1b52f60",
+        "epitrochoid_k2_lam0p5_halfcut.obj":
+            "d03a10cacbb5ec07df26dd566137d73d07275961d7b33c5e4b316ca7679c120d",
+    }),
+    (["--curve", "cycloid", "--nt", "32", "--ns", "9"], {
+        "cycloid.obj": "4027c842330b5ecd93f88530f85f825abc6cbecfd101b38aa329824d117b4add",
+        "cycloid.ply": "f68d6944f99b6bb4f5e690c3f1e51a0bd9b26cf5b720230a3b098f326695d1d3",
+        "cycloid_halfcut.obj":
+            "c8206bbd47246b711daed133d82aa0b8c64dcd77d462f6f72a1caa5b2d8a44a1",
+    }),
+])
+def test_generate_output_bytes_pinned(argv, expect, tmp_path):
+    # SHA-256 of the exported meshes: any change to the surface values or to
+    # the OBJ/PLY writers that moves a byte fails here
+    out = tmp_path / "run"
+    assert main(["generate"] + argv + ["--clip", "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expect}
+    assert got == expect
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+@pytest.mark.parametrize("curve", ["circle", "cycloid"])
+def test_one_zero_scan_per_command(command, curve, tmp_path, monkeypatch, capsys):
+    calls = [0]
+    scan = continuation.singularity_scan
+
+    def counting_scan(*args, **kwargs):
+        calls[0] += 1
+        return scan(*args, **kwargs)
+
+    for module in (continuation, schwarz):
+        monkeypatch.setattr(module, "singularity_scan", counting_scan)
+    argv = [command, "--curve", curve, "--nt", "32", "--ns", "9"]
+    if command == "generate":
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 0
+    assert calls[0] == 1
 
 
 def test_generate_epitrochoid_with_clip(tmp_path):

@@ -7,8 +7,8 @@ from bjorling.continuation import (
     PathPolyline,
     SingularityOnPath,
     continue_sqrt,
+    find_strip,
     match_branch,
-    nearest_zero_distance,
     singularity_scan,
     speed_squared,
     strip_sqrt_array,
@@ -172,12 +172,15 @@ def test_scan_generic_cycloid_window():
 
 
 def test_nearest_zero_distance():
-    assert math.isinf(nearest_zero_distance(make_circle()))
-    d = nearest_zero_distance(epi(2, 0.5))
-    assert abs(d - math.log(1.5) / 3.0) < 1e-12
-    d = nearest_zero_distance(make_cycloid())
+    circle = find_strip(make_circle())
+    assert math.isinf(circle.distance) and math.isinf(circle.cap) and circle.zeros == ()
+    strip = find_strip(epi(2, 0.5))
+    assert abs(strip.distance - math.log(1.5) / 3.0) < 1e-12
+    assert strip.cap == 0.9 * strip.distance
+    assert min(abs(z.imag) for z in strip.zeros) == strip.distance
+    d = find_strip(make_cycloid()).distance
     assert abs(d - 0.1) < 1e-4
-    d = nearest_zero_distance(make_parabola())
+    d = find_strip(make_parabola()).distance
     assert abs(d - 0.5) < 1e-6
 
 

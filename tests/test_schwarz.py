@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bjorling import schwarz
-from bjorling.continuation import PathPolyline
+from bjorling.continuation import PathPolyline, find_strip
 from bjorling.curves import TrigPolySeries, make_circle, make_cycloid, make_parabola
 from bjorling.schwarz import (
     G7_WEIGHTS,
@@ -12,11 +12,9 @@ from bjorling.schwarz import (
     K15_WEIGHTS,
     QuadratureFailure,
     StripTooWide,
-    integrate_segment,
     phi,
     planar_normal,
     schwarz_integrate,
-    strip_limit,
     surface_patch,
     surface_point,
 )
@@ -29,14 +27,6 @@ def catenoid(t, s):
     return np.stack([np.cos(t) * np.cosh(s) - 1.0,
                      np.sin(t) * np.cosh(s),
                      -s], axis=-1)
-
-
-def test_quadrature_engine_exact_on_polynomial():
-    f = lambda z: np.stack([z**5, np.exp(z)], axis=-1)
-    out = integrate_segment(f, 0.0, 1.0 + 1j, tol=1e-13)
-    z1 = 1.0 + 1j
-    assert abs(out[0] - z1**6 / 6.0) < 1e-13
-    assert abs(out[1] - (np.exp(z1) - 1.0)) < 1e-13
 
 
 def test_kronrod_pair_degrees_of_exactness():
@@ -56,19 +46,10 @@ def test_kronrod_pair_degrees_of_exactness():
     assert np.max(np.abs(G7_WEIGHTS - weights)) < 1e-15
 
 
-def test_quadrature_failure_on_pathological_integrand():
-    # near-singular spike needs more than 2^20-fold refinement at tol 1e-11
-    def f(z):
-        return ((np.abs(z - 0.3) + 1e-14) ** -0.98)[..., None]
-
-    with pytest.raises(QuadratureFailure):
-        integrate_segment(f, 0.0, 1.0, tol=1e-11)
-
-
 def test_phi_values():
     triple = phi(make_circle())
     t = np.linspace(0, 2 * math.pi, 9)
-    vals = triple.axis_values(t)
+    vals = triple(t.astype(complex))
     assert np.allclose(vals[:, 0], -np.sin(t), atol=1e-14)
     assert np.allclose(vals[:, 1], np.cos(t), atol=1e-14)
     assert np.allclose(vals[:, 2], 1j, atol=1e-14)
@@ -81,7 +62,7 @@ def test_phi_values():
 
 
 def test_null_identity_on_grid(test_curve):
-    cap = strip_limit(test_curve)
+    cap = find_strip(test_curve).cap
     s_max = 0.8 * cap if math.isfinite(cap) else 0.8
     triple = phi(test_curve)
     t = np.linspace(*test_curve.domain, 48)
@@ -125,7 +106,7 @@ def test_schwarz_integrate_path_independence():
 def test_schwarz_integrate_matches_patch_column():
     # t -> t + is along the patch column gives the patch f3 at that node
     curve = epi(2, 0.5)
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     patch = surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
     triple = phi(curve)
     for j, l in ((0, 32), (37, 0), (100, 20), (255, 9)):
@@ -150,7 +131,7 @@ def test_surface_patch_rows_and_anchor():
 
 def test_surface_patch_strip_clamp():
     curve = epi(2, 0.5)
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     assert abs(cap - 0.9 * math.log(1.5) / 3.0) < 1e-12
     with pytest.raises(StripTooWide):
         surface_patch(curve, (0.0, 2 * math.pi), (-1.5 * cap, 1.5 * cap), 16, 5)
@@ -159,9 +140,24 @@ def test_surface_patch_strip_clamp():
     assert np.max(np.abs(patch.points[row] - curve.point3d(patch.t_vals))) < 1e-9
 
 
+def test_surface_patch_rejects_a_strip_for_another_curve_or_window():
+    curve = epi(2, 0.5)
+    strip = find_strip(curve)
+    h = 0.5 * strip.cap
+    with pytest.raises(ValueError, match="does not cover"):
+        surface_patch(curve, curve.domain, (-h, h), 8, 3, strip=find_strip(epi(3, 0.6)))
+    with pytest.raises(ValueError, match="does not cover"):
+        surface_patch(curve, (0.0, 2.0), (-h, h), 8, 3, strip=find_strip(curve, (0.5, 2.0)))
+    # the domain's strip serves every window inside the domain
+    window = (0.5, 2.0)
+    own = surface_patch(curve, window, (-h, h), 8, 3)
+    assert np.array_equal(surface_patch(curve, window, (-h, h), 8, 3, strip=strip).points,
+                          own.points)
+
+
 def test_surface_point_matches_patch():
     curve = epi(3, 0.6)
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     patch = surface_patch(curve, (0.0, 2.0), (-0.8 * cap, 0.8 * cap), 9, 7)
     triple = phi(curve)
     j, l = 4, 5
@@ -171,7 +167,7 @@ def test_surface_point_matches_patch():
 
 def test_patch_workers_deterministic():
     curve = epi(2, 0.5)
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     p1 = surface_patch(curve, (0.0, 3.0), (-cap, cap), 17, 7, workers=1)
     p2 = surface_patch(curve, (0.0, 3.0), (-cap, cap), 17, 7, workers=3)
     assert np.array_equal(p1.points, p2.points)
@@ -194,7 +190,7 @@ def test_normal_reproduction_against_planar_normal(test_curve):
 
 
 def test_conformality_residuals_machine_level(test_curve):
-    cap = strip_limit(test_curve)
+    cap = find_strip(test_curve).cap
     s_max = 0.7 * cap if math.isfinite(cap) else 0.7
     patch = surface_patch(test_curve, test_curve.domain, (-s_max, s_max), 24, 5)
     r_eg, r_f = patch.conformality_residuals()
@@ -220,7 +216,7 @@ def test_f3_matches_closed_form_up_to_strip_cap(k, lam):
     # a = 60 cancels x'^2 + y'^2 by ~1e4 near the cap: the step test must
     # accept at the integrand's rounding floor instead of failing
     curve = epi(k, lam)
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     patch = surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
     T, S = np.meshgrid(patch.t_vals, patch.s_vals)
     expect = _f3_closed_form(k, lam, T, S)
@@ -230,32 +226,24 @@ def test_f3_matches_closed_form_up_to_strip_cap(k, lam):
 
 def test_patch_work_counters(monkeypatch):
     # series points per 256x33 patch (767446 before the Bjorling-formula
-    # construction) and no per-segment adaptive quadrature at all
+    # construction)
     points = [0]
-    segments = [0]
     series_call = TrigPolySeries.__call__
-    segment_call = schwarz.integrate_segment
 
     def counting_series(self, z):
         points[0] += int(np.size(z))
         return series_call(self, z)
 
-    def counting_segment(*args, **kwargs):
-        segments[0] += 1
-        return segment_call(*args, **kwargs)
-
     monkeypatch.setattr(TrigPolySeries, "__call__", counting_series)
-    monkeypatch.setattr(schwarz, "integrate_segment", counting_segment)
     curve = epi(2, 0.5)
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
     assert points[0] <= 280064
-    assert segments[0] == 0
 
 
 def test_column_fallback_bisects_and_fails_typed(monkeypatch):
     curve = epi(2, 0.5)
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     triple = phi(curve)
     calls = [0]
     bisect = schwarz._bisect_column

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bjorling.curves import make_circle, make_cycloid, make_parabola
-from bjorling.schwarz import surface_patch, strip_limit
+from bjorling.continuation import find_strip
+from bjorling.schwarz import surface_patch
 from bjorling.verify import (
     DegenerateMetric,
     geodesic_residual,
@@ -17,7 +18,7 @@ from conftest import epi
 
 
 def patch_for(curve, nt=128, ns=17, frac=0.5, t_range=None):
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     s = frac * cap if math.isfinite(cap) else frac
     return surface_patch(curve, t_range or curve.domain, (-s, s), nt, ns)
 

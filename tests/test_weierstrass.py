@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bjorling.curves import make_circle
-from bjorling.schwarz import phi, strip_limit
+from bjorling.continuation import find_strip
+from bjorling.schwarz import phi
 from bjorling.weierstrass import (
     data_from_curve,
     data_from_phi,
@@ -18,7 +19,7 @@ from conftest import EPI_PARAMS, epi
 
 
 def strip_points(curve, rng, n=100):
-    cap = strip_limit(curve)
+    cap = find_strip(curve).cap
     s_max = 0.8 * cap if math.isfinite(cap) else 0.8
     t0, t1 = curve.domain
     return rng.uniform(t0, t1, n) + 1j * rng.uniform(-s_max, s_max, n)
