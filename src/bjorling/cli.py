@@ -106,9 +106,20 @@ def _write_json(payload: dict, path: str, timestamp: bool) -> None:
         fh.write("\n")
 
 
-def _check_grid(args) -> None:
+def _add_patch_args(p: argparse.ArgumentParser, ns: int, s_fraction: float) -> None:
+    p.add_argument("--nt", type=int, default=256)
+    p.add_argument("--ns", type=int, default=ns)
+    p.add_argument("--s-fraction", type=float, default=s_fraction,
+                   help="strip half-width as a multiple of the distance to the "
+                        "nearest speed^2 zero (of 10/9 when there is none), in (0, 1]; "
+                        "values above 0.9 exit 2 on curves that have zeros")
+
+
+def _check_patch_args(args) -> None:
     if args.nt < 2 or args.ns < 2:
         raise InvalidCurveParameters("--nt and --ns must be at least 2")
+    if not 0.0 < args.s_fraction <= 1.0:
+        raise InvalidCurveParameters("--s-fraction must be in (0, 1]")
 
 
 def _halfwidth(strip, s_fraction: float) -> float:
@@ -120,10 +131,8 @@ def _halfwidth(strip, s_fraction: float) -> float:
 
 
 def cmd_generate(args) -> int:
-    _check_grid(args)
+    _check_patch_args(args)
     curve = _build_curve(args)
-    if not 0.0 < args.s_fraction <= 1.0:
-        raise InvalidCurveParameters("--s-fraction must be in (0, 1]")
     strip = find_strip(curve)
     halfwidth = _halfwidth(strip, args.s_fraction)
     patch = surface_patch(curve, curve.domain, (-halfwidth, halfwidth),
@@ -236,7 +245,7 @@ def _verify_window(curve, strip, halfwidth: float, nt: int, target: float = 2.5e
 
 
 def cmd_verify(args) -> int:
-    _check_grid(args)
+    _check_patch_args(args)
     curve = _build_curve(args)
     strip = find_strip(curve)
     halfwidth = _halfwidth(strip, args.s_fraction)
@@ -272,12 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="sample a surface patch and export meshes")
     _add_curve_args(p_gen)
-    p_gen.add_argument("--nt", type=int, default=256)
-    p_gen.add_argument("--ns", type=int, default=33)
-    p_gen.add_argument("--s-fraction", type=float, default=0.9,
-                       help="strip half-width as a multiple of the distance to the "
-                            "nearest speed^2 zero (of 10/9 when there is none); values "
-                            "above 0.9 exit 2 on curves that have zeros")
+    _add_patch_args(p_gen, ns=33, s_fraction=0.9)
     p_gen.add_argument("--out", default="out")
     p_gen.add_argument("--clip", action="store_true",
                        help="also export the half cut away by the x1x2-plane")
@@ -300,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="independent patch checks")
     _add_curve_args(p_ver)
-    p_ver.add_argument("--nt", type=int, default=256)
-    p_ver.add_argument("--ns", type=int, default=129)
-    p_ver.add_argument("--s-fraction", type=float, default=0.5)
+    _add_patch_args(p_ver, ns=129, s_fraction=0.5)
     p_ver.add_argument("--json", help="write the report as JSON")
     p_ver.add_argument("--timestamp", action="store_true")
     p_ver.set_defaults(func=cmd_verify)

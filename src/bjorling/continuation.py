@@ -12,30 +12,33 @@ continued vertically from its axis foot, where the root is positive.  The
 patch column integrator in ``schwarz`` applies the same rule at its
 quadrature nodes.
 
-Zeros of the speed are located either from the epitrochoid closed form
-1 + a^2 - 2a cos((k+1)z)  (a = lambda*(k+1), zeros at Re z in (2pi/(k+1))Z,
-|Im z| = ln(max(a, 1/a))/(k+1)) or, for generic curves, by damped Newton
-iteration seeded on a 64x64 grid over the requested strip.  ``find_strip``
-makes the one strip decision a run needs: it locates the zeros once and
-returns a ``Strip`` holding them, the distance from the t-window to the
-nearest one and the usable half-width ``cap``, 0.9 times that distance.
+The zeros of the speed are exact polynomial roots.  speed^2 factors as
+(x' + i y')(x' - i y'), and for real series the zeros of the second factor
+are the conjugates of those of the first.  A trigonometric series makes
+x' + i y' a Laurent polynomial in v = e^{iz}, so its zeros are
+z = -i log v + 2 pi n over the roots v of that polynomial; a monomial series
+makes it a polynomial in z.  Either way ``np.roots`` (the eigenvalues of the
+companion matrix) gives the whole zero set, complete by construction.
+Epitrochoids take the closed form of 1 + a^2 - 2a cos((k+1)z) instead
+(a = lambda*(k+1), zeros at Re z in (2pi/(k+1))Z, |Im z| = ln(max(a, 1/a))/(k+1)).
+``find_strip`` makes the one strip decision a run needs and returns a
+``Strip`` holding the zeros near the t-window, the distance from the window
+to the nearest one and the usable half-width ``cap``, 0.9 times that distance.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PlanarCurve
+from .curves import PHASE_COS, TWO_PI, InvalidCurveParameters, PlanarCurve
 
 DEFAULT_REFINEMENT = 1e-2
 MAX_STEP_HALVINGS = 40
-ZERO_RESIDUAL_TOL = 1e-12
-SCAN_GRID = 64
-ZERO_SEARCH_HEIGHT = 2.0  # |Im z| scanned for the zeros bounding a generic strip
 
 
 class SingularityOnPath(RuntimeError):
@@ -73,12 +76,6 @@ def derivative_series(curve: PlanarCurve):
     return d.x, d.y
 
 
-@functools.lru_cache(maxsize=None)
-def _second_derivative_series(curve: PlanarCurve):
-    d2 = curve.derivative().derivative()
-    return d2.x, d2.y
-
-
 def speed_squared(curve: PlanarCurve, z):
     """x'(z)^2 + y'(z)^2, entire in z.
 
@@ -90,13 +87,6 @@ def speed_squared(curve: PlanarCurve, z):
     vx = dx(z)
     vy = dy(z)
     return vx * vx + vy * vy
-
-
-def speed_squared_prime(curve: PlanarCurve, z):
-    """d/dz of speed_squared, exact (used by the Newton zero refinement)."""
-    dx, dy = derivative_series(curve)
-    ddx, ddy = _second_derivative_series(curve)
-    return 2.0 * (dx(z) * ddx(z) + dy(z) * ddy(z))
 
 
 def match_branch(cand, ref):
@@ -163,12 +153,53 @@ def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEME
     return continue_sqrt(lambda zz: speed_squared(curve, zz), z.real, z, w, n)
 
 
+@functools.lru_cache(maxsize=None)
+def _zero_set(curve: PlanarCurve):
+    """(zeros, period): every zero of speed^2 once modulo the period.
+
+    The period is 2 pi for trigonometric series and inf for monomial ones.
+    Raises InvalidCurveParameters when the derivative mixes trigonometric
+    terms with powers z^p, p >= 1, or when speed^2 vanishes identically.
+    """
+    if curve.epitrochoid is not None:
+        params = curve.epitrochoid
+        return tuple(complex(TWO_PI * j / (params.k + 1), sign * params.zero_height)
+                     for j in range(params.k + 1) for sign in (-1.0, 1.0)), TWO_PI
+    dx, dy = derivative_series(curve)
+    trig = dx.trig + tuple((1j * amp, freq, phase) for amp, freq, phase in dy.trig)
+    poly = dx.poly + tuple((1j * c, power) for c, power in dy.poly)
+    if trig and any(power >= 1 for _, power in poly):
+        raise InvalidCurveParameters("the derivative of %s mixes trigonometric terms "
+                                     "with powers of z" % curve.label)
+    # x' + i y' as coefficients of v^n (trig, v = e^{iz}) or of z^n (monomials):
+    # cos fz = (v^f + v^-f)/2 and sin fz = (v^f - v^-f)/2i
+    coef = collections.defaultdict(complex)
+    for amp, freq, phase in trig:
+        half = 0.5 * amp if phase == PHASE_COS else -0.5j * amp
+        coef[freq] += half
+        coef[-freq] += half if phase == PHASE_COS else -half
+    for c, power in poly:
+        coef[power] += c
+    powers = [n for n, c in coef.items() if c != 0]
+    if not powers:
+        raise InvalidCurveParameters("speed^2 of %s vanishes identically" % curve.label)
+    # v = 0 is no point of the plane, z = 0 is
+    low = min(powers) if trig else 0
+    roots = np.roots([coef[n] for n in range(max(powers), low - 1, -1)])
+    if trig:
+        roots = -1j * np.log(roots)
+    # the series are real, so the zeros of x' - i y' are the conjugates
+    zeros = {complex(z) for z in roots} | {complex(z).conjugate() for z in roots}
+    return tuple(zeros), TWO_PI if trig else math.inf
+
+
 def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[complex, ...]:
-    """All zeros of speed^2 with |Im z| <= s_max and Re z in the window.
+    """All zeros of speed^2 with |Im z| <= s_max and Re z in the window, each once.
 
     With ``t_range=None`` the window is the curve domain (half open for closed
     curves so one fundamental period is reported once).  An explicit window is
-    treated as inclusive.
+    treated as inclusive.  The zeros are the curve's one exact zero set, tiled
+    by its period over the window.
     """
     if not s_max > 0:
         raise ValueError("s_max must be positive")
@@ -178,69 +209,30 @@ def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[co
     else:
         t_lo, t_hi = float(t_range[0]), float(t_range[1])
         half_open = False
-
-    if curve.epitrochoid is not None:
-        return _scan_epitrochoid(curve, s_max, t_lo, t_hi, half_open)
-    return _scan_generic(curve, s_max, t_lo, t_hi, half_open)
-
-
-def _scan_epitrochoid(curve, s_max, t_lo, t_hi, half_open):
-    params = curve.epitrochoid
-    s0 = params.zero_height
-    if s0 > s_max:
-        return ()
-    period = 2.0 * math.pi / (params.k + 1)
-    n_lo = int(math.ceil(t_lo / period - 1e-9))
-    zeros = []
-    n = n_lo
-    while True:
-        r = n * period
-        if half_open:
-            if r >= t_hi - 1e-9:
-                break
+    zeros, period = _zero_set(curve)
+    found = set()
+    for z in zeros:
+        if abs(z.imag) > s_max:
+            continue
+        if math.isinf(period):
+            found.add(z)
         else:
-            if r > t_hi + 1e-9:
-                break
-        zeros.append(complex(r, -s0))
-        zeros.append(complex(r, s0))
-        n += 1
-    zeros.sort(key=lambda z: (z.real, z.imag))
-    return tuple(zeros)
-
-
-def _scan_generic(curve, s_max, t_lo, t_hi, half_open):
-    tg = np.linspace(t_lo, t_hi, SCAN_GRID)
-    sg = np.linspace(-s_max, s_max, SCAN_GRID)
-    Z = (tg[None, :] + 1j * sg[:, None]).ravel().astype(complex)
-    for _ in range(200):
-        F = speed_squared(curve, Z)
-        dF = speed_squared_prime(curve, Z)
-        step = np.where(np.abs(dF) > 1e-300, F / np.where(dF == 0, 1.0, dF), 0.0)
-        mag = np.abs(step)
-        step = np.where(mag > 0.3, step * (0.3 / np.where(mag == 0, 1.0, mag)), step)
-        Z = Z - step
-    F = np.abs(speed_squared(curve, Z))
-    ok = np.isfinite(Z) & (F < ZERO_RESIDUAL_TOL)
-    ok &= np.abs(Z.imag) <= s_max + 1e-9
-    ok &= (Z.real >= t_lo - 1e-9)
-    ok &= (Z.real < t_hi - 1e-9) if half_open else (Z.real <= t_hi + 1e-9)
-    cand = sorted(Z[ok].tolist(), key=lambda z: (z.real, z.imag))
-    zeros: list[complex] = []
-    for z in cand:
-        if all(abs(z - z0) > 1e-4 for z0 in zeros):
-            zeros.append(z)
-    return tuple(zeros)
+            found.update(z + n * period for n in range(math.floor((t_lo - z.real) / period),
+                                                        math.ceil((t_hi - z.real) / period) + 1))
+    return tuple(sorted((z for z in found if t_lo <= z.real
+                         and (z.real < t_hi if half_open else z.real <= t_hi)),
+                        key=lambda z: (z.real, z.imag)))
 
 
 @dataclass(frozen=True)
 class Strip:
     """The zero-free strip around the geodesic over the t-window ``t_range``.
 
-    ``zeros`` are the speed^2 zeros found around the window and ``distance``
-    is the distance from the real segment t_range to the nearest one (inf
-    when none lies within |Im z| <= ZERO_SEARCH_HEIGHT).  A zero is never
-    closer to a sub-window than to the whole window, so the strip is valid
-    for every t-window inside t_range.
+    ``zeros`` are the speed^2 zeros with Re z within one period of the window
+    (all of them for monomial series) and ``distance`` is the distance from
+    the real segment t_range to the nearest one, inf only when speed^2 has no
+    zero.  A zero is never closer to a sub-window than to the whole window,
+    so the strip is valid for every t-window inside t_range.
     """
 
     curve: PlanarCurve
@@ -255,22 +247,17 @@ class Strip:
 
 
 def find_strip(curve: PlanarCurve, t_range=None) -> Strip:
-    """Locate the speed^2 zeros around t_range (default: the domain) once.
+    """The strip around t_range (default: the domain), from one zero scan.
 
-    Generic curves are scanned over the window widened by a quarter of its
-    length plus 0.5 on each side; epitrochoids take the closed-form lattice
-    and the closed-form distance, conservative for windows that miss the
-    lattice.
+    Every zero is a translate by whole periods of one within a period of the
+    window, and a translate further out is no closer, so the distance over
+    those is the distance over the whole zero set.
     """
     if t_range is None:
         t_range = curve.domain
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    ext = 0.25 * (t_hi - t_lo) + 0.5
-    window = (t_lo - ext, t_hi + ext)
-    if curve.epitrochoid is not None:
-        s0 = curve.epitrochoid.zero_height
-        return Strip(curve, (t_lo, t_hi), _scan_epitrochoid(curve, s0, *window, False), s0)
-    zeros = singularity_scan(curve, ZERO_SEARCH_HEIGHT, window)
+    period = _zero_set(curve)[1]
+    zeros = singularity_scan(curve, math.inf, (t_lo - period, t_hi + period))
     distance = min((abs(z.imag) if t_lo <= z.real <= t_hi
                     else min(abs(z - t_lo), abs(z - t_hi)) for z in zeros),
                    default=math.inf)

@@ -170,7 +170,9 @@ def load_obj(path) -> SurfaceMesh:
                 vertices.append([float(x) for x in parts[1:4]])
             elif parts[0] == "f":
                 faces.append(tuple(int(tok.split("/")[0]) - 1 for tok in parts[1:]))
-    return SurfaceMesh(vertices=np.asarray(vertices, dtype=float), faces=faces)
+    mesh = SurfaceMesh(vertices=np.asarray(vertices, dtype=float), faces=faces)
+    mesh.validate()
+    return mesh
 
 
 def _triangulated(mesh: SurfaceMesh):

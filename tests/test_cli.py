@@ -5,6 +5,10 @@ import pytest
 
 from bjorling import continuation, schwarz
 from bjorling.cli import main
+from bjorling.continuation import find_strip
+from bjorling.meshing import export_csv, sample_mesh
+
+from conftest import epi
 
 
 def test_generate_circle(tmp_path, capsys):
@@ -44,6 +48,15 @@ def test_generate_output_bytes_pinned(argv, expect, tmp_path):
     assert main(["generate"] + argv + ["--clip", "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expect}
     assert got == expect
+
+
+def test_csv_output_bytes_pinned(tmp_path):
+    # SHA-256 of the CSV export of the epi(2, 0.5) 24x7 patch at the full cap
+    curve = epi(2, 0.5)
+    h = find_strip(curve).cap
+    export_csv(sample_mesh(curve, curve.domain, (-h, h), 24, 7), tmp_path / "m.csv")
+    assert (hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest()
+            == "c0abed1a2f322914daf1305aa183bf5b38454476c4f95c294b89a04ec9116d1f")
 
 
 @pytest.mark.parametrize("command", ["generate", "verify"])
@@ -99,6 +112,15 @@ def test_bad_input_exits_with_bad_params(argv, tmp_path, capsys):
     assert main(argv) == 2
     assert "invalid parameters" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5"])
+@pytest.mark.parametrize("curve", [["--curve", "circle"],
+                                   ["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5"]])
+def test_verify_rejects_s_fraction_outside_unit_interval(curve, fraction, capsys):
+    assert main(["verify"] + curve + ["--nt", "16", "--ns", "5", "--s-fraction", fraction]) == 2
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and "--s-fraction" in err
 
 
 def test_generate_io_failure(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,16 @@ from bjorling.continuation import (
     speed_squared,
     strip_sqrt_array,
 )
-from bjorling.curves import make_circle, make_cycloid, make_parabola
-from bjorling.schwarz import phi, schwarz_integrate
+from bjorling.curves import (
+    PHASE_COS,
+    InvalidCurveParameters,
+    PlanarCurve,
+    TrigPolySeries,
+    make_circle,
+    make_cycloid,
+    make_parabola,
+)
+from bjorling.schwarz import StripTooWide, phi, schwarz_integrate, surface_patch
 
 from conftest import epi
 
@@ -182,6 +191,44 @@ def test_nearest_zero_distance():
     assert abs(d - 0.1) < 1e-4
     d = find_strip(make_parabola()).distance
     assert abs(d - 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("a", [0.2, 0.9, 1.1, 3.0, 60.0])
+def test_generic_zeros_match_epitrochoid_lattice(k, a):
+    # the companion-matrix roots against the closed-form lattice 2 pi j/(k+1) +- i s0
+    curve = epi(k, a / (k + 1))
+    exact = find_strip(curve)
+    strip = find_strip(dataclasses.replace(curve, epitrochoid=None))
+    assert len(strip.zeros) == len(exact.zeros)
+    assert all(min(abs(z - w) for w in exact.zeros) < 1e-12 for z in strip.zeros)
+    assert abs(strip.distance - exact.distance) < 1e-12 * exact.distance
+
+
+def test_generic_strip_finds_zeros_far_off_the_axis():
+    # a = 60: the zeros sit at |Im z| = ln(60)/2 = 2.047, above any fixed
+    # search height of 2, so a bounded scan reports no zero and no cap
+    curve = dataclasses.replace(epi(1, 30.0), epitrochoid=None)
+    strip = find_strip(curve)
+    assert abs(strip.distance - math.log(60.0) / 2.0) < 1e-12
+    with pytest.raises(StripTooWide):
+        surface_patch(curve, curve.domain, (-3.0, 3.0), 8, 3)
+
+
+def test_cycloid_double_zero_reported_once_and_exact():
+    # 2 - 2 cos z = (1 - v)(1 - 1/v): v = 1 is a simple root of each factor
+    strip = find_strip(make_cycloid())
+    assert strip.zeros == (0j, complex(2.0 * math.pi, 0.0))
+    assert strip.distance == 2.0 * math.pi - (2.0 * math.pi - 0.1)
+
+
+def test_mixed_trig_and_monomial_series_rejected():
+    # x' = 1 - sin z + 2z: trig terms next to z^1, no polynomial in one variable
+    curve = PlanarCurve(x=TrigPolySeries(trig=((1.0, 1, PHASE_COS),), poly=((1.0, 1), (1.0, 2))),
+                        y=TrigPolySeries(poly=((1.0, 1),)),
+                        domain=(0.0, 1.0), closed=False, label="mixed")
+    with pytest.raises(InvalidCurveParameters, match="mixes"):
+        find_strip(curve)
 
 
 def test_strip_sqrt_positive_on_axis_and_consistent():

@@ -103,6 +103,15 @@ def test_obj_roundtrip_full_precision(tmp_path):
     assert np.max(np.abs(back.vertices - mesh.vertices)) < 1e-12
 
 
+@pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 5", "f -1 1 2"])
+def test_load_obj_rejects_out_of_range_index(face, tmp_path):
+    # OBJ indices are 1-based: 0 would wrap to the last vertex
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n%s\n" % face)
+    with pytest.raises(ValueError, match="out of range"):
+        load_obj(path)
+
+
 def test_empty_mesh_exports(tmp_path):
     empty = SurfaceMesh(vertices=np.zeros((0, 3)), faces=[], attributes={})
     export_obj(empty, tmp_path / "empty.obj")
