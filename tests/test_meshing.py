@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from bjorling.continuation import find_strip
 from bjorling.curves import make_circle
 from bjorling.meshing import (
     SurfaceMesh,
@@ -81,6 +83,23 @@ def test_clip_catenoid_half():
     assert all(v[2] >= -1e-12 for v in half.vertices)
     assert 0 < len(half.faces) < len(mesh.faces)
     assert mesh_area(half) <= mesh_area(mesh)
+
+
+def test_oblique_clip_bytes_pinned(tmp_path):
+    # SHA-256 of the OBJ and PLY of an oblique cut through epi(3, 0.6): the
+    # plane crosses grid edges, so the cut has 3-, 4- and 5-gons and new
+    # interpolated vertices, which the z = 0 half-cut pins never make
+    curve = epi(3, 0.6)
+    h = find_strip(curve).cap
+    mesh = sample_mesh(curve, curve.domain, (-h, h), 200, 31)
+    cut = clip_halfspace(mesh, (0.3, 0.5, 0.8), 0.1)
+    assert sorted({len(f) for f in cut.faces}) == [3, 4, 5]
+    export_obj(cut, tmp_path / "cut.obj")
+    export_ply(cut, tmp_path / "cut.ply")
+    got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("cut.obj", "cut.ply")]
+    assert got == ["2bca249f7a583c6658958995bf1f87167d9bc7b78944297f414062223f078219",
+                   "a25d3b7a062bd55af59c72b2177f3db514cab222eaed33746ea951116af246fb"]
 
 
 def test_obj_roundtrip(tmp_path):
