@@ -179,15 +179,12 @@ def cmd_table(args) -> int:
     failures = 0
     for row in table.rows:
         want_g, want_eta = expected[row.point]
-        ok_g = row.g_order == want_g
-        ok_eta = want_eta is None or row.eta_order == want_eta
-        status = "PASS" if (ok_g and ok_eta) else "FAIL"
-        if status == "FAIL":
-            failures += 1
+        ok = row.g_order == want_g and (want_eta is None or row.eta_order == want_eta)
+        failures += not ok
         eta_note = ("%+d (informational)" % row.eta_order if want_eta is None
                     else "%+d (expect %+d)" % (row.eta_order, want_eta))
         print("%-22s g %+d (expect %+d)   eta %s   %s"
-              % (row.point, row.g_order, want_g, eta_note, status))
+              % (row.point, row.g_order, want_g, eta_note, "PASS" if ok else "FAIL"))
     if args.json:
         _write_json(table.to_json_dict(), args.json, args.timestamp)
     print("table k=%d lambda=%g: %s" % (args.k, args.lam,

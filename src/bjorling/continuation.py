@@ -18,7 +18,9 @@ are the conjugates of those of the first.  A trigonometric series makes
 x' + i y' a Laurent polynomial in v = e^{iz}, so its zeros are
 z = -i log v + 2 pi n over the roots v of that polynomial; a monomial series
 makes it a polynomial in z.  Either way ``np.roots`` (the eigenvalues of the
-companion matrix) gives the whole zero set, complete by construction.
+companion matrix) gives the whole zero set, complete by construction.  It
+splits an m-fold root into m close ones; those are merged into one zero at
+their mean, well conditioned where each root is not (Zeng, Math. Comp. 74, 2005).
 Epitrochoids take the closed form of 1 + a^2 - 2a cos((k+1)z) instead
 (a = lambda*(k+1), zeros at Re z in (2pi/(k+1))Z, |Im z| = ln(max(a, 1/a))/(k+1)).
 ``find_strip`` makes the one strip decision a run needs and returns a
@@ -39,6 +41,8 @@ from .curves import PHASE_COS, TWO_PI, InvalidCurveParameters, PlanarCurve
 
 DEFAULT_REFINEMENT = 1e-2
 MAX_STEP_HALVINGS = 40
+# np.roots splits a double root by about 2 sqrt(eps) = 3e-8 (relative)
+ROOT_CLUSTER_TOL = 1e-6
 
 
 class SingularityOnPath(RuntimeError):
@@ -153,9 +157,25 @@ def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEME
     return continue_sqrt(lambda zz: speed_squared(curve, zz), z.real, z, w, n)
 
 
+def _wrap(d: complex, period: float) -> complex:
+    """d shifted by whole periods to the one with the smallest |real part|."""
+    return d - period * round(d.real / period) if math.isfinite(period) else d
+
+
+def _merge_roots(roots, period: float):
+    """((zero, multiplicity), ...): roots within ROOT_CLUSTER_TOL (mod period) at their mean."""
+    clusters = {}  # first member -> offsets of the members from it
+    for z in roots:
+        home = next((c for c in clusters if abs(_wrap(z - c, period))
+                     <= ROOT_CLUSTER_TOL * max(1.0, abs(c))), z)
+        clusters.setdefault(home, []).append(_wrap(z - home, period))
+    return tuple((c + sum(d) / len(d) if len(d) > 1 else c, len(d)) for c, d in clusters.items())
+
+
 @functools.lru_cache(maxsize=None)
 def _zero_set(curve: PlanarCurve):
-    """(zeros, period): every zero of speed^2 once modulo the period.
+    """(((zero, multiplicity), ...), period): every zero of speed^2 once modulo
+    the period, with its multiplicity.
 
     The period is 2 pi for trigonometric series and inf for monomial ones.
     Raises InvalidCurveParameters when the derivative mixes trigonometric
@@ -163,7 +183,7 @@ def _zero_set(curve: PlanarCurve):
     """
     if curve.epitrochoid is not None:
         params = curve.epitrochoid
-        return tuple(complex(TWO_PI * j / (params.k + 1), sign * params.zero_height)
+        return tuple((complex(TWO_PI * j / (params.k + 1), sign * params.zero_height), 1)
                      for j in range(params.k + 1) for sign in (-1.0, 1.0)), TWO_PI
     dx, dy = derivative_series(curve)
     trig = dx.trig + tuple((1j * amp, freq, phase) for amp, freq, phase in dy.trig)
@@ -189,8 +209,9 @@ def _zero_set(curve: PlanarCurve):
     if trig:
         roots = -1j * np.log(roots)
     # the series are real, so the zeros of x' - i y' are the conjugates
-    zeros = {complex(z) for z in roots} | {complex(z).conjugate() for z in roots}
-    return tuple(zeros), TWO_PI if trig else math.inf
+    period = TWO_PI if trig else math.inf
+    return _merge_roots([complex(z) for z in roots] + [complex(z).conjugate() for z in roots],
+                        period), period
 
 
 def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[complex, ...]:
@@ -211,7 +232,7 @@ def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[co
         half_open = False
     zeros, period = _zero_set(curve)
     found = set()
-    for z in zeros:
+    for z, _ in zeros:
         if abs(z.imag) > s_max:
             continue
         if math.isinf(period):
@@ -229,15 +250,17 @@ class Strip:
     """The zero-free strip around the geodesic over the t-window ``t_range``.
 
     ``zeros`` are the speed^2 zeros with Re z within one period of the window
-    (all of them for monomial series) and ``distance`` is the distance from
-    the real segment t_range to the nearest one, inf only when speed^2 has no
-    zero.  A zero is never closer to a sub-window than to the whole window,
-    so the strip is valid for every t-window inside t_range.
+    (all of them for monomial series), ``multiplicities`` their orders, and
+    ``distance`` is the distance from the real segment t_range to the nearest
+    one, inf only when speed^2 has no zero.  A zero is never closer to a
+    sub-window than to the whole window, so the strip is valid for every
+    t-window inside t_range.
     """
 
     curve: PlanarCurve
     t_range: tuple[float, float]
     zeros: tuple[complex, ...]
+    multiplicities: tuple[int, ...]
     distance: float
 
     @property
@@ -256,9 +279,11 @@ def find_strip(curve: PlanarCurve, t_range=None) -> Strip:
     if t_range is None:
         t_range = curve.domain
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    period = _zero_set(curve)[1]
+    base, period = _zero_set(curve)
     zeros = singularity_scan(curve, math.inf, (t_lo - period, t_hi + period))
+    multiplicities = tuple(min(base, key=lambda b: abs(_wrap(z - b[0], period)))[1]
+                           for z in zeros)
     distance = min((abs(z.imag) if t_lo <= z.real <= t_hi
                     else min(abs(z - t_lo), abs(z - t_hi)) for z in zeros),
                    default=math.inf)
-    return Strip(curve, (t_lo, t_hi), zeros, distance)
+    return Strip(curve, (t_lo, t_hi), zeros, multiplicities, distance)

@@ -1,5 +1,11 @@
 """Patch sampling into meshes, half-space clipping, and deterministic export.
 
+A `SurfaceMesh` stores its faces once, in CSR form: face f is
+``indices[offsets[f]:offsets[f + 1]]`` for grid quads, clipped polygons and
+OBJ faces alike, and every function here works on those arrays.  ``faces`` is
+a derived tuple list for inspection; `SurfaceMesh.from_faces` builds a mesh
+from one.  A mesh is validated once, when it is built.
+
 OBJ is ASCII with 17-significant-digit floats; PLY is binary little endian
 with float64 properties (faces triangulated by fan split since many PLY
 consumers reject quads); CSV is RFC-4180 style with a mandatory header.  All
@@ -8,7 +14,6 @@ writers are byte-deterministic for identical input.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,22 +22,58 @@ from .curves import PlanarCurve
 from .schwarz import PatchGrid, surface_patch
 
 FLOAT_FMT = "%.17g"
+PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", 3)])  # packed, 13 bytes a triangle
 
 
 @dataclass
 class SurfaceMesh:
     vertices: np.ndarray                      # (n, 3) float
-    faces: list[tuple[int, ...]]              # quads, triangles, or clipped polygons
+    offsets: np.ndarray                       # (F + 1,) int64, offsets[0] = 0
+    indices: np.ndarray                       # (offsets[-1],) int64 vertex indices
     attributes: dict[str, np.ndarray] = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.validate()
+
+    @classmethod
+    def from_faces(cls, vertices, faces, attributes=None) -> SurfaceMesh:
+        return cls(np.asarray(vertices, dtype=float), np.cumsum([0] + [len(f) for f in faces]),
+                   [i for f in faces for i in f], dict(attributes or {}))
+
+    @property
+    def faces(self) -> list[tuple[int, ...]]:
+        bounds, idx = self.offsets.tolist(), self.indices.tolist()
+        return [tuple(idx[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def validate(self) -> None:
         if np.any(~np.isfinite(self.vertices)):
             raise ValueError("mesh contains non-finite vertex coordinates")
-        n = len(self.vertices)
-        for face in self.faces:
-            if any(i < 0 or i >= n for i in face):
-                raise ValueError("face index out of range")
+        if len(self.offsets) == 0 or self.offsets[0] != 0 or self.offsets[-1] != len(self.indices):
+            raise ValueError("face offsets do not span the index array")
+        if np.any(np.diff(self.offsets) < 3):
+            raise ValueError("face with fewer than 3 corners")
+        if len(self.indices) and (self.indices.min() < 0
+                                  or self.indices.max() >= len(self.vertices)):
+            raise ValueError("face index out of range")
+
+
+def _corners(mesh: SurfaceMesh):
+    """Per corner: its face, and the position of the next corner of that face."""
+    nxt = np.arange(1, len(mesh.indices) + 1)
+    nxt[mesh.offsets[1:] - 1] = mesh.offsets[:-1]
+    return np.repeat(np.arange(len(mesh.offsets) - 1), np.diff(mesh.offsets)), nxt
+
+
+def _fan(mesh: SurfaceMesh) -> np.ndarray:
+    """(T, 3) fan triangles (f[0], f[a], f[a+1]), a = 1 .. m-2, face by face."""
+    face, nxt = _corners(mesh)
+    first = mesh.offsets[face]
+    pos = np.arange(len(mesh.indices))
+    mid = (pos > first) & (nxt > pos)           # neither the first nor the last corner
+    return mesh.indices[np.stack([first[mid], pos[mid], nxt[mid]], axis=-1)]
 
 
 def sample_mesh(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
@@ -42,178 +83,115 @@ def sample_mesh(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
         patch = surface_patch(curve, t_range, s_range, nt, ns, workers=workers)
     ns_, nt_ = patch.points.shape[:2]
     vertices = patch.points.reshape(ns_ * nt_, 3).copy()
-    faces = []
-    for l in range(ns_ - 1):
-        for j in range(nt_ - 1):
-            a = l * nt_ + j
-            faces.append((a, a + 1, a + nt_ + 1, a + nt_))
+    corner = (np.arange(ns_ - 1, dtype=np.int64)[:, None] * nt_
+              + np.arange(nt_ - 1, dtype=np.int64)).reshape(-1, 1)
+    indices = (corner + np.array([0, 1, nt_ + 1, nt_], dtype=np.int64)).reshape(-1)
     density = patch.conformal_factor().reshape(-1)
     den = patch.phi[:, :, 0] - 1j * patch.phi[:, :, 1]
     with np.errstate(divide="ignore"):
         abs_g = (np.abs(patch.phi[:, :, 2]) / np.abs(den)).reshape(-1)
-    ts = np.broadcast_to(patch.t_vals[None, :], (ns_, nt_)).reshape(-1).copy()
-    ss = np.broadcast_to(patch.s_vals[:, None], (ns_, nt_)).reshape(-1).copy()
-    mesh = SurfaceMesh(
-        vertices=vertices,
-        faces=faces,
-        attributes={"t": ts, "s": ss, "density": density, "abs_g": abs_g},
-    )
+    ss, ts = (g.reshape(-1) for g in np.meshgrid(patch.s_vals, patch.t_vals, indexing="ij"))
     row = patch.geodesic_row
-    if row is not None:
-        mesh.tags["geodesic_row"] = [row * nt_ + j for j in range(nt_)]
-    mesh.validate()
-    return mesh
+    tags = {} if row is None else {"geodesic_row": list(range(row * nt_, (row + 1) * nt_))}
+    return SurfaceMesh(vertices, 4 * np.arange(len(corner) + 1), indices,
+                       {"t": ts, "s": ss, "density": density, "abs_g": abs_g}, tags)
 
 
 def clip_halfspace(mesh: SurfaceMesh, normal, offset: float) -> SurfaceMesh:
     """Keep the side normal.x >= offset; crossing faces are split at the plane.
 
     New vertices are interpolated on crossing edges (attributes included) and
-    shared between adjacent faces.
+    shared between adjacent faces; they are numbered in the order their edges
+    are first met, face by face, and interpolated in that first orientation.
+    Faces left with fewer than 3 corners are dropped.
     """
-    normal = np.asarray(normal, dtype=float)
-    dist = mesh.vertices @ normal - offset
+    dist = mesh.vertices @ np.asarray(normal, dtype=float) - offset
     keep = dist >= 0.0
+    n = len(mesh.vertices)
+    face, nxt = _corners(mesh)
+    i, j = mesh.indices, mesh.indices[nxt]
+    kept = keep[i]
+    cut = kept != keep[j]
 
-    new_vertices = [mesh.vertices]
-    new_attrs = {k: [v] for k, v in mesh.attributes.items()}
-    edge_cache: dict[tuple[int, int], int] = {}
-    next_index = len(mesh.vertices)
+    # one new vertex per cut edge, (i, j) and (j, i) alike
+    ci, cj = i[cut], j[cut]
+    _, first, which = np.unique(np.minimum(ci, cj) * n + np.maximum(ci, cj),
+                                return_index=True, return_inverse=True)
+    at = np.sort(first)
+    ci, cj = ci[at], cj[at]
+    t = dist[ci] / (dist[ci] - dist[cj])
+    V = mesh.vertices
+    vertices = np.concatenate([V, V[ci] + t[:, None] * (V[cj] - V[ci])])
+    attributes = {k: np.concatenate([a, a[ci] + t * (a[cj] - a[ci])])
+                  for k, a in mesh.attributes.items()}
 
-    def cut_edge(i: int, j: int) -> int:
-        nonlocal next_index
-        key = (i, j) if i < j else (j, i)
-        if key in edge_cache:
-            return edge_cache[key]
-        t = dist[i] / (dist[i] - dist[j])
-        point = mesh.vertices[i] + t * (mesh.vertices[j] - mesh.vertices[i])
-        new_vertices.append(point[None, :])
-        for k, stack in new_attrs.items():
-            a = mesh.attributes[k]
-            stack.append(np.asarray([a[i] + t * (a[j] - a[i])]))
-        edge_cache[key] = next_index
-        next_index += 1
-        return edge_cache[key]
-
-    faces = []
-    for face in mesh.faces:
-        inside = [keep[i] for i in face]
-        if all(inside):
-            faces.append(face)
-            continue
-        if not any(inside):
-            continue
-        clipped: list[int] = []
-        m = len(face)
-        for a in range(m):
-            b = (a + 1) % m
-            i, j = face[a], face[b]
-            if keep[i]:
-                clipped.append(i)
-            if keep[i] != keep[j]:
-                clipped.append(cut_edge(i, j))
-        if len(clipped) >= 3:
-            faces.append(tuple(clipped))
-
-    vertices = np.concatenate(new_vertices, axis=0)
-    attributes = {k: np.concatenate(v) for k, v in new_attrs.items()}
-
-    used = sorted({i for face in faces for i in face})
-    remap = {old: new for new, old in enumerate(used)}
-    out = SurfaceMesh(
-        vertices=vertices[used],
-        faces=[tuple(remap[i] for i in face) for face in faces],
-        attributes={k: v[used] for k, v in attributes.items()},
-        tags={},
-    )
-    out.validate()
-    return out
+    # per edge up to two corners: the kept end, then the cut point
+    candidates = np.stack([i, np.zeros_like(i)], axis=-1)
+    candidates[cut, 1] = n + np.argsort(np.argsort(first))[which]
+    counts = np.concatenate([[0], np.cumsum(kept.astype(np.int64) + cut)])
+    sizes = counts[mesh.offsets[1:]] - counts[mesh.offsets[:-1]]
+    valid = np.stack([kept, cut], axis=-1) & (sizes >= 3)[face][:, None]
+    used, indices = np.unique(candidates[valid], return_inverse=True)
+    return SurfaceMesh(vertices[used], np.concatenate([[0], np.cumsum(sizes[sizes >= 3])]),
+                       indices, {k: v[used] for k, v in attributes.items()})
 
 
 def mesh_area(mesh: SurfaceMesh) -> float:
     """Total area by fan-triangulated face summation."""
-    total = 0.0
-    V = mesh.vertices
-    for face in mesh.faces:
-        for a in range(1, len(face) - 1):
-            u = V[face[a]] - V[face[0]]
-            w = V[face[a + 1]] - V[face[0]]
-            total += 0.5 * float(np.linalg.norm(np.cross(u, w)))
-    return total
+    a, b, c = np.moveaxis(mesh.vertices[_fan(mesh)], 1, 0)
+    return float(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1).sum())
+
+
+def _rows(table: np.ndarray, template: str) -> str:
+    """One ``template`` line per row of ``table``, by a single % call."""
+    return (template * len(table)) % tuple(table.reshape(-1).tolist())
+
+
+def _write(path, data: bytes, kind: str) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise OSError("cannot write %s to %s: %s" % (kind, path, exc)) from exc
 
 
 def export_obj(mesh: SurfaceMesh, path) -> None:
-    mesh.validate()
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v %s %s %s" % (FLOAT_FMT % v[0], FLOAT_FMT % v[1], FLOAT_FMT % v[2]))
-    for face in mesh.faces:
-        lines.append("f " + " ".join(str(i + 1) for i in face))
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
-    except OSError as exc:
-        raise OSError("cannot write OBJ to %s: %s" % (path, exc)) from exc
+    sizes = np.diff(mesh.offsets).tolist()
+    templates = {m: "f" + " %d" * m + "\n" for m in set(sizes)}
+    faces = "".join(map(templates.__getitem__, sizes)) % tuple((mesh.indices + 1).tolist())
+    _write(path, (_rows(mesh.vertices, "v %s %s %s\n" % ((FLOAT_FMT,) * 3)) + faces).encode(),
+           "OBJ")
 
 
 def load_obj(path) -> SurfaceMesh:
-    vertices = []
-    faces = []
+    vertices, sizes, indices = [], [0], []
     with open(path) as fh:
         for line in fh:
             parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
+            if parts[:1] == ["v"]:
                 vertices.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append(tuple(int(tok.split("/")[0]) - 1 for tok in parts[1:]))
-    mesh = SurfaceMesh(vertices=np.asarray(vertices, dtype=float), faces=faces)
-    mesh.validate()
-    return mesh
-
-
-def _triangulated(mesh: SurfaceMesh):
-    for face in mesh.faces:
-        for a in range(1, len(face) - 1):
-            yield (face[0], face[a], face[a + 1])
+            elif parts[:1] == ["f"]:
+                sizes.append(len(parts) - 1)
+                indices.extend(int(tok.split("/")[0]) - 1 for tok in parts[1:])
+    return SurfaceMesh(np.asarray(vertices, dtype=float), np.cumsum(sizes), indices)
 
 
 def export_ply(mesh: SurfaceMesh, path) -> None:
-    mesh.validate()
     attr_names = sorted(k for k in mesh.attributes if k not in ("t", "s"))
-    tris = list(_triangulated(mesh))
-    header = ["ply", "format binary_little_endian 1.0",
-              "element vertex %d" % len(mesh.vertices),
-              "property float64 x", "property float64 y", "property float64 z"]
-    header += ["property float64 %s" % k for k in attr_names]
-    header += ["element face %d" % len(tris),
-               "property list uint8 int32 vertex_indices", "end_header"]
-    try:
-        with open(path, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("ascii"))
-            cols = [mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2]]
-            cols += [np.asarray(mesh.attributes[k], dtype=float) for k in attr_names]
-            block = np.stack(cols, axis=-1).astype("<f8")
-            fh.write(block.tobytes())
-            for tri in tris:
-                fh.write(struct.pack("<B3i", 3, *tri))
-    except OSError as exc:
-        raise OSError("cannot write PLY to %s: %s" % (path, exc)) from exc
+    fan = _fan(mesh)
+    tris = np.zeros(len(fan), dtype=PLY_FACE)
+    tris["n"], tris["i"] = 3, fan
+    header = (["ply", "format binary_little_endian 1.0", "element vertex %d" % len(mesh.vertices)]
+              + ["property float64 %s" % k for k in ["x", "y", "z"] + attr_names]
+              + ["element face %d" % len(tris), "property list uint8 int32 vertex_indices",
+                 "end_header", ""])
+    table = np.column_stack([mesh.vertices] + [mesh.attributes[k] for k in attr_names])
+    _write(path, "\n".join(header).encode("ascii") + table.astype("<f8").tobytes()
+           + tris.tobytes(), "PLY")
 
 
 def export_csv(mesh: SurfaceMesh, path) -> None:
-    mesh.validate()
-    attr_names = sorted(mesh.attributes)
-    header = ["x", "y", "z"] + attr_names
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for i, v in enumerate(mesh.vertices):
-                row = [FLOAT_FMT % v[0], FLOAT_FMT % v[1], FLOAT_FMT % v[2]]
-                row += [FLOAT_FMT % mesh.attributes[k][i] for k in attr_names]
-                fh.write(",".join(row) + "\r\n")
-    except OSError as exc:
-        raise OSError("cannot write CSV to %s: %s" % (path, exc)) from exc
+    header = ["x", "y", "z"] + sorted(mesh.attributes)
+    table = np.column_stack([mesh.vertices] + [mesh.attributes[k] for k in header[3:]])
+    rows = _rows(table, ",".join([FLOAT_FMT] * len(header)) + "\r\n")
+    _write(path, (",".join(header) + "\r\n" + rows).encode(), "CSV")

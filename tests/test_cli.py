@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bjorling import continuation, schwarz
+from bjorling import continuation, meshing, schwarz
 from bjorling.cli import main
 from bjorling.continuation import find_strip
 from bjorling.meshing import export_csv, sample_mesh
@@ -76,6 +76,22 @@ def test_one_zero_scan_per_command(command, curve, tmp_path, monkeypatch, capsys
         argv += ["--out", str(tmp_path / "x")]
     assert main(argv) == 0
     assert calls[0] == 1
+
+
+def test_one_validation_per_built_mesh(tmp_path, monkeypatch, capsys):
+    # generate --clip builds two meshes, the patch mesh and its half-cut; each
+    # is validated once when built and never again by the writers
+    calls = [0]
+    validate = meshing.SurfaceMesh.validate
+
+    def counting_validate(self):
+        calls[0] += 1
+        return validate(self)
+
+    monkeypatch.setattr(meshing.SurfaceMesh, "validate", counting_validate)
+    assert main(["generate", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
+                 "--nt", "24", "--ns", "7", "--clip", "--out", str(tmp_path / "x")]) == 0
+    assert calls[0] == 2
 
 
 def test_generate_epitrochoid_with_clip(tmp_path):

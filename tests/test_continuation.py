@@ -222,6 +222,22 @@ def test_cycloid_double_zero_reported_once_and_exact():
     assert strip.distance == 2.0 * math.pi - (2.0 * math.pi - 0.1)
 
 
+def test_double_roots_merged_at_the_cluster_mean():
+    # x = t - t^3/3, y = t^2: x' + i y' = (1 + iz)^2, so speed^2 = (1 + z^2)^2
+    # has two double zeros +-i, which np.roots alone splits by about 3e-8
+    curve = PlanarCurve(x=TrigPolySeries(poly=((1.0, 1), (-1.0 / 3.0, 3))),
+                        y=TrigPolySeries(poly=((1.0, 2),)),
+                        domain=(-0.5, 0.5), closed=False, label="double")
+    strip = find_strip(curve)
+    assert len(strip.zeros) == 2
+    assert max(abs(z - w) for z, w in zip(strip.zeros, (-1j, 1j))) < 1e-14
+    assert strip.multiplicities == (2, 2)
+    assert abs(strip.distance - 1.0) < 1e-14
+    # simple zeros stay simple; the cycloid's double zero is one root of each factor
+    assert set(find_strip(epi(2, 0.5)).multiplicities) == {1}
+    assert find_strip(make_cycloid()).multiplicities == (2, 2)
+
+
 def test_mixed_trig_and_monomial_series_rejected():
     # x' = 1 - sin z + 2z: trig terms next to z^1, no polynomial in one variable
     curve = PlanarCurve(x=TrigPolySeries(trig=((1.0, 1, PHASE_COS),), poly=((1.0, 1), (1.0, 2))),

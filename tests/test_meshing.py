@@ -22,10 +22,9 @@ from conftest import epi
 
 
 def unit_quad():
-    return SurfaceMesh(
-        vertices=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                           [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
-        faces=[(0, 1, 2, 3)],
+    return SurfaceMesh.from_faces(
+        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
+        [(0, 1, 2, 3)],
         attributes={"density": np.array([1.0, 2.0, 3.0, 4.0])},
     )
 
@@ -77,6 +76,23 @@ def test_clip_offset_beyond_bbox_is_identity_or_empty():
     assert len(empty.faces) == 0
 
 
+@pytest.mark.parametrize("n", [10, 37])
+def test_clip_flat_grid_matches_closed_form(n):
+    # independent oracle: the n x n grid on [0,1]^2 cut by x + 2y >= 0.7 keeps
+    # the square minus the triangle (0,0), (0.7,0), (0,0.35)
+    x = np.linspace(0.0, 1.0, n + 1)
+    vertices = [(x[i], x[j], 0.0) for j in range(n + 1) for i in range(n + 1)]
+    faces = [(j * (n + 1) + i, j * (n + 1) + i + 1, (j + 1) * (n + 1) + i + 1,
+              (j + 1) * (n + 1) + i) for j in range(n) for i in range(n)]
+    grid = SurfaceMesh.from_faces(vertices, faces)
+    assert abs(mesh_area(grid) - 1.0) < 1e-14
+    cut = clip_halfspace(grid, (1.0, 2.0, 0.0), 0.7)
+    assert abs(mesh_area(cut) - (1.0 - 0.5 * 0.7 * 0.35)) < 1e-14
+    assert np.all(cut.vertices @ np.array([1.0, 2.0, 0.0]) - 0.7 >= -1e-15)
+    assert cut.vertices[:, 2].tolist() == [0.0] * len(cut.vertices)
+    assert {len(f) for f in cut.faces} == {3, 4, 5}
+
+
 def test_clip_catenoid_half():
     mesh = sample_mesh(make_circle(), (0, 2 * math.pi), (-1.0, 1.0), 32, 9)
     half = clip_halfspace(mesh, (0.0, 0.0, 1.0), 0.0)
@@ -122,17 +138,18 @@ def test_obj_roundtrip_full_precision(tmp_path):
     assert np.max(np.abs(back.vertices - mesh.vertices)) < 1e-12
 
 
-@pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 5", "f -1 1 2"])
+@pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 5", "f -1 1 2", "f 1 2"])
 def test_load_obj_rejects_out_of_range_index(face, tmp_path):
-    # OBJ indices are 1-based: 0 would wrap to the last vertex
+    # OBJ indices are 1-based: 0 would wrap to the last vertex; a 2-gon is no
+    # face (the PLY fan split would drop it)
     path = tmp_path / "bad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n%s\n" % face)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="fewer than 3" if face == "f 1 2" else "out of range"):
         load_obj(path)
 
 
 def test_empty_mesh_exports(tmp_path):
-    empty = SurfaceMesh(vertices=np.zeros((0, 3)), faces=[], attributes={})
+    empty = SurfaceMesh.from_faces(np.zeros((0, 3)), [])
     export_obj(empty, tmp_path / "empty.obj")
     export_ply(empty, tmp_path / "empty.ply")
     export_csv(empty, tmp_path / "empty.csv")
