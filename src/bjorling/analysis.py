@@ -447,7 +447,7 @@ def pullback_residual(model: VModel, n_samples: int = 50) -> float:
     ts = 2.0 * math.pi * np.arange(n_samples) / n_samples
     w0 = -1j * abs(1.0 - model.a)
     ws = continue_sqrt(lambda t: model.w_squared(np.exp(1j * t)), 0.0, ts, w0,
-                       4 * n_samples)
+                       2 * n_samples)
     worst = 0.0
     for t, w in zip(ts.tolist(), ws.tolist()):
         v = cmath.exp(1j * t)

@@ -1,16 +1,16 @@
-"""Analytic continuation of sqrt(x'(w)^2 + y'(w)^2) along paths in the strip.
+"""Square roots of the complexified speed x'(w)^2 + y'(w)^2, and its zeros.
 
-The complexified speed has isolated zeros off the real axis; the square root
-needed by the surface construction is defined by continuity along a path.
-There is one rule for it.  ``match_branch`` picks, for whole arrays of
-candidates, the root in the same half plane as a reference value and flags
-the entries whose argument turned by pi/4 or more.  ``continue_sqrt`` walks
-straight segments in equal fractions with that rule and halves only the
-fractions that fail, so the correct branch follows without any global
-branch-cut bookkeeping.  ``strip_sqrt_array`` is the strip branch: every point
-continued vertically from its axis foot, where the root is positive.  The
-patch column integrator in ``schwarz`` applies the same rule at its
-quadrature nodes.
+The speed has isolated zeros off the real axis; the square root the surface
+needs is defined by continuity along a path from the axis, where it is
+positive.  ``strip_sqrt_array`` is the strip branch: every point continued up
+the vertical segment from its axis foot t, in closed form.  With m = e^{iz}
+for trigonometric series and m = z for monomial ones, that segment is straight
+in m, and speed^2 is a power of m, of constant argument along it, times
+prod (m - r_j)^mu_j over the images r_j of the zeros.  So the root turns by
+half of sum_j mu_j Arg((m(z) - r_j)/(m(t) - r_j)), and the branch is
+np.sqrt(speed^2) negated where it disagrees with prod sqrt(...)^mu_j.  A
+segment that passes a zero raises ``SingularityOnPath``.  Other paths take
+``continue_sqrt``, which walks straight segments in matched, halving steps.
 
 The zeros of the speed are exact polynomial roots.  speed^2 factors as
 (x' + i y')(x' - i y'), and for real series the zeros of the second factor
@@ -30,6 +30,7 @@ to the nearest one and the usable half-width ``cap``, 0.9 times that distance.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import functools
 import math
@@ -110,10 +111,11 @@ def continue_sqrt(f, z_from, z_to, w_from, steps):
 
     ``z_from``, ``z_to`` and ``w_from`` broadcast to one shape of any size, with
     w_from^2 = f(z_from); f maps an array of points to an array of values.  Each
-    segment is walked in ``steps`` equal fractions, every fraction matched to the
-    previous value with ``match_branch``.  The fractions that fail are halved, on
-    just those entries, until they pass.  Raises SingularityOnPath when a root
-    vanishes and BranchJump past MAX_STEP_HALVINGS halvings.
+    segment is walked in ``steps`` equal fractions, the root at each fraction's
+    midpoint matched to the value before it with ``match_branch`` and the root
+    at its end to the midpoint one.  The fractions that fail either match are
+    halved, on just those entries, until they pass.  Raises SingularityOnPath
+    when a root vanishes and BranchJump past MAX_STEP_HALVINGS halvings.
     """
     shape = np.broadcast(z_from, z_to, w_from).shape
     a, b, w = (np.array(np.broadcast_to(v, shape), dtype=complex).ravel()
@@ -122,16 +124,17 @@ def continue_sqrt(f, z_from, z_to, w_from, steps):
 
 
 def _continue(f, a, b, w, steps, depth):
-    prev = a
+    prev, n = a, a.size
     for j in range(1, steps + 1):
         nxt = b if j == steps else a + (b - a) * (j / steps)
-        cand = np.sqrt(np.asarray(f(nxt), dtype=complex))
-        w_next, ok = match_branch(cand, w)
-        bad = np.nonzero(~ok)[0]
+        pts = np.concatenate([0.5 * (prev + nxt), nxt])
+        cand = np.sqrt(np.asarray(f(pts), dtype=complex))
+        w_mid, ok_mid = match_branch(cand[:n], w)
+        w_next, ok = match_branch(cand[n:], w_mid)
+        bad = np.nonzero(~(ok_mid & ok))[0]
         if bad.size:
-            if np.any(cand[bad] == 0):
-                raise SingularityOnPath("the square root vanishes at %s"
-                                        % nxt[bad][cand[bad] == 0][0])
+            if np.any(cand == 0):
+                raise SingularityOnPath("the square root vanishes at %s" % pts[cand == 0][0])
             if depth >= MAX_STEP_HALVINGS:
                 raise BranchJump("square-root continuation lost continuity between %s and %s"
                                  % (prev[bad[0]], nxt[bad[0]]))
@@ -140,21 +143,36 @@ def _continue(f, a, b, w, steps, depth):
     return w
 
 
-def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEMENT):
-    """The strip branch of sqrt(speed^2) at every point of an array of any shape.
+def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEMENT,
+                     speed2=None):
+    """The strip branch of sqrt(speed^2) at points z of any shape, in closed form.
 
-    Each point is continued vertically from its axis foot (Re z, 0), where the
-    root is positive, in n = ceil(max |Im z| / refinement) equal fractions of its
-    own height, all points together.  Inside the zero-free strip around the
-    geodesic this is the unique holomorphic branch positive on the axis.
+    ``speed2`` is speed^2 at z when the caller has it.  Raises SingularityOnPath
+    when the vertical segment to a point passes a zero: its Im lies between 0
+    and Im z and its Re within ``refinement`` of Re z, modulo the period.
     """
     z = np.asarray(z, dtype=complex)
-    w = np.sqrt(speed_squared(curve, z.real).astype(complex))
-    if not np.all(w.real > 0):
-        raise SingularityOnPath("speed^2 vanishes on the axis at t=%g"
-                                % z.real.ravel()[np.argmin(w.real)])
-    n = int(math.ceil(float(np.max(np.abs(z.imag), initial=0.0)) / refinement))
-    return continue_sqrt(lambda zz: speed_squared(curve, zz), z.real, z, w, n)
+    zeros, period = _zero_set(curve)
+    trig = math.isfinite(period)
+    t, s = z.real, z.imag
+    foot = np.exp(1j * t) if trig else t
+    top = foot * np.exp(-s) if trig else z
+    turn = np.ones(z.shape, dtype=complex)
+    for zero, mult in zeros:
+        offset = t - zero.real
+        if trig:
+            offset -= period * np.round(offset / period)
+        passed = (np.abs(offset) <= refinement) & (np.abs(s) >= abs(zero.imag)) \
+            & (s * zero.imag >= 0)
+        if np.any(passed):
+            raise SingularityOnPath("the vertical path to %s passes the speed^2 zero at %s"
+                                    % (z[passed][0], zero))
+        r = cmath.exp(1j * zero) if trig else zero
+        root = np.sqrt((top - r) / (foot - r))
+        for _ in range(mult):
+            turn *= root
+    w = np.sqrt(speed_squared(curve, z) if speed2 is None else speed2)
+    return np.where((w * np.conj(turn)).real < 0, -w, w)
 
 
 def _wrap(d: complex, period: float) -> complex:

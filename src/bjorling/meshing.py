@@ -49,6 +49,8 @@ class SurfaceMesh:
         return [tuple(idx[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def validate(self) -> None:
+        if np.ndim(self.vertices) != 2 or np.shape(self.vertices)[1] != 3:
+            raise ValueError("vertices must have shape (n, 3), not %s" % (np.shape(self.vertices),))
         if np.any(~np.isfinite(self.vertices)):
             raise ValueError("mesh contains non-finite vertex coordinates")
         if len(self.offsets) == 0 or self.offsets[0] != 0 or self.offsets[-1] != len(self.indices):
@@ -173,7 +175,8 @@ def load_obj(path) -> SurfaceMesh:
             elif parts[:1] == ["f"]:
                 sizes.append(len(parts) - 1)
                 indices.extend(int(tok.split("/")[0]) - 1 for tok in parts[1:])
-    return SurfaceMesh(np.asarray(vertices, dtype=float), np.cumsum(sizes), indices)
+    return SurfaceMesh(np.array(vertices, dtype=float) if vertices else np.zeros((0, 3)),
+                       np.cumsum(sizes), indices)
 
 
 def export_ply(mesh: SurfaceMesh, path) -> None:

@@ -14,21 +14,22 @@ exactly where it can be:
     f3(t, s) = -int_0^s Re W(t + i sigma) d sigma.
 
 Only f3 needs quadrature (Phi3 is purely imaginary on the axis, so the axis
-adds nothing).  It is one real integral per grid column, done with the nested
-Gauss-Kronrod G7/K15 pair of QUADPACK (Piessens et al., 1983): all columns
-advance together one s level at a time, x' and y' are evaluated once per
-Kronrod node and reused for W, and |K15 - G7| is the per-column error
-estimate.  W follows the one continuation rule of the continuation module:
-every node is matched to the branch one panel back with ``match_branch``, and
-columns that fail it, or the error test, are bisected on their own.
-``schwarz_integrate`` runs the same panel and bisection along each segment of
-a polyline, so it shares both the quadrature and the branch rule with the
-patch.  A patch must stay inside ``Strip.cap`` of the curve's ``Strip`` from
-``continuation.find_strip``.
+adds nothing): one real integral per grid column, by Clenshaw-Curtis
+(Numer. Math. 2, 1960).  The closed-form strip branch W is sampled at the
+Chebyshev points cos(pi k/n) of the column's s-interval, a DCT-I (one real
+FFT) gives the interpolant's coefficients, and the termwise integral is
+evaluated at every grid level minus its value at s = 0.  W is analytic past
+the interval, so the coefficients fall geometrically (Trefethen, ATAP, ch. 8
+and 19); columns whose series has not converged double n, reusing every
+sample.  ``schwarz_integrate`` runs the same rule along each segment of a
+polyline, with W from ``continue_sqrt``.  A patch must stay inside
+``Strip.cap`` of the curve's ``Strip`` from ``continuation.find_strip``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,53 +39,30 @@ from .continuation import (
     PathPolyline,
     SingularityOnPath,
     Strip,
+    continue_sqrt,
     derivative_series,
     find_strip,
-    match_branch,
     singularity_scan,
+    speed_squared,
     strip_sqrt_array,
 )
 from .curves import InvalidCurveParameters, PlanarCurve, regularity_margin
 
-MAX_QUAD_DEPTH = 20
 DEFAULT_QUAD_TOL = 1e-11
 # multiple of the unit roundoff in the integrand's own rounding floor
 ROUNDING_SAFETY = 16.0
-
-# QUADPACK qk15: Kronrod abscissae xgk and weights wgk on [0, 1] (descending),
-# and the weights wg of the 7-point Gauss rule, whose abscissae are xgk[1::2].
-_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245, 0.000000000000000000000000000000000)
-_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-
-# the 15 Kronrod nodes on [-1, 1] in ascending order; the Gauss nodes are the
-# odd-indexed ones, K15_NODES[1::2]
-K15_NODES = np.array([-x for x in _XGK[:7]] + list(_XGK[::-1]))
-K15_WEIGHTS = np.array(_WGK + _WGK[6::-1])
-G7_WEIGHTS = np.array(_WG + _WG[2::-1])
+# a column is sampled at cos(pi k/n), k = 0..n: n starts at CC_FIRST_N and doubles up to CC_MAX_N
+CC_FIRST_N = 32
+CC_MAX_N = 1024
+BLOCK_POINTS = 1 << 15
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive refinement exceeded the maximum depth without converging."""
+    """A column integral did not converge with the largest Chebyshev grid."""
 
 
 class StripTooWide(ValueError):
     """Requested |Im z| exceeds 0.9x the distance to the nearest speed^2 zero."""
-
-
-def _weighted_sum(weights, values):
-    # fixed-order accumulation: bitwise reproducible independent of array shape
-    out = weights[0] * values[0]
-    for w, v in zip(weights[1:], values[1:]):
-        out = out + w * v
-    return out
 
 
 class HolomorphicTriple:
@@ -105,9 +83,13 @@ class HolomorphicTriple:
 
     def __call__(self, z):
         """Phi at strip points of any shape; the result has shape z.shape + (3,)."""
-        z = np.asarray(z, dtype=complex)
-        w = strip_sqrt_array(self.curve, z, self.refinement)
-        return np.stack([self._dx(z), self._dy(z), 1j * w], axis=-1)
+        vx, vy, w = self._parts(np.asarray(z, dtype=complex))
+        return np.stack([vx, vy, 1j * w], axis=-1)
+
+    def _parts(self, z):
+        """x', y' and the strip branch W at complex points z, each of z's shape."""
+        vx, vy = self._dx(z), self._dy(z)
+        return vx, vy, strip_sqrt_array(self.curve, z, self.refinement, vx * vx + vy * vy)
 
     def grid_values(self, t_vals, s_vals):
         """Phi on the grid, shape (ns, nt, 3); rows follow s_vals order."""
@@ -163,17 +145,16 @@ def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | No
                for a, b in zip(verts, verts[1:])):
             raise SingularityOnPath(
                 "zero of speed^2 at %s is within %g of the path" % (zero, path.refinement))
-    w = strip_sqrt_array(curve, np.array([z0]), triple.refinement)
-    seg_tol = tol / (len(verts) - 1)
+    f = functools.partial(speed_squared, curve)
+    w = strip_sqrt_array(curve, z0, triple.refinement)
     f3 = 0.0
     for a, b in zip(verts, verts[1:]):
-        length, direction = abs(b - a), (b - a) / abs(b - a)
-        step, good, _, _, w = _column_step(triple, np.array([a]), 0.0, length, w, seg_tol,
-                                           direction)
-        if not good[0]:
-            step[0], w[0] = _bisect_column(triple, a, 0.0, length, w[0], seg_tol,
-                                           direction=direction)
-        f3 = f3 + float(step[0])
+        length, steps = abs(b - a), math.ceil(abs(b - a) / path.refinement)
+        # W at every node is continued from a, where it is w
+        f3 += _column_integrals(
+            lambda z: (triple._dx(z), triple._dy(z), continue_sqrt(f, a, z, w, steps)),
+            np.array([a]), (b - a) / length, 0.0, length, [length], tol / (len(verts) - 1))[0, 0]
+        w = continue_sqrt(f, a, b, w, steps)
     (x0, y0), (x1, y1) = curve.eval(z0), curve.eval(z1)
     return np.array([np.real(x1) - np.real(x0), np.real(y1) - np.real(y0), f3])
 
@@ -181,11 +162,10 @@ def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | No
 def surface_point(triple: HolomorphicTriple, t: float, s: float,
                   tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Surface value f(t + i s): exact Re x, Re y and the column integral f3."""
-    if s == 0.0:
-        return np.asarray(triple.curve.point3d(float(t)), dtype=float)
-    f3, _ = _march(triple, np.array([float(t)]), np.array([float(s)]), tol)
+    f3 = _column_integrals(triple._parts, np.array([float(t)]), 1j, min(s, 0.0), max(s, 0.0),
+                           [s], tol)[0, 0]
     x, y = triple.curve.eval(complex(t, s))
-    return np.array([np.real(x), np.real(y), f3[0, 0]])
+    return np.array([np.real(x), np.real(y), f3])
 
 
 @dataclass
@@ -253,107 +233,104 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     triple = HolomorphicTriple(curve)
     t_vals = np.linspace(t_lo, t_hi, nt)
     s_vals = np.linspace(s_lo, s_hi, ns)
-    if workers > 1:
-        f3, phi_grid = _march_parallel(triple, t_vals, s_vals, tol, workers)
-    else:
-        f3, phi_grid = _march(triple, t_vals, s_vals, tol)
+    f3, phi_grid = _columns(triple, t_vals, s_vals, tol, workers)
     x, y = curve.eval(t_vals[None, :] + 1j * s_vals[:, None])
     points = np.stack([np.real(x), np.real(y), f3], axis=-1)
     return PatchGrid(curve=curve, t_vals=t_vals, s_vals=s_vals, points=points, phi=phi_grid)
 
 
-def _column_step(triple: HolomorphicTriple, t, s_a: float, s_b: float, w_a, tol: float,
-                 direction: complex = 1j):
-    """One G7/K15 panel of the f3 increment Re int i W dz per column.
+def _chebyshev_antiderivative(values):
+    """T_0 .. T_{n+1} coefficients of an antiderivative of the interpolant of
+    values (n + 1, m) at x_k = cos(pi k / n): a DCT-I (one real FFT of the even
+    extension), then T_j -> T_{j+1}/(2(j+1)) - T_{j-1}/(2(j-1)) termwise."""
+    n, m = len(values) - 1, values.shape[1]
+    c = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / n
+    c[[0, n]] *= 0.5
+    c = np.concatenate([c, np.zeros((2, m))])
+    out = np.zeros((n + 2, m))
+    out[1] = c[0] - 0.5 * c[2]
+    out[2:] = (c[1:n + 1] - c[3:]) / (2.0 * np.arange(2, n + 2))[:, None]
+    return out
 
-    The columns run from t + direction*s_a to t + direction*s_b, so with the
-    default direction i the increment is -int_{s_a}^{s_b} Re W(t + i sigma) d sigma.
-    x' and y' are evaluated once per node, on the 15 Kronrod nodes and at s_b,
-    and W at every node is matched to the branch values w_a at s_a.  A column
-    is accepted when every node continues the branch and |K15 - G7| is within
-    tol or within the integrand's own rounding floor,
-    ROUNDING_SAFETY * eps * |h| * sum_k w_k (|x'|^2 + |y'|^2) / |W|
-    (the cancellation in x'^2 + y'^2 limits the relative accuracy of W).
-    Returns (increment, accepted, x' at s_b, y' at s_b, W at s_b).
+
+def _chebyshev_increments(coef, x, x0):
+    """sum_j coef[j] (T_j(x) - T_j(x0)) for coef of shape (J, m) and x of shape (L,).
+
+    Accumulated term by term, so every column is summed in the same order
+    whichever columns share the call.
     """
-    half = 0.5 * (s_b - s_a)
-    ss = np.append(0.5 * (s_a + s_b) + half * K15_NODES, s_b)
-    Z = t[None, :] + direction * ss[:, None]
-    vx, vy = triple._dx(Z), triple._dy(Z)
-    w, ok = match_branch(np.sqrt(vx * vx + vy * vy), w_a)
-    re = (1j * direction * w[:-1]).real
-    k15 = _weighted_sum(K15_WEIGHTS, re)
-    err = abs(half) * np.abs(k15 - _weighted_sum(G7_WEIGHTS, re[1::2]))
-    good = np.all(ok, axis=0) & (err <= tol)
-    if not np.all(good):
-        mag2 = vx[:-1].real ** 2 + vx[:-1].imag ** 2 + vy[:-1].real ** 2 + vy[:-1].imag ** 2
-        floor = ROUNDING_SAFETY * np.finfo(float).eps * abs(half) * _weighted_sum(
-            K15_WEIGHTS, mag2 / np.abs(w[:-1]))
-        good = np.all(ok, axis=0) & (err <= np.maximum(tol, floor))
-    return half * k15, good, vx[-1], vy[-1], w[-1]
+    u = np.append(x, x0)
+    prev, cur = np.ones_like(u), u
+    out = np.zeros((len(x), coef.shape[1]))
+    for c in coef[1:]:
+        out += (cur[:-1] - cur[-1])[:, None] * c
+        prev, cur = cur, 2.0 * u * cur - prev
+    return out
 
 
-def _bisect_column(triple: HolomorphicTriple, t, s_a: float, s_b: float,
-                   w_a: complex, tol: float, depth: int = 1, direction: complex = 1j):
-    """Scalar adaptive fallback for one column step: halves until each panel passes."""
-    if depth > MAX_QUAD_DEPTH:
-        raise QuadratureFailure(
-            "column quadrature did not reach tol=%g between %s and %s"
-            % (tol, t + direction * s_a, t + direction * s_b))
-    total, w = 0.0, w_a
-    mid = 0.5 * (s_a + s_b)
-    for lo, hi in ((s_a, mid), (mid, s_b)):
-        step, good, _, _, w_hi = _column_step(
-            triple, np.array([t]), lo, hi, np.array([w]), 0.5 * tol, direction)
-        if good[0]:
-            total, w = total + step[0], complex(w_hi[0])
-        else:
-            step, w = _bisect_column(triple, t, lo, hi, w, 0.5 * tol, depth + 1, direction)
-            total = total + step
-    return total, w
+def _column_integrals(parts, origins, direction: complex, lo: float, hi: float, levels,
+                      tol: float):
+    """Re int i W dz from each origin to origin + direction * level, shape (L, len(origins)).
 
-
-def _march(triple: HolomorphicTriple, t_vals, s_vals, tol: float):
-    """f3 and Phi on the grid, all columns advanced together one s level at a time.
-
-    Levels are visited outward from s = 0 on each side, each stepping from the
-    level next closer to the axis (from the axis itself for the first), so the
-    branch reference is always one step away and the accumulation order is
-    fixed.  Returns f3 with shape (ns, nt) and Phi with shape (ns, nt, 3).
+    ``parts(z)`` gives x', y' and W at the points z.  Clenshaw-Curtis over sigma
+    in [lo, hi], which holds 0 and every level.  A column is done when the upper
+    half of its integrated series sums to within tol or within its rounding
+    floor (the cancellation in x'^2 + y'^2 limits the relative accuracy of W);
+    the others double n, keeping their samples, up to CC_MAX_N.
     """
-    ns, nt = len(s_vals), len(t_vals)
-    vx0, vy0 = triple._dx(t_vals), triple._dy(t_vals)
-    w0 = np.sqrt(vx0 * vx0 + vy0 * vy0)
-    if np.any(w0 <= 0):
-        raise InvalidCurveParameters("speed vanishes on the axis")
-    f3 = np.zeros((ns, nt))
-    phi_grid = np.empty((ns, nt, 3), dtype=complex)
-    axis = (0.0, np.zeros(nt), w0.astype(complex))
-    last = {1.0: axis, -1.0: axis}
-    step_tol = tol / max(1, ns)
-    for idx in np.argsort(np.abs(s_vals), kind="stable"):
-        s = float(s_vals[idx])
-        if s == 0.0:
-            vx, vy, w = vx0, vy0, w0
-        else:
-            s_a, f_a, w_a = last[np.sign(s)]
-            step, good, vx, vy, w = _column_step(triple, t_vals, s_a, s, w_a, step_tol)
-            for j in np.nonzero(~good)[0]:
-                step[j], w[j] = _bisect_column(triple, t_vals[j], s_a, s, w_a[j], step_tol)
-            f3[idx] = f_a + step
-            last[np.sign(s)] = (s, f3[idx], w)
-        phi_grid[idx, :, 0] = vx
-        phi_grid[idx, :, 1] = vy
-        phi_grid[idx, :, 2] = 1j * w
+    def sample(k, n, cols):
+        sigma = mid + half * np.cos(np.pi * k / n)
+        vx, vy, w = parts(origins[cols][None, :] + direction * sigma[:, None])
+        mag2 = vx.real ** 2 + vx.imag ** 2 + vy.real ** 2 + vy.imag ** 2
+        return ((1j * direction * w).real, ROUNDING_SAFETY * np.finfo(float).eps * (hi - lo)
+                * np.max(mag2 / np.abs(w), axis=0))
+
+    out = np.zeros((len(levels), len(origins)))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if half == 0.0:
+        return out
+    x = np.clip((np.asarray(levels, dtype=float) - mid) / half, -1.0, 1.0)
+    n, cols = CC_FIRST_N, np.arange(len(origins))
+    values, floor = sample(np.arange(n + 1), n, cols)
+    while True:
+        coef = half * _chebyshev_antiderivative(values)
+        done = sum(np.abs(c) for c in coef[n // 2 + 1:]) <= np.maximum(tol, floor)
+        out[:, cols[done]] = _chebyshev_increments(coef[:, done], x, -mid / half)
+        if np.all(done):
+            return out
+        if 2 * n > CC_MAX_N:
+            raise QuadratureFailure("column quadrature did not reach tol=%g with %d points"
+                                    % (tol, n + 1))
+        cols = cols[~done]
+        fresh, fresh_floor = sample(np.arange(1, 2 * n, 2), 2 * n, cols)
+        both = np.empty((2 * n + 1, len(cols)))
+        both[0::2], both[1::2] = values[:, ~done], fresh
+        values, floor, n = both, np.maximum(floor[~done], fresh_floor), 2 * n
+
+
+def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int = 1):
+    """f3 (ns, nt) and Phi (ns, nt, 3) on the grid, by blocks of whole columns.
+
+    A block holds about BLOCK_POINTS grid points, which bounds the temporaries
+    of one evaluation; ``workers`` > 1 runs the blocks on threads.  A column's
+    values do not depend on its block.
+    """
+    f3 = np.empty((len(s_vals), len(t_vals)))
+    phi_grid = np.empty(f3.shape + (3,), dtype=complex)
+    lo, hi = min(float(np.min(s_vals)), 0.0), max(float(np.max(s_vals)), 0.0)
+
+    def fill(cols):
+        f3[:, cols] = _column_integrals(triple._parts, t_vals[cols], 1j, lo, hi, s_vals, tol)
+        phi_grid[:, cols] = triple.grid_values(t_vals[cols], s_vals)
+
+    blocks = np.array_split(np.arange(len(t_vals)),
+                            min(len(t_vals), max(int(workers), -(-f3.size // BLOCK_POINTS))))
+    if workers <= 1:
+        for cols in blocks:
+            fill(cols)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+            list(pool.map(fill, blocks))
     return f3, phi_grid
-
-
-def _march_parallel(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int):
-    """_march over column chunks on threads; every column is computed as in _march."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(t_vals, max(1, min(int(workers), len(t_vals))))
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda t: _march(triple, t, s_vals, tol), chunks))
-    return (np.concatenate([p[0] for p in parts], axis=1),
-            np.concatenate([p[1] for p in parts], axis=1))

@@ -28,17 +28,17 @@ def test_generate_circle(tmp_path, capsys):
 @pytest.mark.parametrize("argv,expect", [
     (["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5", "--nt", "24", "--ns", "7"], {
         "epitrochoid_k2_lam0p5.obj":
-            "11277d4c8242ba281ca57b0ed8b280b573e2dacc3c6d0968d8b56a0e7d9ef695",
+            "b9ccdbe593fa8f86b0efcb7e70cee6c7385ff6305d05f30d75100ef92e2fbcb3",
         "epitrochoid_k2_lam0p5.ply":
-            "8a137299d828ef990da4f1cad3b2d453299bbbbe3c152a4a1cc4dca4f1b52f60",
+            "d0036ef627662b060c19340e5ecda6b27418ae42a5dffbf4ca6f364b4915f859",
         "epitrochoid_k2_lam0p5_halfcut.obj":
-            "d03a10cacbb5ec07df26dd566137d73d07275961d7b33c5e4b316ca7679c120d",
+            "ecc668e85312ada9480e14a63a0542868bfa83f762f2148d6915025a35599b65",
     }),
     (["--curve", "cycloid", "--nt", "32", "--ns", "9"], {
-        "cycloid.obj": "4027c842330b5ecd93f88530f85f825abc6cbecfd101b38aa329824d117b4add",
-        "cycloid.ply": "f68d6944f99b6bb4f5e690c3f1e51a0bd9b26cf5b720230a3b098f326695d1d3",
+        "cycloid.obj": "d77676b76a907d074ffd426da1b338716e543fac0a17567ef740e755df648375",
+        "cycloid.ply": "49aba2ea3d07987594b20bce425c0d6af8c9d3dd9d74a2e22d6e279704f72268",
         "cycloid_halfcut.obj":
-            "c8206bbd47246b711daed133d82aa0b8c64dcd77d462f6f72a1caa5b2d8a44a1",
+            "ee51b36438caa0e20acadd5f0fcdb9a7ecc6811c86096ccf9a0f9b782da0feb9",
     }),
 ])
 def test_generate_output_bytes_pinned(argv, expect, tmp_path):
@@ -56,7 +56,7 @@ def test_csv_output_bytes_pinned(tmp_path):
     h = find_strip(curve).cap
     export_csv(sample_mesh(curve, curve.domain, (-h, h), 24, 7), tmp_path / "m.csv")
     assert (hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest()
-            == "c0abed1a2f322914daf1305aa183bf5b38454476c4f95c294b89a04ec9116d1f")
+            == "f0795497b2d3d82aecb72cbe334b6fe9721dcc8ee60b990b9695171ba2ba0e8d")
 
 
 @pytest.mark.parametrize("command", ["generate", "verify"])

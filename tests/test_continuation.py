@@ -147,6 +147,63 @@ def test_coarse_steps_halve_to_the_fine_root():
     assert np.array_equal(coarse, strip_sqrt_array(curve, z))
 
 
+def test_one_step_matches_the_midpoint():
+    # sqrt(z^2) = z turns by pi - 2 atan(0.1) from -1+0.1i to 1+0.1i; judged
+    # from the two ends alone one step looks continuous with -(1+0.1i)
+    w = continue_sqrt(lambda z: z * z, -1 + 0.1j, 1 + 0.1j, -1 + 0.1j, 1)
+    assert abs(w - (1 + 0.1j)) < 1e-15
+    # the first half turns by 2.06 rad, the second by 0.16: only the midpoint
+    # match sees the turn
+    w = continue_sqrt(lambda z: z * z, -0.1 + 0.1j, 0.76 + 0.1j, -0.1 + 0.1j, 1)
+    assert abs(w - (0.76 + 0.1j)) < 1e-15
+
+
+def _double_zeros_curve():
+    # x' + i y' = ((1 + iz)(2 + iz))^2: speed^2 = ((1 + z^2)(4 + z^2))^2, double
+    # zeros at +-i and +-2i
+    return PlanarCurve(x=TrigPolySeries(poly=((4.0, 1), (-13.0 / 3.0, 3), (0.2, 5))),
+                       y=TrigPolySeries(poly=((6.0, 2), (-1.5, 4))),
+                       domain=(-0.5, 0.5), closed=False, label="double zeros")
+
+
+@pytest.mark.parametrize("curve", [make_circle(), make_cycloid(), make_parabola(), epi(1, 30.0),
+                                   epi(12, 0.95 / 13), epi(2, 0.35), _double_zeros_curve()],
+                         ids=lambda c: c.label)
+def test_strip_branch_closed_form_equals_vertical_continuation(curve):
+    # the closed form against 400 matched steps up every column, bit for bit,
+    # up to 2.5 times the distance to the nearest zero: columns that pass
+    # beside a zero (by more than twice the refinement) turn past the
+    # principal root's cut
+    strip = find_strip(curve)
+    s_max = 2.5 * strip.distance if strip.zeros else 0.9
+    t = np.linspace(*curve.domain, 97)
+    t = (t[:-1] + 0.5 * (t[1] - t[0]))
+    period = 2 * math.pi if curve.x.trig else math.inf
+    t = t[[all(abs(_wrap_offset(u - z.real, period)) > 0.02 for z in strip.zeros) for u in t]]
+    z = t[None, :] + 1j * np.linspace(-s_max, s_max, 41)[:, None]
+    f = lambda p: speed_squared(curve, p)
+    stepped = continue_sqrt(f, z.real, z, np.sqrt(f(z.real + 0j)), 400)
+    assert np.array_equal(strip_sqrt_array(curve, z), stepped)
+
+
+def test_strip_branch_past_double_zeros_is_entire():
+    # the root of ((1 + z^2)(4 + z^2))^2 positive on the axis is the polynomial
+    # (1 + z^2)(4 + z^2); above the zeros it turns by more than pi, where each
+    # zero must count twice
+    curve = _double_zeros_curve()
+    assert find_strip(curve).multiplicities == (2, 2, 2, 2)
+    t = np.linspace(-0.5, 0.5, 41)
+    z = t[np.abs(t) > 0.02][None, :] + 1j * np.linspace(-3.0, 3.0, 61)[:, None]
+    root = (1 + z * z) * (4 + z * z)
+    w = strip_sqrt_array(curve, z)
+    assert np.max(np.abs(w - root)) < 1e-12 * np.max(np.abs(root))
+    assert np.any(np.abs(np.sqrt(root * root) - w) > 1.0)
+
+
+def _wrap_offset(d, period):
+    return d - period * round(d / period) if math.isfinite(period) else d
+
+
 def test_scan_circle_empty():
     assert singularity_scan(make_circle(), s_max=10.0) == ()
 

@@ -114,8 +114,8 @@ def test_oblique_clip_bytes_pinned(tmp_path):
     export_ply(cut, tmp_path / "cut.ply")
     got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ("cut.obj", "cut.ply")]
-    assert got == ["2bca249f7a583c6658958995bf1f87167d9bc7b78944297f414062223f078219",
-                   "a25d3b7a062bd55af59c72b2177f3db514cab222eaed33746ea951116af246fb"]
+    assert got == ["33ddfe9b3f255721d8d5352e404b9c8def36d60dfb28e6e716365529a17fd2b4",
+                   "19e5ed7a6a8cb738b7a0e099300ccfccf0d11cf45cf742c859c2a3df9f122354"]
 
 
 def test_obj_roundtrip(tmp_path):
@@ -148,6 +148,14 @@ def test_load_obj_rejects_out_of_range_index(face, tmp_path):
         load_obj(path)
 
 
+def test_load_obj_rejects_vertices_without_three_coordinates(tmp_path):
+    # three "v 0 0" lines would load as a (3, 2) array that no writer can format
+    path = tmp_path / "flat.obj"
+    path.write_text("v 0 0\nv 1 0\nv 0 1\nf 1 2 3\n")
+    with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+        load_obj(path)
+
+
 def test_empty_mesh_exports(tmp_path):
     empty = SurfaceMesh.from_faces(np.zeros((0, 3)), [])
     export_obj(empty, tmp_path / "empty.obj")
@@ -156,6 +164,7 @@ def test_empty_mesh_exports(tmp_path):
     assert (tmp_path / "empty.obj").read_text() == ""
     assert (tmp_path / "empty.csv").read_bytes() == b"x,y,z\r\n"
     assert b"element vertex 0" in (tmp_path / "empty.ply").read_bytes()
+    assert load_obj(tmp_path / "empty.obj").vertices.shape == (0, 3)
 
 
 def test_ply_structure(tmp_path):

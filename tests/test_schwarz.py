@@ -1,15 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from bjorling import schwarz
-from bjorling.continuation import PathPolyline, find_strip
+from bjorling.continuation import PathPolyline, SingularityOnPath, find_strip
 from bjorling.curves import TrigPolySeries, make_circle, make_cycloid, make_parabola
 from bjorling.schwarz import (
-    G7_WEIGHTS,
-    K15_NODES,
-    K15_WEIGHTS,
+    CC_FIRST_N,
+    CC_MAX_N,
+    HolomorphicTriple,
     QuadratureFailure,
     StripTooWide,
     phi,
@@ -29,21 +30,22 @@ def catenoid(t, s):
                      -s], axis=-1)
 
 
-def test_kronrod_pair_degrees_of_exactness():
-    # K15 is exact through degree 22 and G7 (the odd-indexed nodes) through 13
-    g7_nodes = K15_NODES[1::2]
-    assert np.array_equal(g7_nodes, -g7_nodes[::-1])
-    for d in range(0, 26, 2):
-        exact = 2.0 / (d + 1)
-        k15 = abs(K15_WEIGHTS @ K15_NODES**d - exact)
-        g7 = abs(G7_WEIGHTS @ g7_nodes**d - exact)
-        assert (k15 < 1e-15) == (d <= 22), (d, k15)
-        assert (g7 < 1e-15) == (d <= 13), (d, g7)
-    assert abs(K15_WEIGHTS @ K15_NODES**24 - 2.0 / 25) > 1e-10
-    assert abs(G7_WEIGHTS @ g7_nodes**14 - 2.0 / 15) > 1e-10
-    nodes, weights = np.polynomial.legendre.leggauss(7)
-    assert np.max(np.abs(g7_nodes - nodes)) < 1e-15
-    assert np.max(np.abs(G7_WEIGHTS - weights)) < 1e-15
+def test_clenshaw_curtis_exact_through_degree_n():
+    # the antiderivative of the interpolant at cos(pi k/n) is exact for every
+    # polynomial of degree <= n, and T_{n+1} aliases onto T_{n-1}
+    x = np.linspace(-1.0, 1.0, 9)
+    for n in (CC_FIRST_N, 2 * CC_FIRST_N):
+        nodes = np.cos(np.pi * np.arange(n + 1) / n)
+        for d in range(n + 1):
+            coef = schwarz._chebyshev_antiderivative((nodes**d)[:, None])
+            got = schwarz._chebyshev_increments(coef, x, -0.3)[:, 0]
+            exact = (x ** (d + 1) - (-0.3) ** (d + 1)) / (d + 1)
+            assert np.max(np.abs(got - exact)) < 1e-14, (n, d)
+        aliased = np.cos((n + 1) * np.arccos(nodes))[:, None]
+        got = schwarz._chebyshev_increments(schwarz._chebyshev_antiderivative(aliased), x, -0.3)
+        antider = lambda u: np.cos((n + 2) * np.arccos(u)) / (2 * (n + 2)) \
+            - np.cos(n * np.arccos(u)) / (2 * n)
+        assert np.max(np.abs(got[:, 0] - (antider(x) - antider(-0.3)))) > 1e-3
 
 
 def test_phi_values():
@@ -226,7 +228,7 @@ def test_f3_matches_closed_form_up_to_strip_cap(k, lam):
 
 def test_patch_work_counters(monkeypatch):
     # series points per 256x33 patch (767446 before the Bjorling-formula
-    # construction)
+    # construction, 280064 with the G7/K15 level march)
     points = [0]
     series_call = TrigPolySeries.__call__
 
@@ -238,26 +240,47 @@ def test_patch_work_counters(monkeypatch):
     curve = epi(2, 0.5)
     cap = find_strip(curve).cap
     surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
-    assert points[0] <= 280064
+    assert points[0] <= 52992
 
 
-def test_column_fallback_bisects_and_fails_typed(monkeypatch):
+def test_column_near_a_zero_matches_patch_and_fails_typed():
     curve = epi(2, 0.5)
     cap = find_strip(curve).cap
     triple = phi(curve)
-    calls = [0]
-    bisect = schwarz._bisect_column
-
-    def counting_bisect(*args, **kwargs):
-        calls[0] += 1
-        return bisect(*args, **kwargs)
-
-    monkeypatch.setattr(schwarz, "_bisect_column", counting_bisect)
-    # one panel from the axis to the cap under a zero turns the branch too fast
+    # one column from the axis to the cap under the zero at s = ln(1.5)/3
     pt = surface_point(triple, 0.0, cap)
-    assert calls[0] > 0
     patch = surface_patch(curve, (0.0, 1.0), (0.0, cap), 2, 65)
     assert np.max(np.abs(pt - patch.points[-1, 0])) < 1e-12
-    # a column through the zero at s = ln(1.5)/3 never continues the branch
-    with pytest.raises(QuadratureFailure):
+    # a column through the zero is refused by the zero set
+    with pytest.raises(SingularityOnPath):
         surface_point(triple, 0.0, 0.2)
+
+
+def test_strip_branch_certificate_is_exact():
+    # the zero of epi(2,0.5) above t = 0 sits at ln(1.5)/3 ~ 0.135, below 0.2
+    triple = phi(epi(2, 0.5))
+    with pytest.raises(SingularityOnPath):
+        triple(0.2j)
+    with pytest.raises(SingularityOnPath):
+        triple(np.array([[0.5 + 0.01j, -0.005 - 0.2j]]))
+    # beside the zero by more than the refinement the vertical path is clear
+    assert np.isfinite(triple(0.011 + 0.2j)).all()
+    # epi(2, a=1.05): the zero is only 0.0016 above the cap, inside the
+    # refinement 0.01 by plain distance, yet no column passes it
+    curve = epi(2, 0.35)
+    strip = find_strip(curve)
+    assert 0.0016 < strip.distance - strip.cap < 0.0017
+    patch = surface_patch(curve, curve.domain, (-strip.cap, strip.cap), 64, 17)
+    # Phi needs no quadrature: these bytes were recorded with the earlier G7/K15 rule
+    assert (hashlib.sha256(patch.phi.tobytes()).hexdigest()
+            == "5753edcaa78bd6e2d1116fa93d89d8196fc091757521d2323b529c5c9fa7302c")
+    T, S = np.meshgrid(patch.t_vals, patch.s_vals)
+    assert np.max(np.abs(patch.points[..., 2] - _f3_closed_form(2, 0.35, T, S))) < 1e-12
+
+
+def test_column_quadrature_fails_typed_past_the_largest_grid():
+    # a column ending 1e-8 below a zero passes no zero, but W has a branch
+    # point just beyond it that no Chebyshev grid up to the largest resolves
+    triple = HolomorphicTriple(epi(2, 0.5), refinement=1e-9)
+    with pytest.raises(QuadratureFailure, match="%d points" % (CC_MAX_N + 1)):
+        surface_point(triple, 0.0, math.log(1.5) / 3.0 - 1e-8)
