@@ -449,11 +449,9 @@ def pullback_residual(model: VModel, n_samples: int = 50) -> float:
     ws = continue_sqrt(lambda t: model.w_squared(np.exp(1j * t)), 0.0, ts, w0,
                        2 * n_samples)
     worst = 0.0
-    for t, w in zip(ts.tolist(), ws.tolist()):
+    for t, w, g_strip, eta_strip in zip(ts.tolist(), ws.tolist(), data.g(ts).tolist(),
+                                        data.eta(ts).tolist()):
         v = cmath.exp(1j * t)
-        g_model = model.g(v, w)
-        g_strip = complex(data.g(t))
-        worst = max(worst, abs(g_model - (-1j) * g_strip))
-        eta_strip = complex(data.eta(t))
-        worst = max(worst, abs(v * model.eta_coeff(v) - eta_strip))
+        worst = max(worst, abs(model.g(v, w) - (-1j) * g_strip),
+                    abs(v * model.eta_coeff(v) - eta_strip))
     return worst

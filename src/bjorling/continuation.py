@@ -8,7 +8,8 @@ for trigonometric series and m = z for monomial ones, that segment is straight
 in m, and speed^2 is a power of m, of constant argument along it, times
 prod (m - r_j)^mu_j over the images r_j of the zeros.  So the root turns by
 half of sum_j mu_j Arg((m(z) - r_j)/(m(t) - r_j)), and the branch is
-np.sqrt(speed^2) negated where it disagrees with prod sqrt(...)^mu_j.  A
+np.sqrt(speed^2) negated where it disagrees with prod sqrt(...)^mu_j (its core
+``strip_branch`` takes t and s apart, so a grid does the axis work once).  A
 segment that passes a zero raises ``SingularityOnPath``.  Other paths take
 ``continue_sqrt``, which walks straight segments in matched, halving steps.
 
@@ -152,26 +153,32 @@ def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEME
     and Im z and its Re within ``refinement`` of Re z, modulo the period.
     """
     z = np.asarray(z, dtype=complex)
+    return strip_branch(curve, z.real, z.imag,
+                        speed_squared(curve, z) if speed2 is None else speed2, refinement)
+
+
+def strip_branch(curve: PlanarCurve, t, s, speed2, refinement: float = DEFAULT_REFINEMENT):
+    """``strip_sqrt_array`` at t + i s for t and s that broadcast to speed2's shape.
+    The foot m(t) and the certificate's offsets take t's shape and the heights s's,
+    so on a grid t[None, :], s[:, None] only the ratios, roots and sign are per point."""
     zeros, period = _zero_set(curve)
     trig = math.isfinite(period)
-    t, s = z.real, z.imag
     foot = np.exp(1j * t) if trig else t
-    top = foot * np.exp(-s) if trig else z
-    turn = np.ones(z.shape, dtype=complex)
+    top = foot * np.exp(-s) if trig else t + 1j * s
+    turn = 1.0
     for zero, mult in zeros:
         offset = t - zero.real
         if trig:
             offset -= period * np.round(offset / period)
-        passed = (np.abs(offset) <= refinement) & (np.abs(s) >= abs(zero.imag)) \
-            & (s * zero.imag >= 0)
+        passed = (np.abs(offset) <= refinement) \
+            & ((np.abs(s) >= abs(zero.imag)) & (s * zero.imag >= 0))
         if np.any(passed):
-            raise SingularityOnPath("the vertical path to %s passes the speed^2 zero at %s"
-                                    % (z[passed][0], zero))
+            raise SingularityOnPath("the vertical path to %s passes the speed^2 zero at %s" % (
+                np.broadcast_to(t + 1j * s, passed.shape)[passed][0], zero))
         r = cmath.exp(1j * zero) if trig else zero
-        root = np.sqrt((top - r) / (foot - r))
-        for _ in range(mult):
-            turn *= root
-    w = np.sqrt(speed_squared(curve, z) if speed2 is None else speed2)
+        root = np.sqrt((top - r) * (1.0 / (foot - r)))
+        turn = turn * root ** mult
+    w = np.sqrt(speed2)
     return np.where((w * np.conj(turn)).real < 0, -w, w)
 
 

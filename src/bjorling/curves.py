@@ -2,7 +2,8 @@
 
 Curves are stored termwise so differentiation is exact (no finite differences
 anywhere downstream) and evaluation extends verbatim to complex arguments:
-every series here is an entire function.
+every series here is an entire function.  ``TrigPolySeries.grid`` evaluates on
+a tensor grid t + is with cos/sin on t and cosh/sinh on s only.
 """
 
 from __future__ import annotations
@@ -42,12 +43,30 @@ class TrigPolySeries:
                 out = out + amp * np.cos(freq * z)
             else:
                 out = out + amp * np.sin(freq * z)
+        return self._add_poly(out, z)
+
+    def _add_poly(self, out, z):
         for coef, power in self.poly:
-            if power == 0:
-                out = out + coef
-            else:
-                out = out + coef * z**power
+            out = out + (coef if power == 0 else coef * z**power)
         return out
+
+    def grid(self, t, s):
+        """The series at t[None, :] + i s[:, None], shape (len(s), len(t)): trig terms as
+        outer products of 1-D factors, cos f(t+is) = cos ft cosh fs - i sin ft sinh fs and
+        sin f(t+is) = sin ft cosh fs + i cos ft sinh fs; monomials at the grid points."""
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        out = np.zeros((s.size, t.size), dtype=complex)
+        re, im = out.real, out.imag
+        for amp, freq, phase in self.trig:
+            c, sn = amp * np.cos(freq * t), amp * np.sin(freq * t)
+            ch, sh = np.cosh(freq * s)[:, None], np.sinh(freq * s)[:, None]
+            if phase == PHASE_COS:
+                re += ch * c
+                im -= sh * sn
+            else:
+                re += ch * sn
+                im += sh * c
+        return self._add_poly(out, t[None, :] + 1j * s[:, None]) if self.poly else out
 
     def derivative(self) -> "TrigPolySeries":
         trig = []

@@ -21,7 +21,9 @@ FFT) gives the interpolant's coefficients, and the termwise integral is
 evaluated at every grid level minus its value at s = 0.  W is analytic past
 the interval, so the coefficients fall geometrically (Trefethen, ATAP, ch. 8
 and 19); columns whose series has not converged double n, reusing every
-sample.  ``schwarz_integrate`` runs the same rule along each segment of a
+sample.  On a patch, x', y' and W at the nodes and on the grid come from
+``HolomorphicTriple.grid_parts``, from the series' 1-D factors on the tensor
+grid.  ``schwarz_integrate`` runs the same rule along each segment of a
 polyline, with W from ``continue_sqrt``.  A patch must stay inside
 ``Strip.cap`` of the curve's ``Strip`` from ``continuation.find_strip``.
 """
@@ -44,6 +46,7 @@ from .continuation import (
     find_strip,
     singularity_scan,
     speed_squared,
+    strip_branch,
     strip_sqrt_array,
 )
 from .curves import InvalidCurveParameters, PlanarCurve, regularity_margin
@@ -83,19 +86,23 @@ class HolomorphicTriple:
 
     def __call__(self, z):
         """Phi at strip points of any shape; the result has shape z.shape + (3,)."""
-        vx, vy, w = self._parts(np.asarray(z, dtype=complex))
+        z = np.asarray(z, dtype=complex)
+        vx, vy = self._dx(z), self._dy(z)
+        w = strip_sqrt_array(self.curve, z, self.refinement, vx * vx + vy * vy)
         return np.stack([vx, vy, 1j * w], axis=-1)
 
-    def _parts(self, z):
-        """x', y' and the strip branch W at complex points z, each of z's shape."""
-        vx, vy = self._dx(z), self._dy(z)
-        return vx, vy, strip_sqrt_array(self.curve, z, self.refinement, vx * vx + vy * vy)
+    def grid_parts(self, t_vals, s_vals):
+        """x', y' and the strip branch W at t_vals[None, :] + i s_vals[:, None],
+        each of shape (ns, nt), from the series' 1-D factors."""
+        t, s = np.asarray(t_vals, dtype=float), np.asarray(s_vals, dtype=float)
+        vx, vy = self._dx.grid(t, s), self._dy.grid(t, s)
+        return vx, vy, strip_branch(self.curve, t[None, :], s[:, None], vx * vx + vy * vy,
+                                    self.refinement)
 
     def grid_values(self, t_vals, s_vals):
         """Phi on the grid, shape (ns, nt, 3); rows follow s_vals order."""
-        t_vals = np.asarray(t_vals, dtype=float)
-        s_vals = np.asarray(s_vals, dtype=float)
-        return self(t_vals[None, :] + 1j * s_vals[:, None])
+        vx, vy, w = self.grid_parts(t_vals, s_vals)
+        return np.stack([vx, vy, 1j * w], axis=-1)
 
 
 def phi(curve: PlanarCurve) -> HolomorphicTriple:
@@ -150,10 +157,13 @@ def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | No
     f3 = 0.0
     for a, b in zip(verts, verts[1:]):
         length, steps = abs(b - a), math.ceil(abs(b - a) / path.refinement)
-        # W at every node is continued from a, where it is w
-        f3 += _column_integrals(
-            lambda z: (triple._dx(z), triple._dy(z), continue_sqrt(f, a, z, w, steps)),
-            np.array([a]), (b - a) / length, 0.0, length, [length], tol / (len(verts) - 1))[0, 0]
+        def parts(origins, sigma):
+            # W at every node is continued from a, where it is w
+            z = origins[None, :] + (b - a) / length * sigma[:, None]
+            return triple._dx(z), triple._dy(z), continue_sqrt(f, a, z, w, steps)
+
+        f3 += _column_integrals(parts, np.array([a]), (b - a) / length, 0.0, length, [length],
+                                tol / (len(verts) - 1))[0, 0]
         w = continue_sqrt(f, a, b, w, steps)
     (x0, y0), (x1, y1) = curve.eval(z0), curve.eval(z1)
     return np.array([np.real(x1) - np.real(x0), np.real(y1) - np.real(y0), f3])
@@ -162,7 +172,7 @@ def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | No
 def surface_point(triple: HolomorphicTriple, t: float, s: float,
                   tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Surface value f(t + i s): exact Re x, Re y and the column integral f3."""
-    f3 = _column_integrals(triple._parts, np.array([float(t)]), 1j, min(s, 0.0), max(s, 0.0),
+    f3 = _column_integrals(triple.grid_parts, np.array([float(t)]), 1j, min(s, 0.0), max(s, 0.0),
                            [s], tol)[0, 0]
     x, y = triple.curve.eval(complex(t, s))
     return np.array([np.real(x), np.real(y), f3])
@@ -234,8 +244,8 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     t_vals = np.linspace(t_lo, t_hi, nt)
     s_vals = np.linspace(s_lo, s_hi, ns)
     f3, phi_grid = _columns(triple, t_vals, s_vals, tol, workers)
-    x, y = curve.eval(t_vals[None, :] + 1j * s_vals[:, None])
-    points = np.stack([np.real(x), np.real(y), f3], axis=-1)
+    x, y = curve.x.grid(t_vals, s_vals), curve.y.grid(t_vals, s_vals)
+    points = np.stack([x.real, y.real, f3], axis=-1)
     return PatchGrid(curve=curve, t_vals=t_vals, s_vals=s_vals, points=points, phi=phi_grid)
 
 
@@ -272,15 +282,16 @@ def _column_integrals(parts, origins, direction: complex, lo: float, hi: float, 
                       tol: float):
     """Re int i W dz from each origin to origin + direction * level, shape (L, len(origins)).
 
-    ``parts(z)`` gives x', y' and W at the points z.  Clenshaw-Curtis over sigma
-    in [lo, hi], which holds 0 and every level.  A column is done when the upper
-    half of its integrated series sums to within tol or within its rounding
-    floor (the cancellation in x'^2 + y'^2 limits the relative accuracy of W);
-    the others double n, keeping their samples, up to CC_MAX_N.
+    ``parts(origins, sigma)`` gives x', y' and W at origins[None, :] + direction *
+    sigma[:, None].  Clenshaw-Curtis over sigma in [lo, hi], which holds 0 and
+    every level.  A column is done when the upper half of its integrated series
+    sums to within tol or within its rounding floor (the cancellation in x'^2 +
+    y'^2 limits the relative accuracy of W); the others double n, keeping their
+    samples, up to CC_MAX_N.
     """
     def sample(k, n, cols):
         sigma = mid + half * np.cos(np.pi * k / n)
-        vx, vy, w = parts(origins[cols][None, :] + direction * sigma[:, None])
+        vx, vy, w = parts(origins[cols], sigma)
         mag2 = vx.real ** 2 + vx.imag ** 2 + vy.real ** 2 + vy.imag ** 2
         return ((1j * direction * w).real, ROUNDING_SAFETY * np.finfo(float).eps * (hi - lo)
                 * np.max(mag2 / np.abs(w), axis=0))
@@ -320,8 +331,10 @@ def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int
     lo, hi = min(float(np.min(s_vals)), 0.0), max(float(np.max(s_vals)), 0.0)
 
     def fill(cols):
-        f3[:, cols] = _column_integrals(triple._parts, t_vals[cols], 1j, lo, hi, s_vals, tol)
-        phi_grid[:, cols] = triple.grid_values(t_vals[cols], s_vals)
+        cols = slice(cols[0], cols[-1] + 1)
+        f3[:, cols] = _column_integrals(triple.grid_parts, t_vals[cols], 1j, lo, hi, s_vals, tol)
+        vx, vy, w = triple.grid_parts(t_vals[cols], s_vals)
+        phi_grid[:, cols, 0], phi_grid[:, cols, 1], phi_grid[:, cols, 2] = vx, vy, 1j * w
 
     blocks = np.array_split(np.arange(len(t_vals)),
                             min(len(t_vals), max(int(workers), -(-f3.size // BLOCK_POINTS))))

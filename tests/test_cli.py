@@ -28,17 +28,17 @@ def test_generate_circle(tmp_path, capsys):
 @pytest.mark.parametrize("argv,expect", [
     (["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5", "--nt", "24", "--ns", "7"], {
         "epitrochoid_k2_lam0p5.obj":
-            "b9ccdbe593fa8f86b0efcb7e70cee6c7385ff6305d05f30d75100ef92e2fbcb3",
+            "0a3ed33badb1816583732e5706d0050d08e42f9f158581a74b4d1032097a49fd",
         "epitrochoid_k2_lam0p5.ply":
-            "d0036ef627662b060c19340e5ecda6b27418ae42a5dffbf4ca6f364b4915f859",
+            "e381e670ec36491dacd1ebd9ddf4900ff093a92cd9a751be25233c47102e95d1",
         "epitrochoid_k2_lam0p5_halfcut.obj":
-            "ecc668e85312ada9480e14a63a0542868bfa83f762f2148d6915025a35599b65",
+            "f1a5da7af37f070a96279b3d1a098aa242f412ad6ac3312a4d6432d918a35801",
     }),
     (["--curve", "cycloid", "--nt", "32", "--ns", "9"], {
-        "cycloid.obj": "d77676b76a907d074ffd426da1b338716e543fac0a17567ef740e755df648375",
-        "cycloid.ply": "49aba2ea3d07987594b20bce425c0d6af8c9d3dd9d74a2e22d6e279704f72268",
+        "cycloid.obj": "142b6b4d4c6484137c7759aabffc70b4d99ab4e6245cdb56273c64af591104e0",
+        "cycloid.ply": "afa4772678b956fce97ec296b5d17a39230fe35c878c3937781ff4289173ecad",
         "cycloid_halfcut.obj":
-            "ee51b36438caa0e20acadd5f0fcdb9a7ecc6811c86096ccf9a0f9b782da0feb9",
+            "7c8240f71ea8a23a8a650cf74061b16261e8398ef01044cc79cf51ebe7fbb3a9",
     }),
 ])
 def test_generate_output_bytes_pinned(argv, expect, tmp_path):
@@ -56,7 +56,7 @@ def test_csv_output_bytes_pinned(tmp_path):
     h = find_strip(curve).cap
     export_csv(sample_mesh(curve, curve.domain, (-h, h), 24, 7), tmp_path / "m.csv")
     assert (hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest()
-            == "f0795497b2d3d82aecb72cbe334b6fe9721dcc8ee60b990b9695171ba2ba0e8d")
+            == "7420439fbe00747dfed167dace6864935ffce680a789dee16c1415d1032f7928")
 
 
 @pytest.mark.parametrize("command", ["generate", "verify"])

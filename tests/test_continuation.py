@@ -12,6 +12,7 @@ from bjorling.continuation import (
     match_branch,
     singularity_scan,
     speed_squared,
+    strip_branch,
     strip_sqrt_array,
 )
 from bjorling.curves import (
@@ -335,3 +336,30 @@ def test_strip_sqrt_array_matches_scalar_on_grid():
     sp = speed_squared(curve, z)
     assert np.max(np.abs(w * w - sp) / np.abs(sp)) < 1e-12
     assert np.all(strip_sqrt_array(curve, z.real).real > 0)
+
+
+@pytest.mark.parametrize("curve", [make_cycloid(), make_parabola(), epi(3, 0.6)],
+                         ids=lambda c: c.label)
+def test_strip_branch_on_axes_equals_the_materialized_grid(curve):
+    # one sign rule: the per-axis core and the pointwise call agree bitwise
+    cap = find_strip(curve).cap
+    t = np.linspace(*curve.domain, 41)
+    s = np.linspace(-cap, cap, 17)
+    z = t[None, :] + 1j * s[:, None]
+    sp = speed_squared(curve, z)
+    assert np.array_equal(strip_branch(curve, t[None, :], s[:, None], sp),
+                          strip_sqrt_array(curve, z, speed2=sp))
+
+
+def test_strip_branch_on_axes_refuses_the_same_points():
+    # the zero of epi(2,0.5) above t = 0 sits at ln(1.5)/3 ~ 0.135, below 0.2
+    curve = epi(2, 0.5)
+    for t, s in (([0.0], [0.2]), ([0.5, -0.005], [0.01, -0.2])):
+        t, s = np.array(t)[None, :], np.array(s)[:, None]
+        sp = speed_squared(curve, t + 1j * s)
+        with pytest.raises(SingularityOnPath):
+            strip_branch(curve, t, s, sp)
+        with pytest.raises(SingularityOnPath):
+            strip_sqrt_array(curve, t + 1j * s)
+    t, s = np.array([[0.011]]), np.array([[0.2]])
+    assert np.isfinite(strip_branch(curve, t, s, speed_squared(curve, t + 1j * s))).all()

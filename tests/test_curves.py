@@ -18,6 +18,8 @@ from bjorling.curves import (
     PHASE_SIN,
 )
 
+from bjorling.continuation import find_strip
+
 from conftest import epi
 
 
@@ -168,3 +170,18 @@ def test_curve_oracle_against_raw_formula(rng):
     xr, yr = raw_epitrochoid(k, lam, t)
     assert np.max(np.abs(x - xr)) < 1e-13
     assert np.max(np.abs(y - yr)) < 1e-13
+
+
+@pytest.mark.parametrize("curve", [make_circle(), make_cycloid(), make_parabola(), epi(2, 0.5),
+                                   epi(1, 30.0)], ids=lambda c: c.label)
+def test_grid_matches_pointwise_series(curve):
+    # the separable sum of outer products against the series at every grid point
+    cap = min(find_strip(curve).cap, 0.9)
+    t = np.linspace(*curve.domain, 97)
+    s = np.linspace(-cap, cap, 33)
+    d = curve.derivative()
+    for series in (curve.x, curve.y, d.x, d.y):
+        grid = series.grid(t, s)
+        points = series(t[None, :] + 1j * s[:, None])
+        assert grid.shape == (33, 97)
+        assert np.all(np.abs(grid - points) <= 4e-15 * np.maximum(1.0, np.abs(points)))

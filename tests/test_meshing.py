@@ -114,8 +114,8 @@ def test_oblique_clip_bytes_pinned(tmp_path):
     export_ply(cut, tmp_path / "cut.ply")
     got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ("cut.obj", "cut.ply")]
-    assert got == ["33ddfe9b3f255721d8d5352e404b9c8def36d60dfb28e6e716365529a17fd2b4",
-                   "19e5ed7a6a8cb738b7a0e099300ccfccf0d11cf45cf742c859c2a3df9f122354"]
+    assert got == ["4199a2650e4f66da82fc71779373d4d5a7d2fa6446bcf8bdb122a262edd42eae",
+                   "5a29dc5f2a6bdbc380791d496a45cd4811dd7ace537592316ae53750371f82e0"]
 
 
 def test_obj_roundtrip(tmp_path):

@@ -167,6 +167,17 @@ def test_surface_point_matches_patch():
     assert np.max(np.abs(pt - patch.points[l, j])) < 1e-10
 
 
+@pytest.mark.parametrize("curve", [make_circle(), make_cycloid(), make_parabola(), epi(2, 0.5),
+                                   epi(1, 30.0)], ids=lambda c: c.label)
+def test_geodesic_row_is_the_curve_bitwise(curve):
+    cap = min(find_strip(curve).cap, 0.9)
+    patch = surface_patch(curve, curve.domain, (-cap, cap), 64, 9)
+    row = patch.points[patch.geodesic_row]
+    x, y = curve.eval(patch.t_vals)
+    assert np.array_equal(row[:, 0], x) and np.array_equal(row[:, 1], y)
+    assert np.all(row[:, 2] == 0.0)
+
+
 def test_patch_workers_deterministic():
     curve = epi(2, 0.5)
     cap = find_strip(curve).cap
@@ -228,19 +239,27 @@ def test_f3_matches_closed_form_up_to_strip_cap(k, lam):
 
 def test_patch_work_counters(monkeypatch):
     # series points per 256x33 patch (767446 before the Bjorling-formula
-    # construction, 280064 with the G7/K15 level march)
-    points = [0]
-    series_call = TrigPolySeries.__call__
+    # construction, 280064 with the G7/K15 level march), counted at both
+    # entry points: a grid costs ns*nt points like its pointwise evaluation
+    points = {"call": 0, "grid": 0}
+    series_call, series_grid = TrigPolySeries.__call__, TrigPolySeries.grid
 
-    def counting_series(self, z):
-        points[0] += int(np.size(z))
+    def counting_call(self, z):
+        points["call"] += int(np.size(z))
         return series_call(self, z)
 
-    monkeypatch.setattr(TrigPolySeries, "__call__", counting_series)
+    def counting_grid(self, t, s):
+        points["grid"] += int(np.size(t) * np.size(s))
+        return series_grid(self, t, s)
+
+    monkeypatch.setattr(TrigPolySeries, "__call__", counting_call)
+    monkeypatch.setattr(TrigPolySeries, "grid", counting_grid)
     curve = epi(2, 0.5)
     cap = find_strip(curve).cap
     surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
-    assert points[0] <= 52992
+    assert points["call"] + points["grid"] <= 52992
+    # only the 2 x 256 regularity samples go point by point
+    assert points["call"] <= 512
 
 
 def test_column_near_a_zero_matches_patch_and_fails_typed():
@@ -271,9 +290,9 @@ def test_strip_branch_certificate_is_exact():
     strip = find_strip(curve)
     assert 0.0016 < strip.distance - strip.cap < 0.0017
     patch = surface_patch(curve, curve.domain, (-strip.cap, strip.cap), 64, 17)
-    # Phi needs no quadrature: these bytes were recorded with the earlier G7/K15 rule
+    # Phi needs no quadrature: these bytes pin the separable grid evaluation
     assert (hashlib.sha256(patch.phi.tobytes()).hexdigest()
-            == "5753edcaa78bd6e2d1116fa93d89d8196fc091757521d2323b529c5c9fa7302c")
+            == "c871bace1ed2d9e1e8b0127ed63fd61534c4a4376af53fd1d095758624f95ab6")
     T, S = np.meshgrid(patch.t_vals, patch.s_vals)
     assert np.max(np.abs(patch.points[..., 2] - _f3_closed_form(2, 0.35, T, S))) < 1e-12
 
