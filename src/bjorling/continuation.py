@@ -8,9 +8,11 @@ for trigonometric series and m = z for monomial ones, that segment is straight
 in m, and speed^2 is a power of m, of constant argument along it, times
 prod (m - r_j)^mu_j over the images r_j of the zeros.  So the root turns by
 half of sum_j mu_j Arg((m(z) - r_j)/(m(t) - r_j)), and the branch is
-np.sqrt(speed^2) negated where it disagrees with prod sqrt(...)^mu_j (its core
-``strip_branch`` takes t and s apart, so a grid does the axis work once).  A
-segment that passes a zero raises ``SingularityOnPath``.  Other paths take
+np.sqrt(speed^2) negated where it disagrees with prod sqrt(...)^mu_j.  That
+sign comes from the running product of the rank-1 ratios with a tracked cut
+bit, so no root is taken per zero (its core ``strip_branch`` takes t and s
+apart, so a grid does the axis work once).  A segment that passes a zero
+raises ``SingularityOnPath``.  Other paths take
 ``continue_sqrt``, which walks straight segments in matched, halving steps.
 
 The zeros of the speed are exact polynomial roots.  speed^2 factors as
@@ -159,13 +161,19 @@ def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEME
 
 def strip_branch(curve: PlanarCurve, t, s, speed2, refinement: float = DEFAULT_REFINEMENT):
     """``strip_sqrt_array`` at t + i s for t and s that broadcast to speed2's shape.
-    The foot m(t) and the certificate's offsets take t's shape and the heights s's,
-    so on a grid t[None, :], s[:, None] only the ratios, roots and sign are per point."""
+
+    Each ratio (m(z) - r)/(m(t) - r) is rank one, 1 + beta(s) alpha(t): beta = expm1(-s),
+    alpha = e^{it}/(e^{it} - r) (trigonometric) or beta = s, alpha = i/(t - r).  As
+    sqrt(p) sqrt(q) = -sqrt(pq) exactly when p and q lie on one side of the real axis and
+    pq on the other (sign bits, as np.sqrt reads signed zeros), the running product of the
+    ratios keeps that cut bit.  It ends as speed^2 times a positive real, whose root
+    differs from np.sqrt(speed^2) only across the cut."""
     zeros, period = _zero_set(curve)
     trig = math.isfinite(period)
     foot = np.exp(1j * t) if trig else t
-    top = foot * np.exp(-s) if trig else t + 1j * s
-    turn = 1.0
+    beta = np.expm1(-s) if trig else s
+    shape, lower = np.shape(speed2), False
+    q, prod, flip = np.empty(shape, complex), np.ones(shape, complex), np.zeros(shape, bool)
     for zero, mult in zeros:
         offset = t - zero.real
         if trig:
@@ -176,10 +184,16 @@ def strip_branch(curve: PlanarCurve, t, s, speed2, refinement: float = DEFAULT_R
             raise SingularityOnPath("the vertical path to %s passes the speed^2 zero at %s" % (
                 np.broadcast_to(t + 1j * s, passed.shape)[passed][0], zero))
         r = cmath.exp(1j * zero) if trig else zero
-        root = np.sqrt((top - r) * (1.0 / (foot - r)))
-        turn = turn * root ** mult
-    w = np.sqrt(speed2)
-    return np.where((w * np.conj(turn)).real < 0, -w, w)
+        np.multiply(beta, foot / (foot - r) if trig else 1j / (t - r), out=q)
+        q += 1.0
+        for _ in range(mult):
+            prod *= q
+            side = np.signbit(prod.imag)
+            flip ^= (lower == np.signbit(q.imag)) & (side != lower)
+            lower = side
+    w = np.sqrt(speed2, out=q)
+    flip ^= (lower != np.signbit(w.imag)) & (speed2.real < 0)
+    return np.negative(w, out=w, where=flip)
 
 
 def _wrap(d: complex, period: float) -> complex:

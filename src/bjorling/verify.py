@@ -24,7 +24,7 @@ class DegenerateMetric(ArithmeticError):
 
 
 def _dot(u, v):
-    return np.sum(u * v, axis=-1)
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
 def mean_curvature_residual(points: np.ndarray, ht: float, hs: float) -> float:

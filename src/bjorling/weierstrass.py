@@ -44,7 +44,8 @@ def data_from_curve(curve: PlanarCurve) -> WeierstrassData:
 
     def g(z):
         zs = np.asarray(z, dtype=complex)
-        out = 1j * strip_sqrt_array(curve, zs) / (dx(zs) - 1j * dy(zs))
+        vx, vy = dx(zs), dy(zs)
+        out = 1j * strip_sqrt_array(curve, zs, speed2=vx * vx + vy * vy) / (vx - 1j * vy)
         return complex(out) if out.ndim == 0 else out
 
     return WeierstrassData(g=g, eta=eta, chart="z-strip")

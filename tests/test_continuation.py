@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from bjorling.continuation import (
     PathPolyline,
     SingularityOnPath,
+    _zero_set,
     continue_sqrt,
     find_strip,
     match_branch,
@@ -159,6 +161,33 @@ def test_one_step_matches_the_midpoint():
     assert abs(w - (0.76 + 0.1j)) < 1e-15
 
 
+def _zero_clear_columns(curve, n):
+    # the midpoints of n - 1 equal cells of the domain more than twice the
+    # refinement from every zero (mod the period), and 2.5 times the distance
+    # to the nearest zero (0.9 without zeros)
+    strip = find_strip(curve)
+    t = np.linspace(*curve.domain, n)
+    t = (t[:-1] + 0.5 * (t[1] - t[0]))
+    period = 2 * math.pi if curve.x.trig else math.inf
+    t = t[[all(abs(_wrap_offset(u - z.real, period)) > 0.02 for z in strip.zeros) for u in t]]
+    return t, 2.5 * strip.distance if strip.zeros else 0.9
+
+
+def _principal_root_branch(curve, t, s, speed2):
+    # the sign rule as a product of principal roots, one per zero and order:
+    # np.sqrt(speed^2) negated where it turns away from prod sqrt(q_j)^mu_j
+    zeros, period = _zero_set(curve)
+    trig = math.isfinite(period)
+    foot = np.exp(1j * t) if trig else t
+    top = foot * np.exp(-s) if trig else t + 1j * s
+    turn = 1.0
+    for zero, mult in zeros:
+        r = cmath.exp(1j * zero) if trig else zero
+        turn = turn * np.sqrt((top - r) * (1.0 / (foot - r))) ** mult
+    w = np.sqrt(speed2)
+    return np.where((w * np.conj(turn)).real < 0, -w, w)
+
+
 def _double_zeros_curve():
     # x' + i y' = ((1 + iz)(2 + iz))^2: speed^2 = ((1 + z^2)(4 + z^2))^2, double
     # zeros at +-i and +-2i
@@ -175,12 +204,7 @@ def test_strip_branch_closed_form_equals_vertical_continuation(curve):
     # up to 2.5 times the distance to the nearest zero: columns that pass
     # beside a zero (by more than twice the refinement) turn past the
     # principal root's cut
-    strip = find_strip(curve)
-    s_max = 2.5 * strip.distance if strip.zeros else 0.9
-    t = np.linspace(*curve.domain, 97)
-    t = (t[:-1] + 0.5 * (t[1] - t[0]))
-    period = 2 * math.pi if curve.x.trig else math.inf
-    t = t[[all(abs(_wrap_offset(u - z.real, period)) > 0.02 for z in strip.zeros) for u in t]]
+    t, s_max = _zero_clear_columns(curve, 97)
     z = t[None, :] + 1j * np.linspace(-s_max, s_max, 41)[:, None]
     f = lambda p: speed_squared(curve, p)
     stepped = continue_sqrt(f, z.real, z, np.sqrt(f(z.real + 0j)), 400)
@@ -199,6 +223,53 @@ def test_strip_branch_past_double_zeros_is_entire():
     w = strip_sqrt_array(curve, z)
     assert np.max(np.abs(w - root)) < 1e-12 * np.max(np.abs(root))
     assert np.any(np.abs(np.sqrt(root * root) - w) > 1.0)
+    # the axis form: each zero's two factors pass the tracked cut bit
+    on_axes = strip_branch(curve, z.real[:1], z.imag[:, :1], speed_squared(curve, z))
+    assert np.array_equal(on_axes, w)
+
+
+def test_strip_branch_on_the_cut_of_np_sqrt():
+    # where (1 + z^2)(4 + z^2) is imaginary, speed^2 lies on the negative axis
+    # up to rounding, and the product and speed^2 may round to opposite sides
+    # of it: the final cut bit must still give the polynomial root
+    curve = _double_zeros_curve()
+    s = np.linspace(0.3, 3.0, 400)
+    re = lambda t: ((1 + (t + 1j * s) ** 2) * (4 + (t + 1j * s) ** 2)).real
+    lo, hi = np.full_like(s, 0.03), np.full_like(s, 0.5)
+    keep = np.sign(re(lo)) != np.sign(re(hi))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(re(mid)) == np.sign(re(lo))
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    t, s = lo[keep], s[keep]
+    z = t + 1j * s
+    root = (1 + z * z) * (4 + z * z)
+    sp = speed_squared(curve, z)
+    w = strip_branch(curve, t, s, sp)
+    assert t.size > 40 and np.all(sp.real < 0)
+    assert np.max(np.abs(w - root) / np.abs(root)) < 1e-12
+    assert np.count_nonzero(w != np.sqrt(sp)) > 10
+    assert np.array_equal(w, _principal_root_branch(curve, t, s, sp))
+
+
+@pytest.mark.parametrize("curve", [make_circle(), make_cycloid(), make_parabola(),
+                                   _double_zeros_curve(), epi(2, 0.5), epi(3, 0.6), epi(1, 30.0),
+                                   epi(6, 0.92 / 7), epi(12, 0.95 / 13), epi(2, 0.35)],
+                         ids=lambda c: c.label)
+def test_strip_branch_equals_the_product_of_principal_roots(curve):
+    # the running product with its cut bit against one principal root per
+    # factor, bit for bit, on both entry points; inside the cap no point of
+    # these curves changes sign, so the rows out to 2.5 times the distance
+    # are the ones that exercise the bit
+    t, s_max = _zero_clear_columns(curve, 193)
+    s = np.linspace(-s_max, s_max, 65)
+    z = t[None, :] + 1j * s[:, None]
+    sp = speed_squared(curve, z)
+    oracle = _principal_root_branch(curve, t[None, :], s[:, None], sp)
+    assert np.array_equal(strip_branch(curve, t[None, :], s[:, None], sp), oracle)
+    assert np.array_equal(strip_sqrt_array(curve, z), oracle)
+    if curve.label == "double zeros":
+        assert np.count_nonzero(oracle != np.sqrt(sp)) > 100
 
 
 def _wrap_offset(d, period):
@@ -338,13 +409,13 @@ def test_strip_sqrt_array_matches_scalar_on_grid():
     assert np.all(strip_sqrt_array(curve, z.real).real > 0)
 
 
-@pytest.mark.parametrize("curve", [make_cycloid(), make_parabola(), epi(3, 0.6)],
-                         ids=lambda c: c.label)
+@pytest.mark.parametrize("curve", [make_cycloid(), make_parabola(), epi(3, 0.6),
+                                   _double_zeros_curve()], ids=lambda c: c.label)
 def test_strip_branch_on_axes_equals_the_materialized_grid(curve):
-    # one sign rule: the per-axis core and the pointwise call agree bitwise
-    cap = find_strip(curve).cap
-    t = np.linspace(*curve.domain, 41)
-    s = np.linspace(-cap, cap, 17)
+    # one sign rule: the per-axis core and the pointwise call agree bitwise,
+    # out to 2.5 times the distance to the nearest zero, where signs flip
+    t, s_max = _zero_clear_columns(curve, 41)
+    s = np.linspace(-s_max, s_max, 17)
     z = t[None, :] + 1j * s[:, None]
     sp = speed_squared(curve, z)
     assert np.array_equal(strip_branch(curve, t[None, :], s[:, None], sp),
