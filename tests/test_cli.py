@@ -194,6 +194,31 @@ def test_analyze_large_lambda(capsys):
     assert "1.817121" in out  # 6^(1/3)
 
 
+@pytest.mark.parametrize("k,lam,expect", [
+    ("2", "0.5", {
+        "table": "b5122b7abf9450376132809d5d24ef1fdc18c9ea271abeb32a9a79a804831206",
+        "analyze": "a52ed7ffaf4d1e11df55c0f245eb8a98ae1a1bd021a3312942ffe8aba6dcb274"}),
+    ("3", "0.6", {
+        "table": "ef9a798e69e1dd7ce29a5d2063f9b694e5c5f658ffde0a4797457971b92d39cd",
+        "analyze": "59c45550887226b2cb30eba4caf483c30d4b670d77d67f9e53937561af6fe8ff"}),
+    ("1", "0.6", {
+        "table": "415d294825c71573f3ac3a9f7b7d118624e29af13759185930266b4bc22ee7d7",
+        "analyze": "4f3d3d3bce874a2db57dbd4571fc2b1f819c3e79fd4ac8737266037440e60182"}),
+    ("4", "0.4", {
+        "table": "a450af3b71638e0fa05faf0e4f8baeeef8109e3fa5f8898666df2482fba56dcc",
+        "analyze": "d20763c0934cab0265c0774f9e2df426c60556a4e4474ffe8b3a31f275e55219"}),
+])
+def test_analysis_json_bytes_pinned(k, lam, expect, tmp_path, capsys):
+    # SHA-256 of the `table --json` and `analyze --json` files: any change to an
+    # estimated order, a density, a vanishing exponent or the distance fails here
+    got = {}
+    for command in expect:
+        path = tmp_path / (command + ".json")
+        assert main([command, "--k", k, "--lambda", lam, "--json", str(path)]) == 0
+        got[command] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == expect
+
+
 def test_verify_circle(capsys, tmp_path):
     code = main(["verify", "--curve", "circle", "--nt", "128", "--ns", "17",
                  "--json", str(tmp_path / "v.json")])
