@@ -3,21 +3,25 @@
 Substituting v = e^{iz} (and rotating the surface by -pi/2 about the x3-axis)
 turns the strip data into functions on the hyperelliptic double cover
 
-    w^2 = v (1 - a v^{k+1})(a - v^{k+1})      (k even,  genus k+1)
-    w^2 =   (1 - a v^{k+1})(a - v^{k+1})      (k odd,   genus k)
+    w^2 = v^e (1 - a v^{k+1})(a - v^{k+1}),   e = 1 - k mod 2,   genus k + e
 
 with a = lambda (k+1), where
 
-    g   = -w v^p / (v^{k+1} - a),   p = (k+2)/2 (k even), (k+3)/2 (k odd)
+    g   = -w v^p / (v^{k+1} - a),   p = (k+3) // 2
     eta = -i (k+2) (v^{k+1} - a) / v^{k+3}  dv.
+
+Parity enters only through e: the cover is ramified over v = 0 and infinity
+iff e = 1.  One table of point classes (``_point_classes``) states which points
+are ramified and how many copies each has, for the order table and the divisor
+degree check alike.
 
 The metric density (1+|g|^2)^2 |eta|^2 vanishes quadratically (in the local
 coordinate w) at every root of v^{k+1} = a and v^{k+1} = 1/a: the surface
 fails to immerse there, at finite intrinsic distance from the geodesic.
 
 Orders of zeros and poles are estimated numerically from log-log slopes over
-dyadic radii, measured in the correct local coordinate (w at branch points,
-1/v at infinity), never read off symbolically.
+dyadic radii, measured in the correct local coordinate (w at ramified points,
+v where the cover is unramified, 1/v at infinity), never read off symbolically.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,64 +54,70 @@ class VModel:
     k: int
     lam: float
 
-    @property
+    @cached_property
     def a(self) -> float:
         return self.lam * (self.k + 1)
 
-    @property
-    def even(self) -> bool:
-        return self.k % 2 == 0
+    @cached_property
+    def e(self) -> int:
+        """Exponent of v in w^2: 1 for even k, 0 for odd k."""
+        return 1 - self.k % 2
 
     @property
+    def even(self) -> bool:
+        return self.e == 1
+
+    @cached_property
     def p_exponent(self) -> int:
-        return (self.k + 2) // 2 if self.even else (self.k + 3) // 2
+        return (self.k + 3) // 2
 
     @property
     def genus(self) -> int:
-        return self.k + 1 if self.even else self.k
+        return self.k + self.e
 
     @property
     def w_squared_degree(self) -> int:
-        return 2 * self.k + 3 if self.even else 2 * self.k + 2
+        return 2 * self.k + 2 + self.e
 
     @property
     def eta_constant(self) -> complex:
         return -1j * (self.k + 2)
 
     def punctures(self) -> tuple[str, ...]:
-        if self.even:
-            return ("(0,0)", "(inf,inf)")
-        return ("(0,+sqrt(a))", "(0,-sqrt(a))", "(inf,inf)")
+        origin = ("(0,0)",) if self.e else ("(0,+sqrt(a))", "(0,-sqrt(a))")
+        return origin + ("(inf,inf)",)
 
     def w_squared(self, v):
-        vk = v ** (self.k + 1)
-        base = (1.0 - self.a * vk) * (self.a - vk)
-        return v * base if self.even else base
+        a, vk = self.a, v ** (self.k + 1)
+        return v**self.e * ((1.0 - a * vk) * (a - vk))
 
     def w_squared_prime(self, v):
-        k, a = self.k, self.a
+        k, a, e = self.k, self.a, self.e
         vk = v ** (k + 1)
         vk_d = (k + 1) * v**k
         q = 1.0 - a * vk
         r = a - vk
-        qr_d = (-a * vk_d) * r + q * (-vk_d)
-        if self.even:
-            return q * r + v * qr_d
-        return qr_d
+        return e * q * r + v**e * ((-a * vk_d) * r + q * (-vk_d))
+
+    def _resolved_numerator(self, v):
+        """(d, alt, A) with d = v^{k+1} - a, alt = 1 - a v^{k+1} and the numerator
+        A = v^{p+e} alt of the pole-resolved g = A / w, None where |d| > |alt|."""
+        vk = v ** (self.k + 1)
+        d, alt = vk - self.a, 1.0 - self.a * vk
+        if abs(d) <= abs(alt):
+            return d, alt, v ** (self.p_exponent + self.e) * alt
+        return d, alt, None
 
     def g(self, v, w):
         """Gauss map on the surface; switches to the pole-resolved form near w = 0.
 
-        On the curve v^{k+1} - a = -w^2 / (v (1 - a v^{k+1}))  (k even; without
-        the v factor for k odd), so near the a-family branch points the
-        quotient is evaluated with the denominator eliminated.
+        On the curve v^{k+1} - a = -w^2 / (v^e (1 - a v^{k+1})), so near the
+        a-family branch points g = v^{p+e} (1 - a v^{k+1}) / w, with the
+        vanishing denominator eliminated.
         """
-        d = v ** (self.k + 1) - self.a
-        alt = 1.0 - self.a * v ** (self.k + 1)
-        if abs(d) <= abs(alt):
-            if self.even:
-                return v ** (self.p_exponent + 1) * alt / w
-            return v**self.p_exponent * alt / w
+        d, _, A = self._resolved_numerator(v)
+        if A is not None:
+            return A / w
         return -w * v**self.p_exponent / d
 
     def eta_coeff(self, v):
@@ -120,19 +131,12 @@ class VModel:
         |2w / p'(v)| supplies the quadratic vanishing; the a-family 0/0 is
         cancelled algebraically via the curve relation before evaluating.
         """
-        k, a = self.k, self.a
         p_prime = self.w_squared_prime(v)
-        d = v ** (k + 1) - a
-        alt = 1.0 - a * v ** (k + 1)
-        ceta = abs(self.eta_constant)
-        if abs(d) <= abs(alt):
+        d, alt, A = self._resolved_numerator(v)
+        if A is not None:
             # a-family-safe form: g = A/w, eta dv/dw = -2 Ceta w^3 / (...)
-            if self.even:
-                A = v ** (self.p_exponent + 1) * alt
-                pref = 2.0 * ceta / abs(v ** (k + 4) * alt * p_prime)
-            else:
-                A = v**self.p_exponent * alt
-                pref = 2.0 * ceta / abs(v ** (k + 3) * alt * p_prime)
+            pref = 2.0 * abs(self.eta_constant) / abs(
+                v ** (self.k + 3 + self.e) * alt * p_prime)
             return 0.25 * (abs(w) ** 2 + abs(A) ** 2) ** 2 * abs(w) ** 2 * pref**2
         gv = -w * v**self.p_exponent / d
         eta_tau = self.eta_coeff(v) * (2.0 * w / p_prime)
@@ -219,12 +223,6 @@ class OrderTable:
     lam: float
     rows: tuple[OrderRow, ...]
 
-    def row(self, point: str) -> OrderRow:
-        for r in self.rows:
-            if r.point == point:
-                return r
-        raise KeyError(point)
-
     def to_json_dict(self) -> dict:
         return {"k": self.k, "lambda": self.lam,
                 "rows": [r.to_json_dict() for r in self.rows]}
@@ -258,74 +256,57 @@ def expected_orders(k: int) -> dict:
     }
 
 
-def _special_points(model: VModel) -> list[complex]:
-    pts = [0j]
-    pts.extend(degeneracy_points(model))
-    return pts
-
-
-def _nearest_other_distance(v0: complex, specials) -> float:
-    dists = [abs(v0 - p) for p in specials if abs(v0 - p) > 1e-12]
-    return min(dists)
+def _point_classes(model: VModel) -> tuple:
+    """Rows (label, v0, ramified, copies), v0 None for infinity: the origin and
+    infinity are ramified iff e = 1, with 2 - e points over each; the roots of
+    v^{k+1} = a and of v^{k+1} = 1/a are k+1 branch points each."""
+    k, e = model.k, model.e
+    return (
+        (LABEL_ORIGIN_EVEN if e else LABEL_ORIGIN_ODD, 0j, e == 1, 2 - e),
+        (LABEL_BRANCH_A, complex(model.a ** (1.0 / (k + 1))), True, k + 1),
+        (LABEL_BRANCH_INV_A, complex(model.a ** (-1.0 / (k + 1))), True, k + 1),
+        (LABEL_INFINITY, None, e == 1, 2 - e),
+    )
 
 
 def order_table(model: VModel) -> OrderTable:
-    """Numerically estimated orders at the punctures, degeneration points and infinity."""
-    specials = _special_points(model)
-    rad_a = model.a ** (1.0 / (model.k + 1))
-    rad_inv = model.a ** (-1.0 / (model.k + 1))
+    """Numerically estimated orders at the punctures, degeneration points and infinity.
+
+    The local coordinate is w at a ramified finite point and v at an unramified
+    one; at infinity it is u = 1/v, or tau with u = tau^2 where ramified.  r0
+    is a tenth of the distance to the nearest other special point.
+    """
+    specials = (0j,) + degeneracy_points(model)
 
     def g_of_v(v):
         return model.g(v, cmath.sqrt(model.w_squared(v)))
 
-    def eta_local_finite_branch(v):
-        w = cmath.sqrt(model.w_squared(v))
-        return model.eta_coeff(v) * 2.0 * w / model.w_squared_prime(v)
+    def eta_in_w(v):  # dv = 2w dw / p'(v)
+        return model.eta_coeff(v) * 2.0 * cmath.sqrt(model.w_squared(v)) / model.w_squared_prime(v)
 
     def g_of_u(u):
-        v = 1.0 / u
-        return model.g(v, cmath.sqrt(model.w_squared(v)))
+        return g_of_v(1.0 / u)
+
+    def eta_in_u(u):
+        return model.eta_coeff(1.0 / u) * u**-2.0
+
+    def eta_in_tau(u):  # |du/dtau| = 2|u|^(1/2)
+        return eta_in_u(u) * abs(u) ** 0.5
 
     rows = []
-    if model.even:
-        r0 = 0.1 * _nearest_other_distance(0j, specials)
-        rows.append(OrderRow(
-            point=LABEL_ORIGIN_EVEN,
-            g_order=order_estimate(g_of_v, 0j, is_branch=True, r0=r0),
-            eta_order=order_estimate(eta_local_finite_branch, 0j, is_branch=True, r0=r0),
-        ))
-    else:
-        r0 = 0.1 * _nearest_other_distance(0j, specials)
-        rows.append(OrderRow(
-            point=LABEL_ORIGIN_ODD,
-            g_order=order_estimate(g_of_v, 0j, is_branch=False, r0=r0),
-            eta_order=order_estimate(model.eta_coeff, 0j, is_branch=False, r0=r0),
-        ))
-
-    for label, v0 in ((LABEL_BRANCH_A, rad_a), (LABEL_BRANCH_INV_A, rad_inv)):
-        r0 = 0.1 * _nearest_other_distance(complex(v0), specials)
+    for label, v0, ramified, _ in _point_classes(model):
+        if v0 is None:
+            center, g_fn, eta_fn = 0j, g_of_u, eta_in_tau if ramified else eta_in_u
+            r0 = 0.1 * min(abs(1.0 / p) for p in specials if abs(p) > 1e-12)
+        else:
+            center, g_fn, eta_fn = v0, g_of_v, eta_in_w if ramified else model.eta_coeff
+            r0 = 0.1 * min(abs(v0 - p) for p in specials if abs(v0 - p) > 1e-12)
         rows.append(OrderRow(
             point=label,
-            g_order=order_estimate(g_of_v, complex(v0), is_branch=True, r0=r0),
-            eta_order=order_estimate(eta_local_finite_branch, complex(v0),
-                                     is_branch=True, r0=r0),
+            g_order=order_estimate(g_fn, center, is_branch=ramified, r0=r0),
+            eta_order=order_estimate(eta_fn, center, is_branch=ramified, r0=r0),
+            flagged=v0 is None and model.e == 0,
         ))
-
-    u_specials = [1.0 / p for p in specials if abs(p) > 1e-12]
-    r0_u = 0.1 * min(abs(u) for u in u_specials)
-    inf_ramified = model.even
-
-    def eta_local_infinity(u):
-        # coefficient of du, times |u|^(1/2) at a ramified infinity
-        h = model.eta_coeff(1.0 / u) * u**-2.0
-        return h * abs(u) ** 0.5 if inf_ramified else h
-
-    rows.append(OrderRow(
-        point=LABEL_INFINITY,
-        g_order=order_estimate(g_of_u, 0j, is_branch=inf_ramified, r0=r0_u),
-        eta_order=order_estimate(eta_local_infinity, 0j, is_branch=inf_ramified, r0=r0_u),
-        flagged=not model.even,
-    ))
     return OrderTable(k=model.k, lam=model.lam, rows=tuple(rows))
 
 
@@ -334,15 +315,9 @@ def divisor_degree_check(table: OrderTable, model: VModel) -> tuple[int, int]:
 
     deg div(g) must be 0 and deg div(eta) must be 2*genus - 2.
     """
-    k = model.k
-    if model.even:
-        weights = {LABEL_ORIGIN_EVEN: 1, LABEL_BRANCH_A: k + 1,
-                   LABEL_BRANCH_INV_A: k + 1, LABEL_INFINITY: 1}
-    else:
-        weights = {LABEL_ORIGIN_ODD: 2, LABEL_BRANCH_A: k + 1,
-                   LABEL_BRANCH_INV_A: k + 1, LABEL_INFINITY: 2}
-    deg_g = sum(weights[r.point] * r.g_order for r in table.rows)
-    deg_eta = sum(weights[r.point] * r.eta_order for r in table.rows)
+    copies = {label: n for label, _, _, n in _point_classes(model)}
+    deg_g = sum(copies[r.point] * r.g_order for r in table.rows)
+    deg_eta = sum(copies[r.point] * r.eta_order for r in table.rows)
     return deg_g, deg_eta
 
 

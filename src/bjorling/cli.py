@@ -18,16 +18,7 @@ import numpy as np
 
 from . import analysis, meshing, verify, weierstrass
 from .continuation import find_strip
-from .curves import (
-    EpitrochoidParams,
-    InvalidCurveParameters,
-    curve_from_config,
-    make_circle,
-    make_cycloid,
-    make_epitrochoid,
-    make_parabola,
-    regularity_margin,
-)
+from .curves import InvalidCurveParameters, curve_from_config, regularity_margin
 from .schwarz import StripTooWide, surface_patch
 
 EXIT_OK = 0
@@ -50,37 +41,36 @@ def _add_curve_args(p: argparse.ArgumentParser) -> None:
                    help="curve family (or use --config)")
     p.add_argument("--k", type=int, help="epitrochoid winding parameter k >= 1")
     p.add_argument("--lambda", dest="lam", type=float, help="epitrochoid arm length")
-    p.add_argument("--delta", type=float, default=0.1, help="cycloid cusp clearance")
-    p.add_argument("--half-width", type=float, default=2.0, help="parabola half width")
+    p.add_argument("--delta", type=float, help="cycloid cusp clearance (default 0.1)")
+    p.add_argument("--half-width", type=float, help="parabola half width (default 2.0)")
     p.add_argument("--config", help="JSON (or TOML, python>=3.11) curve config file")
 
 
 def _load_config_file(path: str) -> dict:
-    if path.endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError as exc:
-            raise OSError("TOML config requires python >= 3.11: %s" % exc) from exc
-        with open(path, "rb") as fh:
-            return tomllib.load(fh)
-    with open(path) as fh:
-        return json.load(fh)
+    """The parsed file; a parse or decode error is an InvalidCurveParameters."""
+    try:
+        if path.endswith(".toml"):
+            try:
+                import tomllib
+            except ImportError as exc:
+                raise OSError("TOML config requires python >= 3.11: %s" % exc) from exc
+            with open(path, "rb") as fh:
+                return tomllib.load(fh)
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise InvalidCurveParameters("malformed config %s: %s" % (path, exc)) from exc
 
 
 def _build_curve(args):
+    """The curve from --config, or from the --curve flags read as the same config."""
     if args.config:
         return curve_from_config(_load_config_file(args.config))
     if args.curve is None:
         raise InvalidCurveParameters("either --curve or --config is required")
-    if args.curve == "epitrochoid":
-        if args.k is None or args.lam is None:
-            raise InvalidCurveParameters("epitrochoid needs --k and --lambda")
-        return make_epitrochoid(EpitrochoidParams(k=args.k, lam=args.lam))
-    if args.curve == "circle":
-        return make_circle()
-    if args.curve == "cycloid":
-        return make_cycloid(delta=args.delta)
-    return make_parabola(half_width=args.half_width)
+    flags = {"type": args.curve, "k": args.k, "lambda": args.lam, "delta": args.delta,
+             "half_width": args.half_width}
+    return curve_from_config({key: v for key, v in flags.items() if v is not None})
 
 
 def _workers() -> int:
@@ -171,8 +161,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.k is None or args.lam is None:
-        raise InvalidCurveParameters("table needs --k and --lambda")
     model = analysis.v_model(args.k, args.lam)
     table = analysis.order_table(model)
     expected = analysis.expected_orders(args.k)
@@ -193,8 +181,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.k is None or args.lam is None:
-        raise InvalidCurveParameters("analyze needs --k and --lambda")
     model = analysis.v_model(args.k, args.lam)
     report = analysis.obstruction_report(model)
     if args.json:

@@ -95,8 +95,9 @@ class EpitrochoidParams:
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool) or self.k < 1:
             raise InvalidCurveParameters("k must be a positive integer, got %r" % (self.k,))
-        if not self.lam > 0:
-            raise InvalidCurveParameters("lambda must be positive, got %r" % (self.lam,))
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise InvalidCurveParameters("lambda must be positive and finite, got %r"
+                                         % (self.lam,))
         if abs(self.lam * (self.k + 1) - 1.0) < 1e-12:
             raise InvalidCurveParameters(
                 "lambda*(k+1) = 1 is excluded: the curve has cusps and "
@@ -210,8 +211,8 @@ def make_cycloid(delta: float = 0.1) -> PlanarCurve:
 
 def make_parabola(half_width: float = 2.0) -> PlanarCurve:
     """Parabola (t, t^2) on [-half_width, half_width]."""
-    if not half_width > 0:
-        raise InvalidCurveParameters("half_width must be positive")
+    if not (half_width > 0 and math.isfinite(half_width)):
+        raise InvalidCurveParameters("half_width must be positive and finite")
     return PlanarCurve(
         x=TrigPolySeries(poly=((1.0, 1),)),
         y=TrigPolySeries(poly=((1.0, 2),)),
@@ -236,20 +237,28 @@ def curve_from_config(cfg: dict) -> PlanarCurve:
 
     Recognized shapes: ``{"type": "epitrochoid", "k": 2, "lambda": 0.5}``,
     ``{"type": "circle"}``, ``{"type": "cycloid", "delta": 0.1}``,
-    ``{"type": "parabola", "half_width": 2.0}``.
+    ``{"type": "parabola", "half_width": 2.0}``.  k must be an int and every
+    other value a real number; anything else raises InvalidCurveParameters.
     """
-    if "type" not in cfg:
+    if not isinstance(cfg, dict) or "type" not in cfg:
         raise InvalidCurveParameters("curve config needs a 'type' key")
+
+    def real(key, default):
+        value = cfg.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvalidCurveParameters("%s must be a real number, got %r" % (key, value))
+        return float(value)
+
     kind = cfg["type"]
     if kind == "epitrochoid":
         if "k" not in cfg or ("lambda" not in cfg and "lam" not in cfg):
-            raise InvalidCurveParameters("epitrochoid config needs 'k' and 'lambda'")
-        lam = cfg.get("lambda", cfg.get("lam"))
-        return make_epitrochoid(EpitrochoidParams(k=int(cfg["k"]), lam=float(lam)))
+            raise InvalidCurveParameters("epitrochoid needs k and lambda")
+        lam = real("lambda" if "lambda" in cfg else "lam", None)
+        return make_epitrochoid(EpitrochoidParams(k=cfg["k"], lam=lam))
     if kind == "circle":
         return make_circle()
     if kind == "cycloid":
-        return make_cycloid(delta=float(cfg.get("delta", 0.1)))
+        return make_cycloid(delta=real("delta", 0.1))
     if kind == "parabola":
-        return make_parabola(half_width=float(cfg.get("half_width", 2.0)))
+        return make_parabola(half_width=real("half_width", 2.0))
     raise InvalidCurveParameters("unknown curve type %r" % (kind,))

@@ -63,7 +63,7 @@ def test_v_model_rejects_a_equal_one():
 
 
 def test_w_squared_prime_matches_finite_difference(rng):
-    for k, lam in WITNESS_PARAMS:
+    for k, lam in WITNESS_PARAMS + [(1, 0.6)]:
         m = v_model(k, lam)
         h = 1e-6
         for v in rng.uniform(0.3, 1.4, 8) + 1j * rng.uniform(-0.5, 0.5, 8):
@@ -139,13 +139,26 @@ def test_order_table_parametric(k, lam):
             assert row.flagged
 
 
-@pytest.mark.parametrize("k,lam", [(2, 0.5), (3, 0.6)])
+@pytest.mark.parametrize("k,lam", [
+    (2, 0.5), (3, 0.6),
+    # a near 1
+    (2, 0.32), (3, 0.26), (12, 0.95 / 13),
+    # a >> 1
+    (1, 30.0), (2, 100.0),
+    # large k
+    (8, 0.1), (20, 0.8 / 21),
+])
 def test_order_table_divisor_degrees(k, lam):
     m = v_model(k, lam)
     table = order_table(m)
     deg_g, deg_eta = divisor_degree_check(table, m)
     assert deg_g == 0
     assert deg_eta == 2 * m.genus - 2
+    expected = expected_orders(k)
+    for row in table.rows:
+        want_g, want_eta = expected[row.point]
+        assert row.g_order == want_g, row
+        assert want_eta is None or row.eta_order == want_eta, row
 
 
 @pytest.mark.parametrize("golden", ["order_table_k2_lam0p5.json",

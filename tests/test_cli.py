@@ -130,6 +130,33 @@ def test_bad_input_exits_with_bad_params(argv, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("config,flags", [
+    ('{"type": "epitrochoid", "k": 2.7, "lambda": 0.5}', None),
+    ('{"type": "epitrochoid", "k": true, "lambda": 0.3}', None),
+    ('{"type": "epitrochoid", "k": 2, "lambda": null}', None),
+    ('{"type": "epitrochoid", "k": 2, "lambda": Infinity}', None),
+    ('{"type": "cycloid", "delta": "abc"}', None),
+    ('{"type": "parabola", "half_width": [1]}', None),
+    ('3', None),
+    ('not json {', None),
+    (None, ["generate", "--curve", "epitrochoid", "--k", "2", "--lambda", "inf"]),
+    (None, ["generate", "--curve", "parabola", "--half-width", "inf"]),
+    (None, ["verify", "--curve", "epitrochoid", "--k", "2", "--lambda", "inf"]),
+    (None, ["table", "--k", "2", "--lambda", "inf"]),
+    (None, ["analyze", "--k", "2", "--lambda", "inf"]),
+])
+def test_bad_curve_input_exits_2_and_writes_nothing(config, flags, tmp_path, capsys):
+    # config files and --curve flags go through the one validator in curve_from_config
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "curve.json").write_text(config)
+        flags = ["generate", "--config", str(tmp_path / "curve.json")]
+    argv = flags + (["--out", str(out)] if flags[0] == "generate" else ["--json", str(out)])
+    assert main(argv) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["curve.json"] if config else [])
+
+
 @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5"])
 @pytest.mark.parametrize("curve", [["--curve", "circle"],
                                    ["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5"]])
