@@ -95,9 +95,12 @@ class EpitrochoidParams:
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool) or self.k < 1:
             raise InvalidCurveParameters("k must be a positive integer, got %r" % (self.k,))
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise InvalidCurveParameters("lambda must be positive and finite, got %r"
-                                         % (self.lam,))
+        try:  # an int too large for a float overflows here
+            finite = math.isfinite(self.lam) and math.isfinite(self.lam * (self.k + 1))
+        except OverflowError:
+            finite = False
+        if not (self.lam > 0 and finite):
+            raise InvalidCurveParameters("lambda and lambda*(k+1) must be positive and finite")
         if abs(self.lam * (self.k + 1) - 1.0) < 1e-12:
             raise InvalidCurveParameters(
                 "lambda*(k+1) = 1 is excluded: the curve has cusps and "
@@ -247,7 +250,10 @@ def curve_from_config(cfg: dict) -> PlanarCurve:
         value = cfg.get(key, default)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidCurveParameters("%s must be a real number, got %r" % (key, value))
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidCurveParameters("%s is too large for a float" % key) from None
 
     kind = cfg["type"]
     if kind == "epitrochoid":

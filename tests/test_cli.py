@@ -144,6 +144,11 @@ def test_bad_input_exits_with_bad_params(argv, tmp_path, capsys):
     (None, ["verify", "--curve", "epitrochoid", "--k", "2", "--lambda", "inf"]),
     (None, ["table", "--k", "2", "--lambda", "inf"]),
     (None, ["analyze", "--k", "2", "--lambda", "inf"]),
+    # integers too large for a float
+    pytest.param('{"type": "cycloid", "delta": 1%s}' % ("0" * 400), None, id="delta-1e400"),
+    pytest.param('{"type": "epitrochoid", "k": 1%s, "lambda": 0.5}' % ("0" * 400), None,
+                 id="k-1e400"),
+    pytest.param(None, ["table", "--k", "1" + "0" * 400, "--lambda", "0.5"], id="table-k-1e400"),
 ])
 def test_bad_curve_input_exits_2_and_writes_nothing(config, flags, tmp_path, capsys):
     # config files and --curve flags go through the one validator in curve_from_config
