@@ -19,9 +19,9 @@ The metric density (1+|g|^2)^2 |eta|^2 vanishes quadratically (in the local
 coordinate w) at every root of v^{k+1} = a and v^{k+1} = 1/a: the surface
 fails to immerse there, at finite intrinsic distance from the geodesic.
 
-Orders of zeros and poles are estimated numerically from log-log slopes over
-dyadic radii, measured in the correct local coordinate (w at ramified points,
-v where the cover is unramified, 1/v at infinity), never read off symbolically.
+Orders of zeros and poles are counted numerically by the argument principle,
+never read off symbolically: each is the winding number of a single-valued
+square (g^2, or eta^2 written in the local coordinate) on one small loop.
 """
 
 from __future__ import annotations
@@ -34,17 +34,14 @@ from functools import cached_property
 import numpy as np
 
 from .continuation import continue_sqrt
-from .curves import EpitrochoidParams, make_epitrochoid
+from .curves import EpitrochoidParams, InvalidCurveParameters, make_epitrochoid
 from .weierstrass import data_from_curve
 
-ORDER_LEVELS = 9
-ORDER_ANGLES = (0.4, 2.2)
-ORDER_SLOPE_TOL = 0.1
-ORDER_INT_TOL = 0.05
+ORDER_MAX_SAMPLES = 1 << 16
 
 
 class NonConvergent(ArithmeticError):
-    """Log-log slope estimates failed to settle on an integer order."""
+    """A winding count failed to give an order (see ``order_estimate``)."""
 
 
 @dataclass(frozen=True)
@@ -124,6 +121,21 @@ class VModel:
         """eta = eta_coeff(v) dv."""
         return self.eta_constant * (v ** (self.k + 1) - self.a) / v ** (self.k + 3)
 
+    def g_squared(self, v):
+        """g^2 = w^2 (v^p / (v^{k+1} - a))^2: rational in v, no branch of w."""
+        return self.w_squared(v) * (v**self.p_exponent / (v ** (self.k + 1) - self.a)) ** 2
+
+    def eta_squared(self, v, at_infinity: bool, ramified: bool):
+        """(eta/dl)^2 = eta_coeff(v)^2 (dv/dl)^2 in the local coordinate l: v - v0, or
+        u = 1/v at infinity with (dv/du)^2 = v^4; where ramified, the square root of
+        that coordinate, with (dv/dw)^2 = 4p/p'^2 (p = w^2) and (du/dtau)^2 = 4/v."""
+        if at_infinity:
+            return self.eta_coeff(v) ** 2 * v**4 * (4.0 / v if ramified else 1.0)
+        if ramified:
+            p_prime = self.w_squared_prime(v)
+            return self.eta_coeff(v) ** 2 * (4.0 * (self.w_squared(v) / p_prime) / p_prime)
+        return self.eta_coeff(v) ** 2
+
     def metric_density(self, v, w) -> float:
         """Conformal factor of (1/4)(1+|g|^2)^2 eta etabar in the local coordinate.
 
@@ -144,8 +156,16 @@ class VModel:
 
 
 def v_model(k: int, lam: float) -> VModel:
-    """Validated v-chart model; rejects the cusped case a = 1."""
+    """Validated v-chart model; rejects the cusped case a = 1 and any (k, lam) whose
+    order-table loops leave float range.  Their largest value is eta's square on the
+    origin's loop |v| = r = 0.1 min(a, 1/a)^(1/(k+1)), (k+2)^2 a r^-(2k+5) max(a/r, 4)."""
     EpitrochoidParams(k=k, lam=lam)  # reuses the curve-side validation
+    log_a = math.log(lam * (k + 1))
+    log_r = math.log(0.1) - abs(log_a) / (k + 1)
+    log_top = 2.0 * math.log(k + 2) + log_a - (2 * k + 5) * log_r + max(log_a - log_r, math.log(4))
+    if log_top >= math.log(np.finfo(float).max):
+        raise InvalidCurveParameters("k=%d, lambda=%g: the order-table loops leave float range"
+                                     % (k, lam))
     return VModel(k=k, lam=lam)
 
 
@@ -169,40 +189,31 @@ def degeneracy_points(model: VModel) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def order_estimate(fn, center: complex = 0j, is_branch: bool = False,
-                   r0: float = 0.05, levels: int = ORDER_LEVELS,
-                   angles=ORDER_ANGLES) -> int:
-    """Signed order of fn at center from log|fn| vs log r slopes.
+def order_estimate(fn, center: complex | None, ramified: bool, r0: float, samples: int) -> int:
+    """Order of f at a point from the winding of F = f^2 (fn: array of v -> F in the
+    local coordinate) on |v - center| = r0, or on |1/v| = r0 if center is None.
 
-    Radii are r0 * 2^-j; the slope is doubled at branch points because the
-    surface local coordinate there scales like sqrt(v - v0).  Raises
-    NonConvergent when successive slopes disagree by more than 0.1 or the
-    scaled slope misses an integer by more than 0.05.
+    By the argument principle F winds once per order in the chart coordinate:
+    the order of f where the point is ramified (that coordinate is the local
+    one squared), twice it where not.  The loop starts at ``samples`` points,
+    which must exceed 8 times the winding, and doubles while a step turns by
+    pi/4 or more, the criterion of ``match_branch``.  Raises NonConvergent when
+    F is non-finite or zero on the loop, past ORDER_MAX_SAMPLES samples, or on
+    an odd winding at an unramified point.
     """
-    radii = r0 * 0.5 ** np.arange(levels)
-    per_angle = []
-    for theta in angles:
-        direction = cmath.exp(1j * theta)
-        mags = []
-        for r in radii:
-            val = abs(fn(complex(center) + r * direction))
-            if not (val > 0.0 and math.isfinite(val)):
-                raise NonConvergent("function not finite/nonzero at radius %g" % r)
-            mags.append(val)
-        slopes = np.diff(np.log(mags)) / np.diff(np.log(radii))
-        tail = slopes[-4:]
-        if float(np.max(np.abs(np.diff(tail)))) > ORDER_SLOPE_TOL:
-            raise NonConvergent("slope estimates did not settle: %s" % (tail,))
-        per_angle.append(float(np.mean(slopes[-3:])))
-    if max(per_angle) - min(per_angle) > ORDER_SLOPE_TOL:
-        raise NonConvergent("slope differs between sample rays: %s" % (per_angle,))
-    mult = 2 if is_branch else 1
-    value = mult * float(np.mean(per_angle))
-    nearest = int(round(value))
-    if abs(value - nearest) > ORDER_INT_TOL:
-        raise NonConvergent("order %.4f is not within %g of an integer"
-                            % (value, ORDER_INT_TOL))
-    return nearest
+    while samples <= ORDER_MAX_SAMPLES:
+        c = r0 * np.exp(2j * math.pi * np.arange(samples) / samples)
+        vals = np.asarray(fn(1.0 / c if center is None else center + c), dtype=complex)
+        if not np.all(np.isfinite(vals) & (vals != 0)):
+            raise NonConvergent("square not finite and nonzero on the loop of radius %g" % r0)
+        steps = np.roll(vals, -1) / vals
+        if np.all(np.abs(steps.imag) < steps.real):
+            winding = round(float(np.sum(np.angle(steps))) / (2.0 * math.pi))
+            if winding % 2 and not ramified:
+                raise NonConvergent("odd winding %d at an unramified point" % winding)
+            return winding if ramified else winding // 2
+        samples *= 2
+    raise NonConvergent("steps still turn by pi/4 or more at %d samples" % ORDER_MAX_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -257,54 +268,38 @@ def expected_orders(k: int) -> dict:
 
 
 def _point_classes(model: VModel) -> tuple:
-    """Rows (label, v0, ramified, copies), v0 None for infinity: the origin and
+    """Rows (label, i, ramified, copies): the class's point is entry i of
+    (0,) + degeneracy_points(model), i None for infinity.  The origin and
     infinity are ramified iff e = 1, with 2 - e points over each; the roots of
     v^{k+1} = a and of v^{k+1} = 1/a are k+1 branch points each."""
     k, e = model.k, model.e
     return (
-        (LABEL_ORIGIN_EVEN if e else LABEL_ORIGIN_ODD, 0j, e == 1, 2 - e),
-        (LABEL_BRANCH_A, complex(model.a ** (1.0 / (k + 1))), True, k + 1),
-        (LABEL_BRANCH_INV_A, complex(model.a ** (-1.0 / (k + 1))), True, k + 1),
+        (LABEL_ORIGIN_EVEN if e else LABEL_ORIGIN_ODD, 0, e == 1, 2 - e),
+        (LABEL_BRANCH_A, 1, True, k + 1),
+        (LABEL_BRANCH_INV_A, k + 2, True, k + 1),
         (LABEL_INFINITY, None, e == 1, 2 - e),
     )
 
 
 def order_table(model: VModel) -> OrderTable:
-    """Numerically estimated orders at the punctures, degeneration points and infinity.
+    """Orders at the punctures, degeneration points and infinity, by winding numbers.
 
-    The local coordinate is w at a ramified finite point and v at an unramified
-    one; at infinity it is u = 1/v, or tau with u = tau^2 where ramified.  r0
-    is a tenth of the distance to the nearest other special point.
+    ``order_estimate`` counts each on ``VModel.g_squared`` and ``VModel.eta_squared``
+    from 32(k+3) samples, above 8 times the largest winding 2k+6.  r0 is a tenth of
+    the distance to the nearest other special point, in u = 1/v at infinity.
     """
     specials = (0j,) + degeneracy_points(model)
-
-    def g_of_v(v):
-        return model.g(v, cmath.sqrt(model.w_squared(v)))
-
-    def eta_in_w(v):  # dv = 2w dw / p'(v)
-        return model.eta_coeff(v) * 2.0 * cmath.sqrt(model.w_squared(v)) / model.w_squared_prime(v)
-
-    def g_of_u(u):
-        return g_of_v(1.0 / u)
-
-    def eta_in_u(u):
-        return model.eta_coeff(1.0 / u) * u**-2.0
-
-    def eta_in_tau(u):  # |du/dtau| = 2|u|^(1/2)
-        return eta_in_u(u) * abs(u) ** 0.5
-
+    samples = 32 * (model.k + 3)
     rows = []
-    for label, v0, ramified, _ in _point_classes(model):
-        if v0 is None:
-            center, g_fn, eta_fn = 0j, g_of_u, eta_in_tau if ramified else eta_in_u
-            r0 = 0.1 * min(abs(1.0 / p) for p in specials if abs(p) > 1e-12)
-        else:
-            center, g_fn, eta_fn = v0, g_of_v, eta_in_w if ramified else model.eta_coeff
-            r0 = 0.1 * min(abs(v0 - p) for p in specials if abs(v0 - p) > 1e-12)
+    for label, i, ramified, _ in _point_classes(model):
+        v0 = None if i is None else specials[i]
+        r0 = 0.1 * (1.0 / max(abs(p) for p in specials) if v0 is None
+                    else min(abs(v0 - p) for p in specials if p is not v0))
         rows.append(OrderRow(
             point=label,
-            g_order=order_estimate(g_fn, center, is_branch=ramified, r0=r0),
-            eta_order=order_estimate(eta_fn, center, is_branch=ramified, r0=r0),
+            g_order=order_estimate(model.g_squared, v0, ramified, r0, samples),
+            eta_order=order_estimate(
+                lambda v: model.eta_squared(v, v0 is None, ramified), v0, ramified, r0, samples),
             flagged=v0 is None and model.e == 0,
         ))
     return OrderTable(k=model.k, lam=model.lam, rows=tuple(rows))

@@ -302,6 +302,9 @@ def main(argv=None) -> int:
     except (InvalidCurveParameters, StripTooWide) as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
         return EXIT_BAD_PARAMS
+    except analysis.NonConvergent as exc:
+        print("order count failed: %s" % exc, file=sys.stderr)
+        return EXIT_THRESHOLD
     except OSError as exc:
         print("io failure: %s" % exc, file=sys.stderr)
         return EXIT_IO

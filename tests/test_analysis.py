@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from bjorling.analysis import (
@@ -104,25 +105,36 @@ def test_strip_halfwidth():
 
 
 def test_order_estimate_known_orders():
+    # squares of principal-sqrt callables: squaring removes the branch choice
     m = v_model(2, 0.5)
 
     def g_of_v(v):
         return m.g(v, cmath.sqrt(m.w_squared(v)))
 
-    v0 = 1.5 ** (1 / 3)
-    assert order_estimate(g_of_v, complex(v0), is_branch=True, r0=0.02) == -1
-    assert order_estimate(g_of_v, 0j, is_branch=True, r0=0.05) == 5
-
     def eta_local(v):
         w = cmath.sqrt(m.w_squared(v))
         return m.eta_coeff(v) * 2.0 * w / m.w_squared_prime(v)
 
-    assert order_estimate(eta_local, 0j, is_branch=True, r0=0.05) == -9
+    def squared(fn):
+        return np.vectorize(lambda v: fn(v) ** 2, otypes=[complex])
+
+    v0 = 1.5 ** (1 / 3)
+    assert order_estimate(squared(g_of_v), complex(v0), True, 0.02, 160) == -1
+    assert order_estimate(squared(g_of_v), 0j, True, 0.05, 160) == 5
+    assert order_estimate(squared(eta_local), 0j, True, 0.05, 160) == -9
 
 
-def test_order_estimate_nonconvergent():
+def test_order_estimate_raises_when_square_vanishes_on_loop():
+    # v - 0.05 is zero at the loop's first sample v = r0
     with pytest.raises(NonConvergent):
-        order_estimate(lambda v: math.exp(-1.0 / abs(v)), 0j, r0=0.05)
+        order_estimate(lambda v: v - 0.05, 0j, False, 0.05, 64)
+
+
+def test_order_estimate_raises_on_odd_unramified_winding():
+    # a square winds an even number of times around an unramified point
+    with pytest.raises(NonConvergent):
+        order_estimate(lambda v: v**3, 0j, False, 0.05, 64)
+    assert order_estimate(lambda v: v**3, 0j, True, 0.05, 64) == 3
 
 
 @pytest.mark.parametrize("k,lam", [(2, 0.5), (4, 0.4), (1, 0.6), (3, 0.6)])
@@ -145,8 +157,11 @@ def test_order_table_parametric(k, lam):
     (2, 0.32), (3, 0.26), (12, 0.95 / 13),
     # a >> 1
     (1, 30.0), (2, 100.0),
-    # large k
-    (8, 0.1), (20, 0.8 / 21),
+    # large k, up to the largest that v_model accepts at a = 0.61
+    (8, 0.1), (20, 0.8 / 21), (44, 0.61 / 45), (48, 0.61 / 49), (50, 0.61 / 51),
+    (60, 0.01), (148, 0.61 / 149),
+    # a^(1/(k+1)) or a^(-1/(k+1)) below 1e-12
+    (2, 1e-40), (2, 1e-100), (3, 1e-60), (2, 1e40),
 ])
 def test_order_table_divisor_degrees(k, lam):
     m = v_model(k, lam)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bjorling import continuation, meshing, schwarz
+from bjorling import analysis, continuation, meshing, schwarz
 from bjorling.cli import main
 from bjorling.continuation import find_strip
 from bjorling.meshing import export_csv, sample_mesh
@@ -149,6 +149,12 @@ def test_bad_input_exits_with_bad_params(argv, tmp_path, capsys):
     pytest.param('{"type": "epitrochoid", "k": 1%s, "lambda": 0.5}' % ("0" * 400), None,
                  id="k-1e400"),
     pytest.param(None, ["table", "--k", "1" + "0" * 400, "--lambda", "0.5"], id="table-k-1e400"),
+    # models whose order-table loops leave float range
+    (None, ["table", "--k", "2", "--lambda", "1e200"]),
+    (None, ["analyze", "--k", "2", "--lambda", "1e200"]),
+    (None, ["analyze", "--k", "2", "--lambda", "1e-200"]),
+    # the smallest k past the supported range at a = 0.61
+    (None, ["table", "--k", "149", "--lambda", repr(0.61 / 150)]),
 ])
 def test_bad_curve_input_exits_2_and_writes_nothing(config, flags, tmp_path, capsys):
     # config files and --curve flags go through the one validator in curve_from_config
@@ -205,6 +211,17 @@ def test_table_pass(k, lam, extra, capsys, tmp_path):
 
 def test_table_rejects_bad_lambda(capsys):
     assert main(["table", "--k", "2", "--lambda", str(1.0 / 3.0)]) == 2
+
+
+def test_table_nonconvergent_exits_1_without_traceback(monkeypatch, capsys):
+    def fail(model):
+        raise analysis.NonConvergent("square not finite and nonzero on the loop")
+
+    monkeypatch.setattr(analysis, "order_table", fail)
+    assert main(["table", "--k", "2", "--lambda", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "square not finite" in err
 
 
 def test_analyze(capsys, tmp_path):
