@@ -164,8 +164,7 @@ def v_model(k: int, lam: float) -> VModel:
     log_r = math.log(0.1) - abs(log_a) / (k + 1)
     log_top = 2.0 * math.log(k + 2) + log_a - (2 * k + 5) * log_r + max(log_a - log_r, math.log(4))
     if log_top >= math.log(np.finfo(float).max):
-        raise InvalidCurveParameters("k=%d, lambda=%g: the order-table loops leave float range"
-                                     % (k, lam))
+        raise InvalidCurveParameters("k=%d, lambda=%g: order-table loops overflow" % (k, lam))
     return VModel(k=k, lam=lam)
 
 
@@ -285,16 +284,18 @@ def order_table(model: VModel) -> OrderTable:
     """Orders at the punctures, degeneration points and infinity, by winding numbers.
 
     ``order_estimate`` counts each on ``VModel.g_squared`` and ``VModel.eta_squared``
-    from 32(k+3) samples, above 8 times the largest winding 2k+6.  r0 is a tenth of
-    the distance to the nearest other special point, in u = 1/v at infinity.
+    from 32(k+3) samples, above 8 times the largest winding 2k+6.  r0 is a tenth of the
+    distance to the nearest other special point (in u = 1/v at infinity), a twentieth at
+    branch points, where eta's square also has poles at the zeros of (w^2)': they come
+    within 0.099 of that distance (k = 6, a far from 1).
     """
     specials = (0j,) + degeneracy_points(model)
     samples = 32 * (model.k + 3)
     rows = []
     for label, i, ramified, _ in _point_classes(model):
         v0 = None if i is None else specials[i]
-        r0 = 0.1 * (1.0 / max(abs(p) for p in specials) if v0 is None
-                    else min(abs(v0 - p) for p in specials if p is not v0))
+        r0 = (0.1 / max(abs(p) for p in specials) if v0 is None else
+              (0.1 if i == 0 else 0.05) * min(abs(v0 - p) for p in specials if p is not v0))
         rows.append(OrderRow(
             point=label,
             g_order=order_estimate(model.g_squared, v0, ramified, r0, samples),

@@ -162,6 +162,12 @@ def test_order_table_parametric(k, lam):
     (60, 0.01), (148, 0.61 / 149),
     # a^(1/(k+1)) or a^(-1/(k+1)) below 1e-12
     (2, 1e-40), (2, 1e-100), (3, 1e-60), (2, 1e40),
+    # a zero of (w^2)' within a tenth of the spacing of a branch point
+    (6, 1.1e-4), (6, 1e-6), (6, 200.0),
+] + [
+    # every k up to 12 at a = 1.3 * 10^d: at the extremes of a the zeros of (w^2)'
+    # come nearest the branch points, by a ratio that depends on k
+    (k, 1.3 * 10.0**d / (k + 1)) for k in range(1, 13) for d in range(-45, 46, 15)
 ])
 def test_order_table_divisor_degrees(k, lam):
     m = v_model(k, lam)
