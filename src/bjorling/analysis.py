@@ -149,7 +149,7 @@ class VModel:
             # a-family-safe form: g = A/w, eta dv/dw = -2 Ceta w^3 / (...)
             pref = 2.0 * abs(self.eta_constant) / abs(
                 v ** (self.k + 3 + self.e) * alt * p_prime)
-            return 0.25 * (abs(w) ** 2 + abs(A) ** 2) ** 2 * abs(w) ** 2 * pref**2
+            return 0.25 * (abs(w) * pref * (abs(w) ** 2 + abs(A) ** 2)) ** 2
         gv = -w * v**self.p_exponent / d
         eta_tau = self.eta_coeff(v) * (2.0 * w / p_prime)
         return 0.25 * (1.0 + abs(gv) ** 2) ** 2 * abs(eta_tau) ** 2
@@ -280,8 +280,10 @@ def _point_classes(model: VModel) -> tuple:
     )
 
 
-def order_table(model: VModel) -> OrderTable:
-    """Orders at the punctures, degeneration points and infinity, by winding numbers.
+def _orders_at(model: VModel, specials: tuple, i: int | None,
+               ramified: bool) -> tuple[int, int]:
+    """(ord g, ord eta) at entry i of specials = (0,) + degeneracy_points(model), i
+    None for infinity, by winding numbers.
 
     ``order_estimate`` counts each on ``VModel.g_squared`` and ``VModel.eta_squared``
     from 32(k+3) samples, above 8 times the largest winding 2k+6.  r0 is a tenth of the
@@ -289,20 +291,23 @@ def order_table(model: VModel) -> OrderTable:
     branch points, where eta's square also has poles at the zeros of (w^2)': they come
     within 0.099 of that distance (k = 6, a far from 1).
     """
-    specials = (0j,) + degeneracy_points(model)
+    v0 = None if i is None else specials[i]
+    r0 = (0.1 / max(abs(p) for p in specials) if v0 is None else
+          (0.1 if i == 0 else 0.05) * min(abs(v0 - p) for p in specials if p is not v0))
     samples = 32 * (model.k + 3)
+    return (order_estimate(model.g_squared, v0, ramified, r0, samples),
+            order_estimate(lambda v: model.eta_squared(v, v0 is None, ramified),
+                           v0, ramified, r0, samples))
+
+
+def order_table(model: VModel) -> OrderTable:
+    """Orders at the punctures, degeneration points and infinity (``_orders_at``)."""
+    specials = (0j,) + degeneracy_points(model)
     rows = []
     for label, i, ramified, _ in _point_classes(model):
-        v0 = None if i is None else specials[i]
-        r0 = (0.1 / max(abs(p) for p in specials) if v0 is None else
-              (0.1 if i == 0 else 0.05) * min(abs(v0 - p) for p in specials if p is not v0))
-        rows.append(OrderRow(
-            point=label,
-            g_order=order_estimate(model.g_squared, v0, ramified, r0, samples),
-            eta_order=order_estimate(
-                lambda v: model.eta_squared(v, v0 is None, ramified), v0, ramified, r0, samples),
-            flagged=v0 is None and model.e == 0,
-        ))
+        g_order, eta_order = _orders_at(model, specials, i, ramified)
+        rows.append(OrderRow(point=label, g_order=g_order, eta_order=eta_order,
+                             flagged=i is None and model.e == 0))
     return OrderTable(k=model.k, lam=model.lam, rows=tuple(rows))
 
 
@@ -317,20 +322,6 @@ def divisor_degree_check(table: OrderTable, model: VModel) -> tuple[int, int]:
     return deg_g, deg_eta
 
 
-def surface_point_near_branch(model: VModel, v0: complex, tau: float) -> tuple[complex, float]:
-    """Surface point at local-coordinate distance tau from a branch point (v0, 0).
-
-    Solves w^2 = p(v) for v with w = tau by Newton from the first-order seed.
-    """
-    target = tau * tau
-    v = complex(v0) + target / model.w_squared_prime(complex(v0))
-    for _ in range(12):
-        f = model.w_squared(v) - target
-        df = model.w_squared_prime(v)
-        v = v - f / df
-    return v, tau
-
-
 @dataclass(frozen=True)
 class DegeneracyReport:
     """Numerical witness that the immersion fails at finite distance."""
@@ -342,7 +333,7 @@ class DegeneracyReport:
     punctures: tuple[str, ...]
     points: tuple[complex, ...]
     density_at_points: tuple[float, ...]
-    vanishing_exponents: tuple[float, ...]
+    vanishing_exponents: tuple[int, ...]
     vanishing_order: int
     intrinsic_distance: float
 
@@ -361,18 +352,6 @@ class DegeneracyReport:
         }
 
 
-def fit_vanishing_exponent(model: VModel, v0: complex, tau0: float = 1e-2,
-                           levels: int = 9) -> float:
-    """Slope of log(metric density) vs log tau approaching a degeneration point."""
-    taus = tau0 * 0.5 ** np.arange(levels)
-    dens = []
-    for tau in taus:
-        v, w = surface_point_near_branch(model, v0, float(tau))
-        dens.append(model.metric_density(v, w))
-    slopes = np.diff(np.log(dens)) / np.diff(np.log(taus))
-    return float(np.mean(slopes[-3:]))
-
-
 def intrinsic_distance(model: VModel) -> float:
     """Length of the vertical segment t = 0, s in [0, s0] in the surface metric.
 
@@ -387,10 +366,18 @@ def intrinsic_distance(model: VModel) -> float:
 
 
 def obstruction_report(model: VModel) -> DegeneracyReport:
-    """Degeneration points, quadratic-vanishing fits and the finite distance."""
-    pts = degeneracy_points(model)
+    """Degeneration points, the density's vanishing exponents and the finite distance.
+
+    In the local coordinate w the density is |eta_w|^2 (1+|g|^2)^2 / 4, and where g
+    has a pole 1+|g|^2 ~ |g|^2, so its exponent at each point is 2 (ord eta + 2 min(ord
+    g, 0)) from that point's own winding counts: 2 (3 - 2) on the a-family, 2 * 1 on
+    the 1/a-family.
+    """
+    specials = (0j,) + degeneracy_points(model)
+    pts = specials[1:]
     dens = tuple(model.metric_density(v0, 0.0) for v0 in pts)
-    expos = tuple(fit_vanishing_exponent(model, v0) for v0 in pts)
+    orders = [_orders_at(model, specials, i, True) for i in range(1, len(specials))]
+    expos = tuple(2 * (eta_order + 2 * min(g_order, 0)) for g_order, eta_order in orders)
     return DegeneracyReport(
         k=model.k,
         lam=model.lam,
@@ -400,7 +387,7 @@ def obstruction_report(model: VModel) -> DegeneracyReport:
         points=pts,
         density_at_points=dens,
         vanishing_exponents=expos,
-        vanishing_order=int(round(float(np.mean(expos)))),
+        vanishing_order=min(expos),
         intrinsic_distance=intrinsic_distance(model),
     )
 

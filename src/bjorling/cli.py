@@ -191,11 +191,11 @@ def cmd_analyze(args) -> int:
     print("max metric density at degeneracy points: %.3e"
           % max(report.density_at_points))
     print("vanishing exponents: %s" % ", ".join(
-        "%.3f" % e for e in report.vanishing_exponents))
+        "%d" % e for e in report.vanishing_exponents))
     print("intrinsic distance to nearest degeneration: %.9f"
           % report.intrinsic_distance)
     ok = (max(report.density_at_points) < 1e-10
-          and all(abs(e - 2.0) < 0.05 for e in report.vanishing_exponents)
+          and all(e == 2 for e in report.vanishing_exponents)
           and math.isfinite(report.intrinsic_distance)
           and report.intrinsic_distance > 0)
     if not ok:

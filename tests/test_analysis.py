@@ -11,14 +11,12 @@ from bjorling.analysis import (
     degeneracy_points,
     divisor_degree_check,
     expected_orders,
-    fit_vanishing_exponent,
     intrinsic_distance,
     obstruction_report,
     order_estimate,
     order_table,
     pullback_residual,
     strip_halfwidth,
-    surface_point_near_branch,
     v_model,
 )
 from bjorling.curves import InvalidCurveParameters
@@ -216,15 +214,9 @@ def test_g_quotient_forms_agree_on_curve(k, lam, rng):
         assert abs(m.g(v, w) - raw) < 1e-10 * max(1.0, abs(raw))
 
 
-def test_surface_point_near_branch_is_on_curve():
-    m = v_model(2, 0.5)
-    v0 = 1.5 ** (1 / 3)
-    v, w = surface_point_near_branch(m, complex(v0), 1e-3)
-    assert abs(m.w_squared(v) - w * w) < 1e-15
-
-
-@pytest.mark.parametrize("k,lam", WITNESS_PARAMS)
+@pytest.mark.parametrize("k,lam", WITNESS_PARAMS + [(2, 1e40), (2, 1e-100)])
 def test_metric_density_vanishes_at_degeneracies(k, lam):
+    # at extreme a the pole-resolved form's factors leave float range, not its value
     m = v_model(k, lam)
     for v0 in degeneracy_points(m):
         assert m.metric_density(v0, 0.0) < 1e-10
@@ -246,13 +238,6 @@ def test_metric_density_positive_on_annulus(rng):
         count += 1
 
 
-@pytest.mark.parametrize("k,lam", WITNESS_PARAMS)
-def test_vanishing_exponent_is_two(k, lam):
-    m = v_model(k, lam)
-    for v0 in degeneracy_points(m)[:3]:
-        assert abs(fit_vanishing_exponent(m, v0) - 2.0) < 0.05
-
-
 def test_intrinsic_distance_finite_and_stable():
     # the closed form against quadrature, including a near 1 and a >> 1
     for k, lam in ((1, 0.3), (2, 0.5), (2, 2.0), (3, 0.6), (4, 0.15), (6, 0.9),
@@ -265,12 +250,12 @@ def test_intrinsic_distance_finite_and_stable():
     assert intrinsic_distance(v_model(2, 0.5)) > 2.0 * s0 * 0.5
 
 
-@pytest.mark.parametrize("k,lam", [(2, 0.5), (2, 2.0)])
+@pytest.mark.parametrize("k,lam", WITNESS_PARAMS)
 def test_obstruction_report(k, lam):
     rep = obstruction_report(v_model(k, lam))
     assert len(rep.points) == 2 * (k + 1)
     assert max(rep.density_at_points) < 1e-10
-    assert all(abs(e - 2.0) < 0.05 for e in rep.vanishing_exponents)
+    assert rep.vanishing_exponents == (2,) * len(rep.points)
     assert rep.vanishing_order == 2
     assert rep.intrinsic_distance > 0
     payload = rep.to_json_dict()

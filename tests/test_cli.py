@@ -243,19 +243,44 @@ def test_analyze_large_lambda(capsys):
     assert "1.817121" in out  # 6^(1/3)
 
 
+@pytest.mark.parametrize("k,lam", [
+    # a^(1/(k+1)) or a^(-1/(k+1)) below 1e-12: the density's factors leave float range
+    ("2", "1e-40"), ("3", "1e-60"), ("2", "1e-100"), ("2", "1e40"),
+    # small a: the inner roots lie within 0.1 of the origin
+    ("2", "1e-4"), ("8", "1e-10"),
+])
+def test_analyze_extreme_a(k, lam, capsys):
+    assert main(["analyze", "--k", k, "--lambda", lam]) == 0
+    out = capsys.readouterr().out
+    assert "vanishing exponents: 2, 2," in out
+    assert out.strip().endswith("PASS")
+
+
+def test_analyze_passes_wherever_table_does(capsys):
+    # every k up to 12 at a = 1.3 * 10^d, d = -45..45: analyze shares table's loops
+    failures = []
+    for k in range(1, 13):
+        for d in range(-45, 46, 9):
+            argv = ["--k", str(k), "--lambda", repr(1.3 * 10.0**d / (k + 1))]
+            if main(["table"] + argv) == 0 and main(["analyze"] + argv) != 0:
+                failures.append((k, d))
+    capsys.readouterr()
+    assert failures == []
+
+
 @pytest.mark.parametrize("k,lam,expect", [
     ("2", "0.5", {
         "table": "b5122b7abf9450376132809d5d24ef1fdc18c9ea271abeb32a9a79a804831206",
-        "analyze": "a52ed7ffaf4d1e11df55c0f245eb8a98ae1a1bd021a3312942ffe8aba6dcb274"}),
+        "analyze": "4f88340e3272f5d16f87ab8593ea50da9d01436f8590d282853adca5736e5ae3"}),
     ("3", "0.6", {
         "table": "ef9a798e69e1dd7ce29a5d2063f9b694e5c5f658ffde0a4797457971b92d39cd",
-        "analyze": "59c45550887226b2cb30eba4caf483c30d4b670d77d67f9e53937561af6fe8ff"}),
+        "analyze": "190bdbe0176f2d527010accfd14f41b06282e58c3812a6745d2c22ebd8e1257d"}),
     ("1", "0.6", {
         "table": "415d294825c71573f3ac3a9f7b7d118624e29af13759185930266b4bc22ee7d7",
-        "analyze": "4f3d3d3bce874a2db57dbd4571fc2b1f819c3e79fd4ac8737266037440e60182"}),
+        "analyze": "885195210e87f639ae9b0a77bb32bc4be4599c37cc9ce966d8d38c1b4810bd8d"}),
     ("4", "0.4", {
         "table": "a450af3b71638e0fa05faf0e4f8baeeef8109e3fa5f8898666df2482fba56dcc",
-        "analyze": "d20763c0934cab0265c0774f9e2df426c60556a4e4474ffe8b3a31f275e55219"}),
+        "analyze": "f14739cbd15217bc32edd2de05d0f4d6011698e92e9759ea8b630bacabc77eee"}),
 ])
 def test_analysis_json_bytes_pinned(k, lam, expect, tmp_path, capsys):
     # SHA-256 of the `table --json` and `analyze --json` files: any change to an
