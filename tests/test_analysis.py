@@ -238,6 +238,27 @@ def test_metric_density_positive_on_annulus(rng):
         count += 1
 
 
+@pytest.mark.parametrize("k,lam", WITNESS_PARAMS)
+def test_vanishing_exponent_is_two(k, lam):
+    # the report's winding-count exponents against the density's own decay: the
+    # slope of log density vs log tau at the surface point w = tau over each point
+    m = v_model(k, lam)
+    rep = obstruction_report(m)
+    taus = 1e-2 * 0.5 ** np.arange(9)
+    for v0, expo in zip(rep.points, rep.vanishing_exponents):
+        dens = []
+        for tau in taus:
+            v = v0 + tau * tau / m.w_squared_prime(v0)
+            for _ in range(12):
+                v -= (m.w_squared(v) - tau * tau) / m.w_squared_prime(v)
+            # on the curve to a few ulps of w^2's terms, of size |v0 (w^2)'(v0)|
+            assert abs(m.w_squared(v) - tau * tau) < 1e-14 * abs(v0 * m.w_squared_prime(v0))
+            dens.append(m.metric_density(v, tau))
+        slopes = np.diff(np.log(dens)) / np.diff(np.log(taus))
+        assert expo == 2
+        assert abs(float(np.mean(slopes[-3:])) - expo) < 0.05
+
+
 def test_intrinsic_distance_finite_and_stable():
     # the closed form against quadrature, including a near 1 and a >> 1
     for k, lam in ((1, 0.3), (2, 0.5), (2, 2.0), (3, 0.6), (4, 0.15), (6, 0.9),
