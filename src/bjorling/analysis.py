@@ -85,13 +85,18 @@ class VModel:
         return origin + ("(inf,inf)",)
 
     def w_squared(self, v):
-        a, vk = self.a, v ** (self.k + 1)
-        return v**self.e * ((1.0 - a * vk) * (a - vk))
+        return self._w_squared(v, v ** (self.k + 1))
+
+    def _w_squared(self, v, vk):
+        """w^2 at v with vk = v^{k+1}."""
+        return v**self.e * ((1.0 - self.a * vk) * (self.a - vk))
 
     def w_squared_prime(self, v):
-        k, a, e = self.k, self.a, self.e
-        vk = v ** (k + 1)
-        vk_d = (k + 1) * v**k
+        return self._w_squared_prime(v, v ** (self.k + 1), (self.k + 1) * v**self.k)
+
+    def _w_squared_prime(self, v, vk, vk_d):
+        """(w^2)' at v with vk = v^{k+1} and vk_d = (k+1) v^k."""
+        a, e = self.a, self.e
         q = 1.0 - a * vk
         r = a - vk
         return e * q * r + v**e * ((-a * vk_d) * r + q * (-vk_d))
@@ -119,22 +124,30 @@ class VModel:
 
     def eta_coeff(self, v):
         """eta = eta_coeff(v) dv."""
-        return self.eta_constant * (v ** (self.k + 1) - self.a) / v ** (self.k + 3)
+        return self._eta_coeff(v ** (self.k + 1), v ** (self.k + 3))
+
+    def _eta_coeff(self, vk, vk3):
+        """eta_coeff with vk = v^{k+1} and vk3 = v^{k+3}."""
+        return self.eta_constant * (vk - self.a) / vk3
 
     def g_squared(self, v):
         """g^2 = w^2 (v^p / (v^{k+1} - a))^2: rational in v, no branch of w."""
-        return self.w_squared(v) * (v**self.p_exponent / (v ** (self.k + 1) - self.a)) ** 2
+        vk = v ** (self.k + 1)
+        return self._w_squared(v, vk) * (v**self.p_exponent / (vk - self.a)) ** 2
 
     def eta_squared(self, v, at_infinity: bool, ramified: bool):
         """(eta/dl)^2 = eta_coeff(v)^2 (dv/dl)^2 in the local coordinate l: v - v0, or
         u = 1/v at infinity with (dv/du)^2 = v^4; where ramified, the square root of
-        that coordinate, with (dv/dw)^2 = 4p/p'^2 (p = w^2) and (du/dtau)^2 = 4/v."""
+        that coordinate, with (dv/dw)^2 = 4p/p'^2 (p = w^2) and (du/dtau)^2 = 4/v.
+        v^k and v^{k+3} come from the one power v^{k+1} (slow in numpy from 100 on)."""
+        vk = v ** (self.k + 1)
+        eta2 = self._eta_coeff(vk, vk * v * v) ** 2
         if at_infinity:
-            return self.eta_coeff(v) ** 2 * v**4 * (4.0 / v if ramified else 1.0)
+            return eta2 * v**4 * (4.0 / v if ramified else 1.0)
         if ramified:
-            p_prime = self.w_squared_prime(v)
-            return self.eta_coeff(v) ** 2 * (4.0 * (self.w_squared(v) / p_prime) / p_prime)
-        return self.eta_coeff(v) ** 2
+            p_prime = self._w_squared_prime(v, vk, (self.k + 1) * vk / v)
+            return eta2 * (4.0 * (self._w_squared(v, vk) / p_prime) / p_prime)
+        return eta2
 
     def metric_density(self, v, w) -> float:
         """Conformal factor of (1/4)(1+|g|^2)^2 eta etabar in the local coordinate.

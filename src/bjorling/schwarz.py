@@ -13,19 +13,24 @@ exactly where it can be:
     f1(t, s) = Re x(t + is),    f2(t, s) = Re y(t + is),
     f3(t, s) = -int_0^s Re W(t + i sigma) d sigma.
 
+The series are real, so x(conj z) = conj x(z) and W(conj z) = conj W(z): f1 and
+f2 are even in s, f3 is odd, Phi1,2(t - is) = conj Phi1,2(t + is) and
+Phi3(t - is) = -conj Phi3(t + is).  A patch is computed at the distinct |s| of
+its rows and its rows with s < 0 are filled by that reflection.
+
 Only f3 needs quadrature (Phi3 is purely imaginary on the axis, so the axis
 adds nothing): one real integral per grid column, by Clenshaw-Curtis
 (Numer. Math. 2, 1960).  The closed-form strip branch W is sampled at the
-Chebyshev points cos(pi k/n) of the column's s-interval, a DCT-I (one real
-FFT) gives the interpolant's coefficients, and the termwise integral is
-evaluated at every grid level minus its value at s = 0.  W is analytic past
-the interval, so the coefficients fall geometrically (Trefethen, ATAP, ch. 8
-and 19); columns whose series has not converged double n, reusing every
-sample.  On a patch, x', y' and W at the nodes and on the grid come from
-``HolomorphicTriple.grid_parts``, from the series' 1-D factors on the tensor
-grid.  ``schwarz_integrate`` runs the same rule along each segment of a
-polyline, with W from ``continue_sqrt``.  A patch must stay inside
-``Strip.cap`` of the curve's ``Strip`` from ``continuation.find_strip``.
+Chebyshev points cos(pi k/n) of [0, max|s|], a DCT-I (one real FFT) gives the
+interpolant's coefficients, and the termwise integral is evaluated at every
+|s| level minus its value at s = 0.  W is analytic past the interval, so the
+coefficients fall geometrically (Trefethen, ATAP, ch. 8 and 19); columns whose
+series has not converged double n, reusing every sample.  On a patch, x', y'
+and W at the nodes and on the grid come from ``HolomorphicTriple.grid_parts``,
+from the series' 1-D factors on the tensor grid.  ``schwarz_integrate`` runs the
+same rule along each segment of a polyline, with W from ``continue_sqrt``.  A
+patch must stay inside ``Strip.cap`` of the curve's ``Strip`` from
+``continuation.find_strip``.
 """
 
 from __future__ import annotations
@@ -162,7 +167,7 @@ def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | No
             z = origins[None, :] + (b - a) / length * sigma[:, None]
             return triple._dx(z), triple._dy(z), continue_sqrt(f, a, z, w, steps)
 
-        f3 += _column_integrals(parts, np.array([a]), (b - a) / length, 0.0, length, [length],
+        f3 += _column_integrals(parts, np.array([a]), (b - a) / length, length, [length],
                                 tol / (len(verts) - 1))[0, 0]
         w = continue_sqrt(f, a, b, w, steps)
     (x0, y0), (x1, y1) = curve.eval(z0), curve.eval(z1)
@@ -171,11 +176,12 @@ def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | No
 
 def surface_point(triple: HolomorphicTriple, t: float, s: float,
                   tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Surface value f(t + i s): exact Re x, Re y and the column integral f3."""
-    f3 = _column_integrals(triple.grid_parts, np.array([float(t)]), 1j, min(s, 0.0), max(s, 0.0),
-                           [s], tol)[0, 0]
+    """Surface value f(t + i s): exact Re x, Re y and the column integral f3, taken
+    over [0, |s|] and negated for s < 0 (f3 is odd in s)."""
+    f3 = _column_integrals(triple.grid_parts, np.array([float(t)]), 1j, abs(s), [abs(s)],
+                           tol)[0, 0]
     x, y = triple.curve.eval(complex(t, s))
-    return np.array([np.real(x), np.real(y), f3])
+    return np.array([np.real(x), np.real(y), -f3 if s < 0 else f3])
 
 
 @dataclass
@@ -221,11 +227,16 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     """Sample the anchored Schwarz surface on a t x s grid.
 
     The planar coordinates are Re x and Re y on the grid, so the row s = 0
-    (when present) is the input curve itself; f3 comes from the column
-    integrator.  ``workers`` > 1 splits the columns over threads with bitwise
-    the same result.  ``strip`` is the curve's strip over a t-window covering
-    t_range (found here when not given; ValueError when it belongs to another
-    curve or window).  Raises StripTooWide when |s| exceeds ``strip.cap``.
+    (when present) is the input curve itself; f3 comes from one Clenshaw-Curtis
+    integral per column over [0, max|s|].  Everything is evaluated at the
+    distinct |s| only, and the rows with s < 0 are its reflection: f1 and f2
+    copied, f3 negated, Phi1 and Phi2 conjugated, Phi3 conjugated and negated.
+    When s_range is symmetric, s_vals[ns-1-l] == -s_vals[l] and the middle row
+    of an odd ns is s = 0.0, so the two halves are bitwise mirrors.
+    ``workers`` > 1 splits the columns over threads with bitwise the same
+    result.  ``strip`` is the curve's strip over a t-window covering t_range
+    (found here when not given; ValueError when it belongs to another curve or
+    window).  Raises StripTooWide when |s| exceeds ``strip.cap``.
     """
     if nt < 2 or ns < 2:
         raise ValueError("nt and ns must be at least 2")
@@ -243,9 +254,9 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     triple = HolomorphicTriple(curve)
     t_vals = np.linspace(t_lo, t_hi, nt)
     s_vals = np.linspace(s_lo, s_hi, ns)
-    f3, phi_grid = _columns(triple, t_vals, s_vals, tol, workers)
-    x, y = curve.x.grid(t_vals, s_vals), curve.y.grid(t_vals, s_vals)
-    points = np.stack([x.real, y.real, f3], axis=-1)
+    if s_lo == -s_hi:  # exact mirror pairs, and 0.0 in the middle of an odd ns
+        s_vals = 0.5 * (s_vals - s_vals[::-1])
+    points, phi_grid = _columns(triple, t_vals, s_vals, tol, workers)
     return PatchGrid(curve=curve, t_vals=t_vals, s_vals=s_vals, points=points, phi=phi_grid)
 
 
@@ -278,35 +289,34 @@ def _chebyshev_increments(coef, x, x0):
     return out
 
 
-def _column_integrals(parts, origins, direction: complex, lo: float, hi: float, levels,
-                      tol: float):
+def _column_integrals(parts, origins, direction: complex, hi: float, levels, tol: float):
     """Re int i W dz from each origin to origin + direction * level, shape (L, len(origins)).
 
     ``parts(origins, sigma)`` gives x', y' and W at origins[None, :] + direction *
-    sigma[:, None].  Clenshaw-Curtis over sigma in [lo, hi], which holds 0 and
-    every level.  A column is done when the upper half of its integrated series
+    sigma[:, None].  Clenshaw-Curtis over sigma in [0, hi], which holds every
+    level.  A column is done when the upper half of its integrated series
     sums to within tol or within its rounding floor (the cancellation in x'^2 +
     y'^2 limits the relative accuracy of W); the others double n, keeping their
     samples, up to CC_MAX_N.
     """
     def sample(k, n, cols):
-        sigma = mid + half * np.cos(np.pi * k / n)
+        sigma = half + half * np.cos(np.pi * k / n)
         vx, vy, w = parts(origins[cols], sigma)
         mag2 = vx.real ** 2 + vx.imag ** 2 + vy.real ** 2 + vy.imag ** 2
-        return ((1j * direction * w).real, ROUNDING_SAFETY * np.finfo(float).eps * (hi - lo)
+        return ((1j * direction * w).real, ROUNDING_SAFETY * np.finfo(float).eps * hi
                 * np.max(mag2 / np.abs(w), axis=0))
 
     out = np.zeros((len(levels), len(origins)))
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    half = 0.5 * hi
     if half == 0.0:
         return out
-    x = np.clip((np.asarray(levels, dtype=float) - mid) / half, -1.0, 1.0)
+    x = np.clip((np.asarray(levels, dtype=float) - half) / half, -1.0, 1.0)
     n, cols = CC_FIRST_N, np.arange(len(origins))
     values, floor = sample(np.arange(n + 1), n, cols)
     while True:
         coef = half * _chebyshev_antiderivative(values)
         done = sum(np.abs(c) for c in coef[n // 2 + 1:]) <= np.maximum(tol, floor)
-        out[:, cols[done]] = _chebyshev_increments(coef[:, done], x, -mid / half)
+        out[:, cols[done]] = _chebyshev_increments(coef[:, done], x, -1.0)
         if np.all(done):
             return out
         if 2 * n > CC_MAX_N:
@@ -320,24 +330,41 @@ def _column_integrals(parts, origins, direction: complex, lo: float, hi: float, 
 
 
 def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int = 1):
-    """f3 (ns, nt) and Phi (ns, nt, 3) on the grid, by blocks of whole columns.
+    """Points and Phi (ns, nt, 3) on the grid, by blocks of whole columns, each
+    evaluated at the distinct |s| and reflected into the rows with s < 0.
 
     A block holds about BLOCK_POINTS grid points, which bounds the temporaries
     of one evaluation; ``workers`` > 1 runs the blocks on threads.  A column's
     values do not depend on its block.
     """
-    f3 = np.empty((len(s_vals), len(t_vals)))
-    phi_grid = np.empty(f3.shape + (3,), dtype=complex)
-    lo, hi = min(float(np.min(s_vals)), 0.0), max(float(np.max(s_vals)), 0.0)
+    # the distinct |s| and each row's index among them, in Python: np.unique's sort
+    # kernels would add their code pages to the peak RSS of every patch
+    mags = np.abs(s_vals).tolist()
+    index = {m: i for i, m in enumerate(sorted(set(mags)))}
+    levels, rows = np.array(list(index)), [index[m] for m in mags]
+    neg = [l for l, s in enumerate(s_vals.tolist()) if s < 0]    # one run: s_vals is monotone
+    low = slice(neg[0], neg[-1] + 1) if neg else slice(0)
+    points = np.empty((len(s_vals), len(t_vals), 3))
+    phi_grid = np.empty(points.shape, dtype=complex)
+    curve = triple.curve
 
     def fill(cols):
         cols = slice(cols[0], cols[-1] + 1)
-        f3[:, cols] = _column_integrals(triple.grid_parts, t_vals[cols], 1j, lo, hi, s_vals, tol)
-        vx, vy, w = triple.grid_parts(t_vals[cols], s_vals)
-        phi_grid[:, cols, 0], phi_grid[:, cols, 1], phi_grid[:, cols, 2] = vx, vy, 1j * w
+        t = t_vals[cols]
+        f3 = _column_integrals(triple.grid_parts, t, 1j, levels[-1], levels, tol)
+        vx, vy, w = triple.grid_parts(t, levels)
+        half = np.stack([curve.x.grid(t, levels).real, curve.y.grid(t, levels).real, f3], axis=-1)
+        half_phi = np.stack([vx, vy, 1j * w], axis=-1)
+        for out_row, row in enumerate(rows):
+            points[out_row, cols], phi_grid[out_row, cols] = half[row], half_phi[row]
+        # rows with s < 0 hold (f1, f2, -f3) and (conj Phi1, conj Phi2, -conj Phi3) of
+        # their |s|: f3, Im Phi1, Im Phi2 and Re Phi3 change sign
+        for part in (points[low, cols, 2], phi_grid[low, cols, :2].imag,
+                     phi_grid[low, cols, 2].real):
+            np.negative(part, out=part)
 
-    blocks = np.array_split(np.arange(len(t_vals)),
-                            min(len(t_vals), max(int(workers), -(-f3.size // BLOCK_POINTS))))
+    blocks = np.array_split(np.arange(len(t_vals)), min(len(t_vals), max(
+        int(workers), -(-len(s_vals) * len(t_vals) // BLOCK_POINTS))))
     if workers <= 1:
         for cols in blocks:
             fill(cols)
@@ -346,4 +373,4 @@ def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int
 
         with ThreadPoolExecutor(max_workers=int(workers)) as pool:
             list(pool.map(fill, blocks))
-    return f3, phi_grid
+    return points, phi_grid

@@ -70,6 +70,28 @@ def test_w_squared_prime_matches_finite_difference(rng):
             assert abs(fd - m.w_squared_prime(v)) < 1e-6 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("k,lam", [(2, 0.5), (3, 0.6), (1, 30.0), (148, 0.61 / 149)])
+def test_loop_squares_match_the_model_functions(k, lam, rng):
+    # g^2 and eta^2 share one power v^{k+1}; the model's own w^2, (w^2)' and
+    # eta_coeff, each with its own powers, must give the same squares
+    model = v_model(k, lam)
+    radius = model.a ** (1.0 / (k + 1))
+    v = radius * np.exp(2j * math.pi * rng.random(64)) * (1.0 + 0.05 * rng.standard_normal(64))
+    vk = v ** (k + 1)
+    g2 = model.w_squared(v) * (v ** model.p_exponent / (vk - model.a)) ** 2
+    eta2 = model.eta_coeff(v) ** 2
+    expect = {
+        "g": (model.g_squared(v), g2),
+        "eta": (model.eta_squared(v, False, False), eta2),
+        "eta ramified": (model.eta_squared(v, False, True),
+                         eta2 * 4.0 * model.w_squared(v) / model.w_squared_prime(v) ** 2),
+        "eta at infinity": (model.eta_squared(v, True, False), eta2 * v**4),
+        "eta ramified at infinity": (model.eta_squared(v, True, True), eta2 * v**4 * 4.0 / v),
+    }
+    for name, (got, want) in expect.items():
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-11, name
+
+
 @pytest.mark.parametrize("k,lam", WITNESS_PARAMS)
 def test_degeneracy_points(k, lam):
     m = v_model(k, lam)

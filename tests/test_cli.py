@@ -28,17 +28,17 @@ def test_generate_circle(tmp_path, capsys):
 @pytest.mark.parametrize("argv,expect", [
     (["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5", "--nt", "24", "--ns", "7"], {
         "epitrochoid_k2_lam0p5.obj":
-            "0a3ed33badb1816583732e5706d0050d08e42f9f158581a74b4d1032097a49fd",
+            "b529c0dadd8292a6b35c4af4a2ed6fdbe976929a025b0a00e5f155685185ccd7",
         "epitrochoid_k2_lam0p5.ply":
-            "e381e670ec36491dacd1ebd9ddf4900ff093a92cd9a751be25233c47102e95d1",
+            "14b2d55a586deaa2f39cfb0dac2a945be15db8518583ed968fffacfd302e7f8e",
         "epitrochoid_k2_lam0p5_halfcut.obj":
-            "f1a5da7af37f070a96279b3d1a098aa242f412ad6ac3312a4d6432d918a35801",
+            "3012e2cd4791ed5601a98c7da68c4a3d6f9ee9a75557d6e95b610bef6855f451",
     }),
     (["--curve", "cycloid", "--nt", "32", "--ns", "9"], {
-        "cycloid.obj": "142b6b4d4c6484137c7759aabffc70b4d99ab4e6245cdb56273c64af591104e0",
-        "cycloid.ply": "afa4772678b956fce97ec296b5d17a39230fe35c878c3937781ff4289173ecad",
+        "cycloid.obj": "7ddb45056dc882c10bb7f3f7e467799cc6461b31f88937d81c7c268d3917b2d0",
+        "cycloid.ply": "263672985745321c0a6525e61864381c770924835ad2cc77824f7af585efd9c3",
         "cycloid_halfcut.obj":
-            "7c8240f71ea8a23a8a650cf74061b16261e8398ef01044cc79cf51ebe7fbb3a9",
+            "7f831dfc129528a3f1034376a57db9695cb568e0c744c2a2e17c1d859f475d59",
     }),
 ])
 def test_generate_output_bytes_pinned(argv, expect, tmp_path):
@@ -56,7 +56,7 @@ def test_csv_output_bytes_pinned(tmp_path):
     h = find_strip(curve).cap
     export_csv(sample_mesh(curve, curve.domain, (-h, h), 24, 7), tmp_path / "m.csv")
     assert (hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest()
-            == "7420439fbe00747dfed167dace6864935ffce680a789dee16c1415d1032f7928")
+            == "1fbeb16bc7f581aef39be1259b4d2dc7278cb5792fa6454db5b3e8638a999288")
 
 
 @pytest.mark.parametrize("command", ["generate", "verify"])

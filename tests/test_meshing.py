@@ -114,8 +114,8 @@ def test_oblique_clip_bytes_pinned(tmp_path):
     export_ply(cut, tmp_path / "cut.ply")
     got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ("cut.obj", "cut.ply")]
-    assert got == ["4199a2650e4f66da82fc71779373d4d5a7d2fa6446bcf8bdb122a262edd42eae",
-                   "5a29dc5f2a6bdbc380791d496a45cd4811dd7ace537592316ae53750371f82e0"]
+    assert got == ["d5db4525376e2afd71eed1d5c66c787b7c5403cb317f20be5d3b7fcd5e63e908",
+                   "aa068fcda804cea5bad5c1c3b3b1679f46d788d0b57ed8f3a81845a17e481ff9"]
 
 
 def test_obj_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from bjorling import schwarz
 from bjorling.continuation import PathPolyline, SingularityOnPath, find_strip
-from bjorling.curves import TrigPolySeries, make_circle, make_cycloid, make_parabola
+from bjorling.curves import PlanarCurve, TrigPolySeries, make_circle, make_cycloid, make_parabola
 from bjorling.schwarz import (
     CC_FIRST_N,
     CC_MAX_N,
@@ -162,9 +162,9 @@ def test_surface_point_matches_patch():
     cap = find_strip(curve).cap
     patch = surface_patch(curve, (0.0, 2.0), (-0.8 * cap, 0.8 * cap), 9, 7)
     triple = phi(curve)
-    j, l = 4, 5
-    pt = surface_point(triple, float(patch.t_vals[j]), float(patch.s_vals[l]))
-    assert np.max(np.abs(pt - patch.points[l, j])) < 1e-10
+    for j, l in ((4, 5), (6, 1)):
+        pt = surface_point(triple, float(patch.t_vals[j]), float(patch.s_vals[l]))
+        assert np.max(np.abs(pt - patch.points[l, j])) < 1e-10
 
 
 @pytest.mark.parametrize("curve", [make_circle(), make_cycloid(), make_parabola(), epi(2, 0.5),
@@ -176,6 +176,44 @@ def test_geodesic_row_is_the_curve_bitwise(curve):
     x, y = curve.eval(patch.t_vals)
     assert np.array_equal(row[:, 0], x) and np.array_equal(row[:, 1], y)
     assert np.all(row[:, 2] == 0.0)
+
+
+def _double_zero_curve():
+    # x' + i y' = (1 + iz)^2: double zeros of speed^2 at +-i
+    return PlanarCurve(x=TrigPolySeries(poly=((1.0, 1), (-1.0 / 3.0, 3))),
+                       y=TrigPolySeries(poly=((1.0, 2),)), domain=(-0.5, 0.5), closed=False,
+                       label="double")
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("ns", [33, 32])
+@pytest.mark.parametrize("curve", [make_circle(), make_cycloid(), make_parabola(), epi(2, 0.5),
+                                   epi(1, 30.0), epi(2, 0.35), _double_zero_curve()],
+                         ids=lambda c: c.label)
+def test_symmetric_patch_is_its_own_reflection_bitwise(curve, ns):
+    # real series: f1, f2 even in s, f3 odd, Phi1,2(t - is) = conj Phi1,2(t + is)
+    # and Phi3(t - is) = -conj Phi3(t + is), bit for bit
+    cap = min(find_strip(curve).cap, 0.9)
+    patch = surface_patch(curve, curve.domain, (-cap, cap), 48, ns)
+    s, pts, ph = patch.s_vals, patch.points, patch.phi
+    assert s[0] == -cap and s[-1] == cap
+    # rows below the axis against their mirrors; an odd middle row is its own
+    low, high = slice(0, ns // 2), slice(ns - 1, (ns - 1) // 2, -1)
+    assert _bits_equal(s[low], -s[high])
+    assert _bits_equal(pts[low, :, :2], pts[high, :, :2])
+    assert _bits_equal(pts[low, :, 2], -pts[high, :, 2])
+    assert _bits_equal(ph[low, :, :2], np.conj(ph[high, :, :2]))
+    assert _bits_equal(ph[low, :, 2], -np.conj(ph[high, :, 2]))
+    if ns % 2:
+        mid = ns // 2
+        assert patch.geodesic_row == mid and s[mid] == 0.0
+        assert np.all(pts[mid, :, 2] == 0.0)
+        assert np.all(ph[mid, :, :2].imag == 0.0) and np.all(ph[mid, :, 2].real == 0.0)
+    threaded = surface_patch(curve, curve.domain, (-cap, cap), 48, ns, workers=3)
+    assert _bits_equal(threaded.points, pts) and _bits_equal(threaded.phi, ph)
 
 
 def test_patch_workers_deterministic():
@@ -237,10 +275,37 @@ def test_f3_matches_closed_form_up_to_strip_cap(k, lam):
     assert float(np.max(err)) < 1e-10
 
 
+ASYMMETRIC_RANGES = {"(0.1,0.5)": lambda cap: (0.1, 0.5), "(0,cap)": lambda cap: (0.0, cap),
+                     "(-0.2cap,cap)": lambda cap: (-0.2 * cap, cap)}
+
+
+@pytest.mark.parametrize("k,lam,name", [(1, 30.0, "(0.1,0.5)"), (1, 30.0, "(0,cap)"),
+                                        (1, 30.0, "(-0.2cap,cap)"), (2, 0.5, "(0,cap)"),
+                                        (2, 0.5, "(-0.2cap,cap)"), (2, 0.35, "(0,cap)"),
+                                        (2, 0.35, "(-0.2cap,cap)")])
+def test_asymmetric_patch_matches_closed_forms(k, lam, name):
+    # an s-range that is not symmetric runs the same |s| columns and reflection
+    curve = epi(k, lam)
+    s_range = ASYMMETRIC_RANGES[name](find_strip(curve).cap)
+    patch = surface_patch(curve, curve.domain, s_range, 128, 33)
+    assert (patch.s_vals[0], patch.s_vals[-1]) == s_range
+    T, S = np.meshgrid(patch.t_vals, patch.s_vals)
+    expect = _f3_closed_form(k, lam, T, S)
+    err = np.abs(patch.points[..., 2] - expect) / np.maximum(1.0, np.abs(expect))
+    assert float(np.max(err)) < 1e-12
+    x, y = curve.eval(T + 1j * S)
+    planar = np.stack([x.real, y.real], axis=-1)
+    scale = max(1.0, float(np.max(np.abs(planar))))
+    assert np.max(np.abs(patch.points[..., :2] - planar)) < 4e-15 * scale
+    direct = phi(curve).grid_values(patch.t_vals, patch.s_vals)
+    assert np.max(np.abs(patch.phi - direct)) < 4e-15 * np.max(np.abs(direct))
+
+
 def test_patch_work_counters(monkeypatch):
     # series points per 256x33 patch (767446 before the Bjorling-formula
-    # construction, 280064 with the G7/K15 level march), counted at both
-    # entry points: a grid costs ns*nt points like its pointwise evaluation
+    # construction, 280064 with the G7/K15 level march, 52992 with both halves
+    # of s evaluated), counted at both entry points: a grid costs ns*nt points
+    # like its pointwise evaluation
     points = {"call": 0, "grid": 0}
     series_call, series_grid = TrigPolySeries.__call__, TrigPolySeries.grid
 
@@ -257,7 +322,7 @@ def test_patch_work_counters(monkeypatch):
     curve = epi(2, 0.5)
     cap = find_strip(curve).cap
     surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
-    assert points["call"] + points["grid"] <= 52992
+    assert points["call"] + points["grid"] <= 35456
     # only the 2 x 256 regularity samples go point by point
     assert points["call"] <= 512
 
@@ -291,8 +356,9 @@ def test_strip_branch_certificate_is_exact():
     assert 0.0016 < strip.distance - strip.cap < 0.0017
     patch = surface_patch(curve, curve.domain, (-strip.cap, strip.cap), 64, 17)
     # Phi needs no quadrature: these bytes pin the separable grid evaluation
+    # and the reflection that fills the rows with s < 0
     assert (hashlib.sha256(patch.phi.tobytes()).hexdigest()
-            == "c871bace1ed2d9e1e8b0127ed63fd61534c4a4376af53fd1d095758624f95ab6")
+            == "82e6b53a6d0e4dafe087bf8d81515dbdc6c0cbed7cfd52b0a3bf385ceb14e939")
     T, S = np.meshgrid(patch.t_vals, patch.s_vals)
     assert np.max(np.abs(patch.points[..., 2] - _f3_closed_form(2, 0.35, T, S))) < 1e-12
 
