@@ -133,13 +133,16 @@ def cmd_generate(args) -> int:
     slug = _slug(curve)
     obj_path = os.path.join(args.out, slug + ".obj")
     ply_path = os.path.join(args.out, slug + ".ply")
-    meshing.export_obj(mesh, obj_path)
+    # the half-cut's vertices are mostly the mesh's own, and a symmetric
+    # patch's lower rows mirror its upper ones: one text table serves both OBJs
+    half = meshing.clip_halfspace(mesh, (0.0, 0.0, 1.0), 0.0) if args.clip else None
+    texts = meshing.vertex_texts(*(m.vertices for m in (mesh, half) if m is not None))
+    meshing.export_obj(mesh, obj_path, texts[0])
     meshing.export_ply(mesh, ply_path)
     outputs = [obj_path, ply_path]
-    if args.clip:
-        half = meshing.clip_halfspace(mesh, (0.0, 0.0, 1.0), 0.0)
+    if half is not None:
         half_path = os.path.join(args.out, slug + "_halfcut.obj")
-        meshing.export_obj(half, half_path)
+        meshing.export_obj(half, half_path, texts[1])
         outputs.append(half_path)
     summary = {
         "curve": curve.label,

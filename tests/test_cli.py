@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from bjorling import analysis, continuation, meshing, schwarz
@@ -92,6 +93,39 @@ def test_one_validation_per_built_mesh(tmp_path, monkeypatch, capsys):
     assert main(["generate", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
                  "--nt", "24", "--ns", "7", "--clip", "--out", str(tmp_path / "x")]) == 0
     assert calls[0] == 2
+
+
+def test_generate_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    # the pinned epi(2, 0.5) 24x7 --clip case: one text table for the mesh and
+    # its half-cut, one text object per distinct bit pattern.  The half-cut's
+    # shared vertices and the patch's mirrored rows keep that under half of
+    # the values: the rows with s < 0 share their f1, f2 texts with their
+    # mirror rows and write f3 negated, so a patch that stops being its own
+    # mirror fails here
+    calls = []
+    vertex_texts = meshing.vertex_texts
+
+    def recording(*tables):
+        texts = vertex_texts(*tables)
+        calls.append((tables, texts))
+        return texts
+
+    monkeypatch.setattr(meshing, "vertex_texts", recording)
+    assert main(["generate", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
+                 "--nt", "24", "--ns", "7", "--clip", "--out", str(tmp_path / "x")]) == 0
+    (tables, texts), = calls
+    assert len(tables) == 2 and tables[0].shape == (24 * 7, 3)
+    assert 0 < len(tables[1]) < 24 * 7
+    values = np.concatenate([t.reshape(-1) for t in tables])
+    distinct = len(np.unique(values.view(np.int64)))
+    assert len({id(text) for group in texts for text in group}) == distinct
+    assert 2 * distinct < len(values)
+    grid = tables[0].reshape(7, 24, 3)
+    text = np.array(texts[0], dtype=object).reshape(7, 24, 3)
+    for row in range(3):
+        assert all(a is b for a, b in zip(text[row, :, :2].flat, text[6 - row, :, :2].flat))
+        assert text[row, :, 2].tolist() == [meshing.FLOAT_FMT % -v
+                                            for v in grid[6 - row, :, 2].tolist()]
 
 
 def test_generate_epitrochoid_with_clip(tmp_path):

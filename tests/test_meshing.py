@@ -7,6 +7,7 @@ import pytest
 from bjorling.continuation import find_strip
 from bjorling.curves import make_circle
 from bjorling.meshing import (
+    FLOAT_FMT,
     SurfaceMesh,
     clip_halfspace,
     export_csv,
@@ -15,6 +16,7 @@ from bjorling.meshing import (
     load_obj,
     mesh_area,
     sample_mesh,
+    vertex_texts,
 )
 from bjorling.schwarz import StripTooWide
 
@@ -165,6 +167,34 @@ def test_empty_mesh_exports(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b"x,y,z\r\n"
     assert b"element vertex 0" in (tmp_path / "empty.ply").read_bytes()
     assert load_obj(tmp_path / "empty.obj").vertices.shape == (0, 3)
+
+
+def test_vertex_texts_equal_float_fmt():
+    # every text is FLOAT_FMT % v: signed zeros apart in one table, subnormals,
+    # the %g notation boundaries, inf/nan (CSV's abs_g), values shared by two
+    # tables, a Fortran-ordered table, a one-row and an empty table
+    tiny = np.nextafter(0.0, 1.0)
+    a = np.array([[0.0, -0.0, tiny], [-tiny, 2.2250738585072009e-308, 2.2250738585072014e-308],
+                  [1e16, 1e17, np.nextafter(1e17, 0.0)], [1e-4, 1e-5, np.nextafter(1e-4, 0.0)],
+                  [np.inf, -np.inf, np.nan], [0.1, -0.0, 1e16]])
+    fortran = np.asfortranarray(np.array([[0.1, 2.0, -0.0], [3.0, 1e-5, 0.1]]))
+    one = np.array([[0.5, -0.0, 0.5]])
+    tables = (a, fortran, one, np.zeros((0, 3)))
+    got = vertex_texts(*tables)
+    assert got == [tuple(FLOAT_FMT % v for v in t.reshape(-1).tolist()) for t in tables]
+    assert got[0][:2] == ("0", "-0") and got[1][:3] == ("0.10000000000000001", "2", "-0")
+    assert got[0][12:15] == ("inf", "-inf", "nan")
+    assert got[0][15] is got[1][0] and got[2][0] is got[2][2]
+
+
+def test_one_vertex_mesh_exports(tmp_path):
+    mesh = SurfaceMesh.from_faces(np.array([[-0.0, 5e-324, 1e17]]), [],
+                                  attributes={"abs_g": np.array([np.inf])})
+    export_obj(mesh, tmp_path / "one.obj")
+    export_csv(mesh, tmp_path / "one.csv")
+    assert (tmp_path / "one.obj").read_text() == "v -0 4.9406564584124654e-324 1e+17\n"
+    assert (tmp_path / "one.csv").read_bytes() == (
+        b"x,y,z,abs_g\r\n-0,4.9406564584124654e-324,1e+17,inf\r\n")
 
 
 def test_ply_structure(tmp_path):
