@@ -17,7 +17,6 @@ from .analysis import (
     obstruction_report,
     order_estimate,
     order_table,
-    strip_halfwidth,
     v_model,
 )
 from .continuation import (

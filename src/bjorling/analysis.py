@@ -33,7 +33,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .continuation import continue_sqrt
 from .curves import EpitrochoidParams, InvalidCurveParameters, make_epitrochoid
 from .weierstrass import data_from_curve
 
@@ -149,6 +148,15 @@ class VModel:
             return eta2 * (4.0 * (self._w_squared(v, vk) / p_prime) / p_prime)
         return eta2
 
+    def w_on_geodesic(self, t):
+        """w at v = e^{it}, continued along the unit circle from w(0) = -i|1 - a|.
+
+        There a - v^{k+1} = -v^{k+1} conj(1 - a v^{k+1}), so w^2 = -v^{k+1+e}
+        |1 - a v^{k+1}|^2, and k+1+e is even: w = -i e^{i(k+1+e)t/2} |1 - a e^{i(k+1)t}|.
+        """
+        return (-1j * np.exp(0.5j * (self.k + 1 + self.e) * t)
+                * np.abs(1.0 - self.a * np.exp(1j * (self.k + 1) * t)))
+
     def metric_density(self, v, w) -> float:
         """Conformal factor of (1/4)(1+|g|^2)^2 eta etabar in the local coordinate.
 
@@ -179,11 +187,6 @@ def v_model(k: int, lam: float) -> VModel:
     if log_top >= math.log(np.finfo(float).max):
         raise InvalidCurveParameters("k=%d, lambda=%g: order-table loops overflow" % (k, lam))
     return VModel(k=k, lam=lam)
-
-
-def strip_halfwidth(k: int, lam: float) -> float:
-    """|Im z| at which the strip hits degeneration: ln(max(a, 1/a))/(k+1)."""
-    return EpitrochoidParams(k=k, lam=lam).zero_height
 
 
 def degeneracy_points(model: VModel) -> tuple[complex, ...]:
@@ -374,8 +377,8 @@ def intrinsic_distance(model: VModel) -> float:
     |u| >= |v| and u keeps one sign, so the length is exactly |Im y(i s0)|:
     finite, so the immersion fails at finite distance from the geodesic.
     """
-    curve = make_epitrochoid(EpitrochoidParams(k=model.k, lam=model.lam))
-    return abs(float(np.imag(curve.y(1j * strip_halfwidth(model.k, model.lam)))))
+    params = EpitrochoidParams(k=model.k, lam=model.lam)
+    return abs(float(np.imag(make_epitrochoid(params).y(1j * params.zero_height))))
 
 
 def obstruction_report(model: VModel) -> DegeneracyReport:
@@ -384,7 +387,10 @@ def obstruction_report(model: VModel) -> DegeneracyReport:
     In the local coordinate w the density is |eta_w|^2 (1+|g|^2)^2 / 4, and where g
     has a pole 1+|g|^2 ~ |g|^2, so its exponent at each point is 2 (ord eta + 2 min(ord
     g, 0)) from that point's own winding counts: 2 (3 - 2) on the a-family, 2 * 1 on
-    the 1/a-family.
+    the 1/a-family.  These exponents are the witness of the degeneration;
+    ``test_vanishing_exponent_is_two`` checks them against the density's decay.
+    ``density_at_points`` is no witness: ``metric_density(v0, 0.0)`` multiplies
+    by w = 0 in both of its forms, so it is exactly 0.0 for every (k, lambda).
     """
     specials = (0j,) + degeneracy_points(model)
     pts = specials[1:]
@@ -410,15 +416,12 @@ def pullback_residual(model: VModel, n_samples: int = 50) -> float:
 
     Substitutes v = e^{it} and undoes the -pi/2 rotation: the rotated data
     (g', eta') must satisfy g' = -i g_z and eta_z = v * eta'_coeff(v), with w
-    continued along the unit circle from its t = 0 seed -i|1 - a| to every
-    sample at once.
+    from ``VModel.w_on_geodesic``.
     """
     curve = make_epitrochoid(EpitrochoidParams(k=model.k, lam=model.lam))
     data = data_from_curve(curve)
     ts = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    w0 = -1j * abs(1.0 - model.a)
-    ws = continue_sqrt(lambda t: model.w_squared(np.exp(1j * t)), 0.0, ts, w0,
-                       2 * n_samples)
+    ws = model.w_on_geodesic(ts)
     worst = 0.0
     for t, w, g_strip, eta_strip in zip(ts.tolist(), ws.tolist(), data.g(ts).tolist(),
                                         data.eta(ts).tolist()):

@@ -2,7 +2,7 @@
 verification, and zero/pole table reproduction.
 
 Identical configuration produces byte-identical outputs; timestamps only
-appear behind --timestamp.  BJORLING_THREADS caps the patch worker count.
+appear behind --timestamp.
 """
 
 from __future__ import annotations
@@ -73,13 +73,6 @@ def _build_curve(args):
     return curve_from_config({key: v for key, v in flags.items() if v is not None})
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BJORLING_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _slug(curve) -> str:
     if curve.epitrochoid is not None:
         return "epitrochoid_k%d_lam%s" % (curve.epitrochoid.k,
@@ -125,10 +118,8 @@ def cmd_generate(args) -> int:
     curve = _build_curve(args)
     strip = find_strip(curve)
     halfwidth = _halfwidth(strip, args.s_fraction)
-    patch = surface_patch(curve, curve.domain, (-halfwidth, halfwidth),
-                          args.nt, args.ns, workers=_workers(), strip=strip)
-    mesh = meshing.sample_mesh(curve, curve.domain, (-halfwidth, halfwidth),
-                               args.nt, args.ns, patch=patch)
+    mesh = meshing.sample_mesh(surface_patch(curve, curve.domain, (-halfwidth, halfwidth),
+                                             args.nt, args.ns, strip=strip))
     os.makedirs(args.out, exist_ok=True)
     slug = _slug(curve)
     obj_path = os.path.join(args.out, slug + ".obj")
@@ -237,8 +228,7 @@ def cmd_verify(args) -> int:
     halfwidth = _halfwidth(strip, args.s_fraction)
     ns = args.ns if args.ns % 2 == 1 else args.ns + 1  # keep s = 0 as a row
     window = _verify_window(curve, strip, halfwidth, args.nt)
-    patch = surface_patch(curve, window, (-halfwidth, halfwidth),
-                          args.nt, ns, workers=_workers(), strip=strip)
+    patch = surface_patch(curve, window, (-halfwidth, halfwidth), args.nt, ns, strip=strip)
     report = verify.verification_report(curve, patch)
     if args.json:
         _write_json(report.to_json_dict(), args.json, args.timestamp)

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PlanarCurve
-from .schwarz import PatchGrid, surface_patch
+from .schwarz import PatchGrid
 
 FLOAT_FMT = "%.17g"
 PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", 3)])  # packed, 13 bytes a triangle
@@ -88,11 +87,8 @@ def _fan(mesh: SurfaceMesh) -> np.ndarray:
     return mesh.indices[np.stack([first[mid], pos[mid], nxt[mid]], axis=-1)]
 
 
-def sample_mesh(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
-                patch: PatchGrid | None = None, workers: int = 1) -> SurfaceMesh:
-    """Quad mesh over the surface grid with density and |g| vertex attributes."""
-    if patch is None:
-        patch = surface_patch(curve, t_range, s_range, nt, ns, workers=workers)
+def sample_mesh(patch: PatchGrid) -> SurfaceMesh:
+    """Quad mesh over the patch's grid with density and |g| vertex attributes."""
     ns_, nt_ = patch.points.shape[:2]
     vertices = patch.points.reshape(ns_ * nt_, 3).copy()
     corner = (np.arange(ns_ - 1, dtype=np.int64)[:, None] * nt_

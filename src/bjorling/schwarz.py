@@ -234,7 +234,8 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     When s_range is symmetric, s_vals[ns-1-l] == -s_vals[l] and the middle row
     of an odd ns is s = 0.0, so the two halves are bitwise mirrors.
     ``workers`` > 1 splits the columns over threads with bitwise the same
-    result.  ``strip`` is the curve's strip over a t-window covering t_range
+    result; it is kept only for the benchmark's thread probe, and the CLI
+    runs serial.  ``strip`` is the curve's strip over a t-window covering t_range
     (found here when not given; ValueError when it belongs to another curve or
     window).  Raises StripTooWide when |s| exceeds ``strip.cap``.
     """

@@ -16,10 +16,10 @@ from bjorling.analysis import (
     order_estimate,
     order_table,
     pullback_residual,
-    strip_halfwidth,
     v_model,
 )
-from bjorling.curves import InvalidCurveParameters
+from bjorling.continuation import continue_sqrt
+from bjorling.curves import EpitrochoidParams, InvalidCurveParameters
 
 from conftest import metric_length_by_quadrature
 
@@ -116,12 +116,14 @@ def test_degeneracy_radii_examples():
 
 
 def test_strip_halfwidth():
-    assert abs(strip_halfwidth(2, 0.5) - math.log(1.5) / 3.0) < 1e-15
-    assert abs(strip_halfwidth(2, 0.5) - 0.135155) < 1e-6
-    assert abs(strip_halfwidth(3, 0.6) - math.log(2.4) / 4.0) < 1e-15
-    assert abs(strip_halfwidth(3, 0.6) - 0.218867) < 1e-6
+    # the strip hits degeneration at |Im z| = ln(max(a, 1/a))/(k+1)
+    h2, h3 = (EpitrochoidParams(k=k, lam=lam).zero_height for k, lam in ((2, 0.5), (3, 0.6)))
+    assert abs(h2 - math.log(1.5) / 3.0) < 1e-15
+    assert abs(h2 - 0.135155) < 1e-6
+    assert abs(h3 - math.log(2.4) / 4.0) < 1e-15
+    assert abs(h3 - 0.218867) < 1e-6
     with pytest.raises(InvalidCurveParameters):
-        strip_halfwidth(2, 1.0 / 3.0)
+        EpitrochoidParams(k=2, lam=1.0 / 3.0).zero_height
 
 
 def test_order_estimate_known_orders():
@@ -215,6 +217,17 @@ def test_pullback_consistency(k, lam):
     assert pullback_residual(v_model(k, lam)) < 1e-9
 
 
+@pytest.mark.parametrize("k,lam", [(2, 0.5), (3, 0.6), (1, 0.6), (2, 0.2), (4, 0.4),
+                                   (1, 30.0), (5, 3.0)])
+def test_w_on_geodesic_matches_continuation(k, lam):
+    # the closed form against w continued numerically from the same seed
+    m = v_model(k, lam)
+    ts = 2.0 * math.pi * np.arange(200) / 200
+    want = continue_sqrt(lambda t: m.w_squared(np.exp(1j * t)), 0.0, ts,
+                         -1j * abs(1.0 - m.a), 400)
+    assert np.max(np.abs(m.w_on_geodesic(ts) - want)) < 1e-14 * (1.0 + m.a)
+
+
 @pytest.mark.parametrize("k,lam", WITNESS_PARAMS)
 def test_g_quotient_forms_agree_on_curve(k, lam, rng):
     # the raw quotient and the pole-resolved form (curve relation substituted)
@@ -289,7 +302,7 @@ def test_intrinsic_distance_finite_and_stable():
         assert 0.0 < d < math.inf
         assert abs(d - metric_length_by_quadrature(k, lam)) < 1e-6 * max(1.0, d)
     # crude sanity: length >= min speed * strip height
-    s0 = strip_halfwidth(2, 0.5)
+    s0 = EpitrochoidParams(k=2, lam=0.5).zero_height
     assert intrinsic_distance(v_model(2, 0.5)) > 2.0 * s0 * 0.5
 
 

@@ -1,5 +1,7 @@
+import concurrent.futures
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from bjorling import analysis, continuation, meshing, schwarz
 from bjorling.cli import main
 from bjorling.continuation import find_strip
 from bjorling.meshing import export_csv, sample_mesh
+from bjorling.schwarz import surface_patch
 
 from conftest import epi
 
@@ -55,9 +58,23 @@ def test_csv_output_bytes_pinned(tmp_path):
     # SHA-256 of the CSV export of the epi(2, 0.5) 24x7 patch at the full cap
     curve = epi(2, 0.5)
     h = find_strip(curve).cap
-    export_csv(sample_mesh(curve, curve.domain, (-h, h), 24, 7), tmp_path / "m.csv")
+    export_csv(sample_mesh(surface_patch(curve, curve.domain, (-h, h), 24, 7)), tmp_path / "m.csv")
     assert (hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest()
             == "1fbeb16bc7f581aef39be1259b4d2dc7278cb5792fa6454db5b3e8638a999288")
+
+
+def test_cli_starts_no_thread(tmp_path, monkeypatch, capsys):
+    # the CLI is serial whatever the environment says: a worker count of 2 would
+    # put the two column blocks of these patches on threads
+    def no_threads(*args, **kwargs):
+        raise AssertionError("the CLI started a thread")
+
+    monkeypatch.setenv("BJORLING_THREADS", "2")
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    curve = ["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5", "--nt", "24"]
+    assert main(["generate"] + curve + ["--ns", "7", "--clip", "--out", str(tmp_path)]) == 0
+    assert main(["verify"] + curve + ["--ns", "33"]) == 0
 
 
 @pytest.mark.parametrize("command", ["generate", "verify"])

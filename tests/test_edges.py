@@ -39,20 +39,6 @@ def test_path_polyline_validation():
         PathPolyline(vertices=(0j, 1j), refinement=0.0)
 
 
-def test_worker_env_cap_does_not_change_output(tmp_path, monkeypatch):
-    from bjorling.cli import main
-
-    argv = ["generate", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
-            "--nt", "24", "--ns", "7"]
-    out_a, out_b = tmp_path / "serial", tmp_path / "threaded"
-    monkeypatch.setenv("BJORLING_THREADS", "1")
-    assert main(argv + ["--out", str(out_a)]) == 0
-    monkeypatch.setenv("BJORLING_THREADS", "4")
-    assert main(argv + ["--out", str(out_b)]) == 0
-    name = "epitrochoid_k2_lam0p5.obj"
-    assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-
 def test_toml_config_when_supported(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     from bjorling.cli import main

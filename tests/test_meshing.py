@@ -18,7 +18,7 @@ from bjorling.meshing import (
     sample_mesh,
     vertex_texts,
 )
-from bjorling.schwarz import StripTooWide
+from bjorling.schwarz import surface_patch
 
 from conftest import epi
 
@@ -32,7 +32,7 @@ def unit_quad():
 
 
 def test_sample_mesh_counts_and_tags():
-    mesh = sample_mesh(make_circle(), (0, 2 * math.pi), (-1.0, 1.0), 64, 17)
+    mesh = sample_mesh(surface_patch(make_circle(), (0, 2 * math.pi), (-1.0, 1.0), 64, 17))
     assert len(mesh.vertices) == 64 * 17
     assert len(mesh.faces) == 63 * 16
     assert set(mesh.attributes) == {"t", "s", "density", "abs_g"}
@@ -45,7 +45,7 @@ def test_sample_mesh_counts_and_tags():
 
 def test_sample_mesh_epitrochoid_geodesic_row_matches_curve():
     curve = epi(2, 0.5)
-    mesh = sample_mesh(curve, (0, 2 * math.pi), (-0.1, 0.1), 48, 9)
+    mesh = sample_mesh(surface_patch(curve, (0, 2 * math.pi), (-0.1, 0.1), 48, 9))
     row = mesh.tags["geodesic_row"]
     pts = mesh.vertices[row]
     t = mesh.attributes["t"][row]
@@ -53,11 +53,6 @@ def test_sample_mesh_epitrochoid_geodesic_row_matches_curve():
     assert np.max(np.abs(pts - expect)) < 1e-9
     # 3-lobed closed outline
     assert abs(pts[0, 0] - 2.5) < 1e-9
-
-
-def test_sample_mesh_propagates_strip_clamp():
-    with pytest.raises(StripTooWide):
-        sample_mesh(epi(2, 0.5), (0, 2 * math.pi), (-1.0, 1.0), 16, 5)
 
 
 def test_clip_keeps_positive_side():
@@ -96,7 +91,7 @@ def test_clip_flat_grid_matches_closed_form(n):
 
 
 def test_clip_catenoid_half():
-    mesh = sample_mesh(make_circle(), (0, 2 * math.pi), (-1.0, 1.0), 32, 9)
+    mesh = sample_mesh(surface_patch(make_circle(), (0, 2 * math.pi), (-1.0, 1.0), 32, 9))
     half = clip_halfspace(mesh, (0.0, 0.0, 1.0), 0.0)
     assert all(v[2] >= -1e-12 for v in half.vertices)
     assert 0 < len(half.faces) < len(mesh.faces)
@@ -109,7 +104,7 @@ def test_oblique_clip_bytes_pinned(tmp_path):
     # interpolated vertices, which the z = 0 half-cut pins never make
     curve = epi(3, 0.6)
     h = find_strip(curve).cap
-    mesh = sample_mesh(curve, curve.domain, (-h, h), 200, 31)
+    mesh = sample_mesh(surface_patch(curve, curve.domain, (-h, h), 200, 31))
     cut = clip_halfspace(mesh, (0.3, 0.5, 0.8), 0.1)
     assert sorted({len(f) for f in cut.faces}) == [3, 4, 5]
     export_obj(cut, tmp_path / "cut.obj")
@@ -133,7 +128,7 @@ def test_obj_roundtrip(tmp_path):
 
 
 def test_obj_roundtrip_full_precision(tmp_path):
-    mesh = sample_mesh(epi(3, 0.6), (0.0, 2.0), (-0.05, 0.05), 9, 5)
+    mesh = sample_mesh(surface_patch(epi(3, 0.6), (0.0, 2.0), (-0.05, 0.05), 9, 5))
     path = tmp_path / "patch.obj"
     export_obj(mesh, path)
     back = load_obj(path)
@@ -214,7 +209,7 @@ def test_ply_structure(tmp_path):
 
 
 def test_exports_deterministic(tmp_path):
-    mesh = sample_mesh(epi(2, 0.5), (0.0, 1.5), (-0.08, 0.08), 12, 7)
+    mesh = sample_mesh(surface_patch(epi(2, 0.5), (0.0, 1.5), (-0.08, 0.08), 12, 7))
     a_obj, b_obj = tmp_path / "a.obj", tmp_path / "b.obj"
     export_obj(mesh, a_obj)
     export_obj(mesh, b_obj)
