@@ -3,11 +3,12 @@
 The speed has isolated zeros off the real axis; the square root the surface
 needs is defined by continuity along a path from the axis, where it is
 positive.  ``strip_sqrt_array`` is the strip branch: every point continued up
-the vertical segment from its axis foot t, in closed form.  With m = e^{iz}
-for trigonometric series and m = z for monomial ones, that segment is straight
-in m, and speed^2 is a power of m, of constant argument along it, times
-prod (m - r_j)^mu_j over the images r_j of the zeros.  So the root turns by
-half of sum_j mu_j Arg((m(z) - r_j)/(m(t) - r_j)), and the branch is
+the vertical segment from its axis foot t, in closed form.  With m = e^{ifz}
+for trigonometric series whose speed^2 has period 2 pi/f and m = z for
+monomial ones, that segment is straight in m, and speed^2 is a factor of
+constant argument along it times prod (m - r_j)^mu_j over the images r_j of
+the zeros of one period.  So the root turns by half of
+sum_j mu_j Arg((m(z) - r_j)/(m(t) - r_j)), and the branch is
 np.sqrt(speed^2) negated where it disagrees with prod sqrt(...)^mu_j.  That
 sign comes from the running product of the rank-1 ratios with a tracked cut
 bit, so no root is taken per zero (its core ``strip_branch`` takes t and s
@@ -18,14 +19,16 @@ raises ``SingularityOnPath``.  Other paths take
 The zeros of the speed are exact polynomial roots.  speed^2 factors as
 (x' + i y')(x' - i y'), and for real series the zeros of the second factor
 are the conjugates of those of the first.  A trigonometric series makes
-x' + i y' a Laurent polynomial in v = e^{iz}, so its zeros are
-z = -i log v + 2 pi n over the roots v of that polynomial; a monomial series
+x' + i y' a Laurent polynomial in v = e^{iz}, v^low R(v^step) with step the
+gcd of its exponent offsets, so speed^2 has period 2 pi/step and its zeros are
+z = -i log(u)/step + 2 pi n/step over the roots u of R; a monomial series
 makes it a polynomial in z.  Either way ``np.roots`` (the eigenvalues of the
 companion matrix) gives the whole zero set, complete by construction.  It
 splits an m-fold root into m close ones; those are merged into one zero at
 their mean, well conditioned where each root is not (Zeng, Math. Comp. 74, 2005).
 Epitrochoids take the closed form of 1 + a^2 - 2a cos((k+1)z) instead
-(a = lambda*(k+1), zeros at Re z in (2pi/(k+1))Z, |Im z| = ln(max(a, 1/a))/(k+1)).
+(a = lambda*(k+1), period 2pi/(k+1), zeros at Re z in (2pi/(k+1))Z,
+|Im z| = ln(max(a, 1/a))/(k+1)).
 ``find_strip`` makes the one strip decision a run needs and returns a
 ``Strip`` holding the zeros near the t-window, the distance from the window
 to the nearest one and the usable half-width ``cap``, 0.9 times that distance.
@@ -162,16 +165,19 @@ def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEME
 def strip_branch(curve: PlanarCurve, t, s, speed2, refinement: float = DEFAULT_REFINEMENT):
     """``strip_sqrt_array`` at t + i s for t and s that broadcast to speed2's shape.
 
-    Each ratio (m(z) - r)/(m(t) - r) is rank one, 1 + beta(s) alpha(t): beta = expm1(-s),
-    alpha = e^{it}/(e^{it} - r) (trigonometric) or beta = s, alpha = i/(t - r).  As
+    Each ratio (m(z) - r)/(m(t) - r) is rank one, 1 + beta(s) alpha(t): for m = e^{ifz},
+    f = 2 pi/period, beta = expm1(-fs) and alpha = e^{ift}/(e^{ift} - r), and for m = z,
+    beta = s and alpha = i/(t - r).  One ratio per zero of one period stands for the
+    f zeros of a period 2 pi in e^{iz}, whose ratios multiply to it.  As
     sqrt(p) sqrt(q) = -sqrt(pq) exactly when p and q lie on one side of the real axis and
     pq on the other (sign bits, as np.sqrt reads signed zeros), the running product of the
     ratios keeps that cut bit.  It ends as speed^2 times a positive real, whose root
     differs from np.sqrt(speed^2) only across the cut."""
     zeros, period = _zero_set(curve)
     trig = math.isfinite(period)
-    foot = np.exp(1j * t) if trig else t
-    beta = np.expm1(-s) if trig else s
+    freq = round(TWO_PI / period) if trig else 1
+    foot = np.exp(1j * (freq * t)) if trig else t
+    beta = np.expm1(-freq * s) if trig else s
     shape, lower = np.shape(speed2), False
     q, prod, flip = np.empty(shape, complex), np.ones(shape, complex), np.zeros(shape, bool)
     for zero, mult in zeros:
@@ -183,7 +189,7 @@ def strip_branch(curve: PlanarCurve, t, s, speed2, refinement: float = DEFAULT_R
         if np.any(passed):
             raise SingularityOnPath("the vertical path to %s passes the speed^2 zero at %s" % (
                 np.broadcast_to(t + 1j * s, passed.shape)[passed][0], zero))
-        r = cmath.exp(1j * zero) if trig else zero
+        r = cmath.exp(1j * freq * zero) if trig else zero
         np.multiply(beta, foot / (foot - r) if trig else 1j / (t - r), out=q)
         q += 1.0
         for _ in range(mult):
@@ -214,16 +220,18 @@ def _merge_roots(roots, period: float):
 @functools.lru_cache(maxsize=None)
 def _zero_set(curve: PlanarCurve):
     """(((zero, multiplicity), ...), period): every zero of speed^2 once modulo
-    the period, with its multiplicity.
+    its period, with its multiplicity.
 
-    The period is 2 pi for trigonometric series and inf for monomial ones.
+    x' + i y' = v^low R(v^step) for trigonometric series, with v = e^{iz} and
+    step the gcd of the exponent offsets, so the period is 2 pi/step and the
+    zeros are those of R in u = v^step; the period is inf for monomial series.
     Raises InvalidCurveParameters when the derivative mixes trigonometric
     terms with powers z^p, p >= 1, or when speed^2 vanishes identically.
     """
     if curve.epitrochoid is not None:
         params = curve.epitrochoid
-        return tuple((complex(TWO_PI * j / (params.k + 1), sign * params.zero_height), 1)
-                     for j in range(params.k + 1) for sign in (-1.0, 1.0)), TWO_PI
+        return tuple((complex(0.0, sign * params.zero_height), 1)
+                     for sign in (-1.0, 1.0)), TWO_PI / (params.k + 1)
     dx, dy = derivative_series(curve)
     trig = dx.trig + tuple((1j * amp, freq, phase) for amp, freq, phase in dy.trig)
     poly = dx.poly + tuple((1j * c, power) for c, power in dy.poly)
@@ -244,11 +252,12 @@ def _zero_set(curve: PlanarCurve):
         raise InvalidCurveParameters("speed^2 of %s vanishes identically" % curve.label)
     # v = 0 is no point of the plane, z = 0 is
     low = min(powers) if trig else 0
-    roots = np.roots([coef[n] for n in range(max(powers), low - 1, -1)])
+    step = (math.gcd(*(n - low for n in powers)) or 1) if trig else 1
+    roots = np.roots([coef[n] for n in range(max(powers), low - 1, -step)])
     if trig:
-        roots = -1j * np.log(roots)
+        roots = -1j / step * np.log(roots)
     # the series are real, so the zeros of x' - i y' are the conjugates
-    period = TWO_PI if trig else math.inf
+    period = TWO_PI / step if trig else math.inf
     return _merge_roots([complex(z) for z in roots] + [complex(z).conjugate() for z in roots],
                         period), period
 
@@ -258,8 +267,10 @@ def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[co
 
     With ``t_range=None`` the window is the curve domain (half open for closed
     curves so one fundamental period is reported once).  An explicit window is
-    treated as inclusive.  The zeros are the curve's one exact zero set, tiled
-    by its period over the window.
+    treated as inclusive.  The zeros are the curve's one exact zero set at
+    z + 2 pi j/step, j < step, for a period 2 pi/step, tiled by 2 pi over the
+    window: n whole periods 2 pi/step can fall short of 2 pi by rounding
+    (75 fl(2 pi/75) < 2 pi), which would report a zero twice.
     """
     if not s_max > 0:
         raise ValueError("s_max must be positive")
@@ -270,15 +281,17 @@ def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[co
         t_lo, t_hi = float(t_range[0]), float(t_range[1])
         half_open = False
     zeros, period = _zero_set(curve)
+    step = round(TWO_PI / period) if math.isfinite(period) else 1
     found = set()
     for z, _ in zeros:
         if abs(z.imag) > s_max:
             continue
         if math.isinf(period):
             found.add(z)
-        else:
-            found.update(z + n * period for n in range(math.floor((t_lo - z.real) / period),
-                                                        math.ceil((t_hi - z.real) / period) + 1))
+            continue
+        for w in (z + TWO_PI * j / step for j in range(step)):
+            found.update(w + n * TWO_PI for n in range(math.floor((t_lo - w.real) / TWO_PI),
+                                                       math.ceil((t_hi - w.real) / TWO_PI) + 1))
     return tuple(sorted((z for z in found if t_lo <= z.real
                          and (z.real < t_hi if half_open else z.real <= t_hi)),
                         key=lambda z: (z.real, z.imag)))
@@ -288,10 +301,11 @@ def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[co
 class Strip:
     """The zero-free strip around the geodesic over the t-window ``t_range``.
 
-    ``zeros`` are the speed^2 zeros with Re z within one period of the window
-    (all of them for monomial series), ``multiplicities`` their orders, and
-    ``distance`` is the distance from the real segment t_range to the nearest
-    one, inf only when speed^2 has no zero.  A zero is never closer to a
+    ``zeros`` are the speed^2 zeros with Re z within one period of speed^2 of
+    the window (2 pi/(k+1) for an epitrochoid; all of them for monomial
+    series), ``multiplicities`` their orders, and ``distance`` is the distance
+    from the real segment t_range to the nearest one, inf only when speed^2
+    has no zero.  A zero is never closer to a
     sub-window than to the whole window, so the strip is valid for every
     t-window inside t_range.
     """

@@ -175,9 +175,13 @@ def _zero_clear_columns(curve, n):
 
 def _principal_root_branch(curve, t, s, speed2):
     # the sign rule as a product of principal roots, one per zero and order:
-    # np.sqrt(speed^2) negated where it turns away from prod sqrt(q_j)^mu_j
+    # np.sqrt(speed^2) negated where it turns away from prod sqrt(q_j)^mu_j, over
+    # every zero of one period 2 pi in m = e^{iz}: the zero set tiled by its period
     zeros, period = _zero_set(curve)
     trig = math.isfinite(period)
+    if trig:
+        zeros = [(zero + j * period, mult) for zero, mult in zeros
+                 for j in range(round(2 * math.pi / period))]
     foot = np.exp(1j * t) if trig else t
     top = foot * np.exp(-s) if trig else t + 1j * s
     turn = 1.0
@@ -434,3 +438,63 @@ def test_strip_branch_on_axes_refuses_the_same_points():
             strip_sqrt_array(curve, t + 1j * s)
     t, s = np.array([[0.011]]), np.array([[0.2]])
     assert np.isfinite(strip_branch(curve, t, s, speed_squared(curve, t + 1j * s))).all()
+
+
+def _lattice_distance(k, h, t_lo, t_hi):
+    # the distance from [t_lo, t_hi] to the closed-form lattice 2 pi j/(k+1) + 2 pi n +- i h,
+    # written as one 2 pi period tiled by 2 pi
+    best = math.inf
+    for j in range(k + 1):
+        for n in range(math.floor(t_lo / (2 * math.pi)) - 1, math.ceil(t_hi / (2 * math.pi)) + 2):
+            for z in (complex(2 * math.pi * j / (k + 1), h) + n * 2 * math.pi,
+                      complex(2 * math.pi * j / (k + 1), -h) + n * 2 * math.pi):
+                best = min(best, abs(z.imag) if t_lo <= z.real <= t_hi
+                           else min(abs(z - t_lo), abs(z - t_hi)))
+    return best
+
+
+def test_epitrochoid_zeros_reported_once():
+    # speed^2 has period 2 pi/(k+1), but n fl(2 pi/(k+1)) can fall short of 2 pi
+    # (k = 74: 75 fl(2 pi/75) < 2 pi), so tiling by it would report a zero twice
+    assert 75 * (2 * math.pi / 75) < 2 * math.pi
+    for k in range(1, 149):
+        curve = epi(k, 0.61 / (k + 1))
+        assert _zero_set(curve)[1] == 2 * math.pi / (k + 1)
+        zeros = singularity_scan(curve, 1.0)
+        assert len(zeros) == 2 * (k + 1), k
+        assert len(set(zeros)) == len(zeros)
+        assert all(0.0 <= z.real < 2 * math.pi for z in zeros)
+    zeros = singularity_scan(epi(74, 0.61 / 75), 1.0)
+    assert len(zeros) == 150
+    assert zeros[-1].real == 2 * math.pi * 74 / 75
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_epitrochoid_strip_distance_is_the_closed_form_lattice(k):
+    # bitwise the distance to the closed-form lattice, on the domain and on windows
+    # that leave zeros outside at either end
+    for a in (0.2, 0.5, 0.9, 1.1, 3.0, 60.0):
+        curve = epi(k, a / (k + 1))
+        h = curve.epitrochoid.zero_height
+        assert find_strip(curve).distance == h
+        for window in ((0.3, 1.1), (-1.0, 0.2), (2.0, 9.0), (0.01, 0.02)):
+            assert find_strip(curve, window).distance == _lattice_distance(k, h, *window)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_generic_zero_set_has_the_true_period(k):
+    # the companion-matrix path factors x' + i y' = v^low R(v^(k+1)): period
+    # 2 pi/(k+1) and a distance at the closed form's rounding floor
+    for a in (0.2, 0.5, 0.9, 1.1, 3.0, 60.0):
+        fork = epi(k, a / (k + 1))
+        curve = dataclasses.replace(fork, epitrochoid=None)
+        assert _zero_set(curve)[1] == 2 * math.pi / (k + 1)
+        strip = find_strip(curve)
+        exact = abs(math.log(a)) / (k + 1)
+        assert abs(strip.distance - exact) <= 1e-14 * exact
+        # inside the cap both zero sets give bitwise the same branch
+        t = np.linspace(*curve.domain, 61)
+        s = np.linspace(-strip.cap, strip.cap, 9)
+        sp = speed_squared(curve, t[None, :] + 1j * s[:, None])
+        assert np.array_equal(strip_branch(curve, t[None, :], s[:, None], sp),
+                              strip_branch(fork, t[None, :], s[:, None], sp))

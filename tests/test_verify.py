@@ -5,7 +5,7 @@ import pytest
 
 from bjorling.curves import make_circle, make_cycloid, make_parabola
 from bjorling.continuation import find_strip
-from bjorling.schwarz import surface_patch
+from bjorling.schwarz import BLOCK_ROWS, PatchGrid, surface_patch
 from bjorling.verify import (
     DegenerateMetric,
     geodesic_residual,
@@ -102,3 +102,91 @@ def test_geodesic_residual_resolution_independent():
     r1 = geodesic_residual(curve, patch_for(curve, nt=128, ns=9, frac=0.05))
     r2 = geodesic_residual(curve, patch_for(curve, nt=512, ns=9, frac=0.05))
     assert r1 < 1e-12 and r2 < 1e-12
+
+
+def _dot(u, v):
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _whole_grid_curvature(P, ht, hs):
+    # the unblocked stencils: H and EG - F^2 at every interior vertex
+    ft = (P[1:-1, 2:] - P[1:-1, :-2]) / (2.0 * ht)
+    fs = (P[2:, 1:-1] - P[:-2, 1:-1]) / (2.0 * hs)
+    ftt = (P[1:-1, 2:] - 2.0 * P[1:-1, 1:-1] + P[1:-1, :-2]) / ht**2
+    fss = (P[2:, 1:-1] - 2.0 * P[1:-1, 1:-1] + P[:-2, 1:-1]) / hs**2
+    fts = (P[2:, 2:] - P[2:, :-2] - P[:-2, 2:] + P[:-2, :-2]) / (4.0 * ht * hs)
+    E, F, G = _dot(ft, ft), _dot(ft, fs), _dot(fs, fs)
+    W = E * G - F * F
+    n = np.cross(ft, fs)
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    H = (E * _dot(fss, n) - 2.0 * F * _dot(fts, n) + G * _dot(ftt, n)) / (2.0 * W)
+    return H, W
+
+
+def _whole_grid_conformality(phi):
+    # the unblocked |E - G|/E and |F|/E at every vertex
+    ft, fs = np.real(phi), -np.imag(phi)
+    E = np.sum(ft * ft, axis=-1)
+    G = np.sum(fs * fs, axis=-1)
+    F = np.sum(ft * fs, axis=-1)
+    return np.abs(E - G) / E, np.abs(F) / E
+
+
+def _graph_points(ns, nt=40):
+    # a smooth non-minimal graph over t x s, so every vertex has H != 0
+    t = np.linspace(0.0, 4.0, nt)
+    s = np.linspace(-1.0, 1.0, ns)
+    P = np.empty((ns, nt, 3))
+    P[..., 0], P[..., 1] = t[None, :], s[:, None]
+    P[..., 2] = 0.1 * np.sin(t)[None, :] * np.cosh(s)[:, None]
+    return P, t[1] - t[0], s[1] - s[0]
+
+
+def _seam_rows(first, last):
+    # the rows on either side of each block boundary, blocks of BLOCK_ROWS rows
+    # starting at row `first`, and the last row
+    return sorted({r for b in range(first + BLOCK_ROWS, last + 1, BLOCK_ROWS) for r in (b - 1, b)
+                   if first <= r <= last} | {last})
+
+
+@pytest.mark.parametrize("ns", [3, 34, 35, 65, 129])
+def test_blocked_curvature_equals_the_whole_grid_at_every_seam(ns):
+    base, ht, hs = _graph_points(ns)
+    for row in _seam_rows(1, ns - 2):
+        P = base.copy()
+        P[row, 17, 2] += 0.05   # the largest |H| sits on this row
+        H, W = _whole_grid_curvature(P, ht, hs)
+        assert np.unravel_index(np.argmax(np.abs(H)), H.shape) == (row - 1, 16)
+        assert mean_curvature_residual(P, ht, hs) == float(np.max(np.abs(H)))
+
+
+@pytest.mark.parametrize("ns", [35, 65])
+def test_degenerate_vertex_in_the_last_partial_block_raises(ns):
+    # ft = 0 at the one vertex (ns - 2, 20), the last interior row, which sits
+    # in a block shorter than BLOCK_ROWS
+    assert (ns - 2) % BLOCK_ROWS != 0
+    P, ht, hs = _graph_points(ns)
+    P[ns - 2, 21] = P[ns - 2, 19]
+    with np.errstate(invalid="ignore"):
+        _, W = _whole_grid_curvature(P, ht, hs)
+    assert list(zip(*np.nonzero(W < 1e-14))) == [(ns - 3, 19)]
+    with pytest.raises(DegenerateMetric):
+        mean_curvature_residual(P, ht, hs)
+
+
+@pytest.mark.parametrize("ns", [3, 34, 35, 65, 129])
+def test_blocked_conformality_equals_the_whole_grid_at_every_seam(ns):
+    rng = np.random.default_rng(ns)
+    nt = 24
+    ft = np.array([1.0, 0.0, 0.0]) + 1e-3 * rng.standard_normal((ns, nt, 3))
+    fs = np.array([0.0, 1.0, 0.0]) + 1e-3 * rng.standard_normal((ns, nt, 3))
+    for row in _seam_rows(0, ns - 1):
+        a, b = ft.copy(), fs.copy()
+        b[row, 5] *= 2.0                # |E - G|/E about 3
+        b[row, 11] += 0.5 * a[row, 11]  # |F|/E about 0.5
+        patch = PatchGrid(curve=make_circle(), t_vals=np.arange(nt), s_vals=np.arange(ns),
+                          points=np.zeros((ns, nt, 3)), phi=a - 1j * b)
+        eg, f = _whole_grid_conformality(patch.phi)
+        assert np.unravel_index(np.argmax(eg), eg.shape) == (row, 5)
+        assert np.unravel_index(np.argmax(f), f.shape) == (row, 11)
+        assert patch.conformality_residuals() == (float(np.max(eg)), float(np.max(f)))
