@@ -20,11 +20,8 @@ from .analysis import (
     v_model,
 )
 from .continuation import (
-    BranchJump,
-    PathPolyline,
     SingularityOnPath,
     Strip,
-    continue_sqrt,
     find_strip,
     singularity_scan,
     speed_squared,
@@ -60,7 +57,6 @@ from .schwarz import (
     StripTooWide,
     phi,
     planar_normal,
-    schwarz_integrate,
     surface_patch,
     surface_point,
 )

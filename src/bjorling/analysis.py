@@ -212,7 +212,8 @@ def order_estimate(fn, center: complex | None, ramified: bool, r0: float, sample
     the order of f where the point is ramified (that coordinate is the local
     one squared), twice it where not.  The loop starts at ``samples`` points,
     which must exceed 8 times the winding, and doubles while a step turns by
-    pi/4 or more, the criterion of ``match_branch``.  Raises NonConvergent when
+    pi/4 or more: the ratio p of F at one sample to F at the one before turns
+    by less than pi/4 exactly when |Im p| < Re p.  Raises NonConvergent when
     F is non-finite or zero on the loop, past ORDER_MAX_SAMPLES samples, or on
     an odd winding at an unramified point.
     """

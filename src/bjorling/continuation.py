@@ -13,8 +13,8 @@ np.sqrt(speed^2) negated where it disagrees with prod sqrt(...)^mu_j.  That
 sign comes from the running product of the rank-1 ratios with a tracked cut
 bit, so no root is taken per zero (its core ``strip_branch`` takes t and s
 apart, so a grid does the axis work once).  A segment that passes a zero
-raises ``SingularityOnPath``.  Other paths take
-``continue_sqrt``, which walks straight segments in matched, halving steps.
+raises ``SingularityOnPath``.  This is the package's one square-root rule:
+every patch, surface point, Weierstrass g and CLI command takes it.
 
 The zeros of the speed are exact polynomial roots.  speed^2 factors as
 (x' + i y')(x' - i y'), and for real series the zeros of the second factor
@@ -47,37 +47,12 @@ import numpy as np
 from .curves import PHASE_COS, TWO_PI, InvalidCurveParameters, PlanarCurve
 
 DEFAULT_REFINEMENT = 1e-2
-MAX_STEP_HALVINGS = 40
 # np.roots splits a double root by about 2 sqrt(eps) = 3e-8 (relative)
 ROOT_CLUSTER_TOL = 1e-6
 
 
 class SingularityOnPath(RuntimeError):
     """A zero of the complexified speed lies on or too close to the path."""
-
-
-class BranchJump(RuntimeError):
-    """Continuity tracking failed even after maximal step refinement."""
-
-
-@dataclass(frozen=True)
-class PathPolyline:
-    """Piecewise-linear path in the complex strip.
-
-    ``refinement`` is the clearance from speed^2 zeros the path must keep.
-    """
-
-    vertices: tuple[complex, ...]
-    refinement: float = DEFAULT_REFINEMENT
-
-    def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise ValueError("a path needs at least two vertices")
-        if not self.refinement > 0:
-            raise ValueError("refinement must be positive")
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if a == b:
-                raise ValueError("consecutive path vertices must be distinct")
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,55 +73,6 @@ def speed_squared(curve: PlanarCurve, z):
     vx = dx(z)
     vy = dy(z)
     return vx * vx + vy * vy
-
-
-def match_branch(cand, ref):
-    """Flip each square-root candidate into the half plane of its reference.
-
-    Returns the flipped candidates and the continuity mask: True where the
-    argument turns by less than pi/4 from the reference, which is
-    |Im p| < Re p for p = cand * conj(ref) after the flip.  A vanishing
-    candidate is never continuous.
-    """
-    p = cand * np.conj(ref)
-    return np.where(p.real < 0, -cand, cand), np.abs(p.imag) < np.abs(p.real)
-
-
-def continue_sqrt(f, z_from, z_to, w_from, steps):
-    """Continue a square root of f along straight segments, all entries together.
-
-    ``z_from``, ``z_to`` and ``w_from`` broadcast to one shape of any size, with
-    w_from^2 = f(z_from); f maps an array of points to an array of values.  Each
-    segment is walked in ``steps`` equal fractions, the root at each fraction's
-    midpoint matched to the value before it with ``match_branch`` and the root
-    at its end to the midpoint one.  The fractions that fail either match are
-    halved, on just those entries, until they pass.  Raises SingularityOnPath
-    when a root vanishes and BranchJump past MAX_STEP_HALVINGS halvings.
-    """
-    shape = np.broadcast(z_from, z_to, w_from).shape
-    a, b, w = (np.array(np.broadcast_to(v, shape), dtype=complex).ravel()
-               for v in (z_from, z_to, w_from))
-    return _continue(f, a, b, w, steps, 0).reshape(shape)
-
-
-def _continue(f, a, b, w, steps, depth):
-    prev, n = a, a.size
-    for j in range(1, steps + 1):
-        nxt = b if j == steps else a + (b - a) * (j / steps)
-        pts = np.concatenate([0.5 * (prev + nxt), nxt])
-        cand = np.sqrt(np.asarray(f(pts), dtype=complex))
-        w_mid, ok_mid = match_branch(cand[:n], w)
-        w_next, ok = match_branch(cand[n:], w_mid)
-        bad = np.nonzero(~(ok_mid & ok))[0]
-        if bad.size:
-            if np.any(cand == 0):
-                raise SingularityOnPath("the square root vanishes at %s" % pts[cand == 0][0])
-            if depth >= MAX_STEP_HALVINGS:
-                raise BranchJump("square-root continuation lost continuity between %s and %s"
-                                 % (prev[bad[0]], nxt[bad[0]]))
-            w_next[bad] = _continue(f, prev[bad], nxt[bad], w[bad], 2, depth + 1)
-        prev, w = nxt, w_next
-    return w
 
 
 def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEMENT,

@@ -27,15 +27,12 @@ interpolant's coefficients, and the termwise integral is evaluated at every
 coefficients fall geometrically (Trefethen, ATAP, ch. 8 and 19); columns whose
 series has not converged double n, reusing every sample.  On a patch, x', y'
 and W at the nodes and on the grid come from ``HolomorphicTriple.grid_parts``,
-from the series' 1-D factors on the tensor grid.  ``schwarz_integrate`` runs the
-same rule along each segment of a polyline, with W from ``continue_sqrt``.  A
-patch must stay inside ``Strip.cap`` of the curve's ``Strip`` from
-``continuation.find_strip``.
+from the series' 1-D factors on the tensor grid.  A patch must stay inside
+``Strip.cap`` of the curve's ``Strip`` from ``continuation.find_strip``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,14 +40,9 @@ import numpy as np
 
 from .continuation import (
     DEFAULT_REFINEMENT,
-    PathPolyline,
-    SingularityOnPath,
     Strip,
-    continue_sqrt,
     derivative_series,
     find_strip,
-    singularity_scan,
-    speed_squared,
     strip_branch,
     strip_sqrt_array,
 )
@@ -127,62 +119,11 @@ def planar_normal(curve: PlanarCurve, t):
     return np.stack([-vy / speed, vx / speed, 0.0 * speed], axis=-1)
 
 
-def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    t = ((z - a) * ab.conjugate()).real / (ab * ab.conjugate()).real
-    return abs(z - (a + min(1.0, max(0.0, t)) * ab))
-
-
-def schwarz_integrate(triple: HolomorphicTriple, z0, z1, path: PathPolyline | None = None,
-                      tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Re integral of Phi from z0 to z1 along a polyline (default: straight).
-
-    The planar components are exact, Re x(z1) - Re x(z0) and likewise for y.
-    Only Phi3 = i*W is integrated, by the patch column integrator run along
-    each segment, with W seeded at z0 by the strip branch and continued along
-    the actual path.  So homotopic paths in the zero-free strip agree and paths
-    winding around a speed^2 zero pick up the monodromy sign.  Raises
-    SingularityOnPath when a zero lies within ``path.refinement`` of the path.
-    """
-    z0, z1 = complex(z0), complex(z1)
-    if path is None:
-        if z0 == z1:
-            return np.zeros(3)
-        path = PathPolyline(vertices=(z0, z1))
-    verts = [complex(v) for v in path.vertices]
-    if verts[0] != z0 or verts[-1] != z1:
-        raise ValueError("path endpoints must match z0 and z1")
-    curve = triple.curve
-    xs, ys = [v.real for v in verts], [v.imag for v in verts]
-    for zero in singularity_scan(curve, s_max=max(abs(y) for y in ys) + 0.5,
-                                 t_range=(min(xs) - 0.5, max(xs) + 0.5)):
-        if any(_point_segment_distance(zero, a, b) < path.refinement
-               for a, b in zip(verts, verts[1:])):
-            raise SingularityOnPath(
-                "zero of speed^2 at %s is within %g of the path" % (zero, path.refinement))
-    f = functools.partial(speed_squared, curve)
-    w = strip_sqrt_array(curve, z0, triple.refinement)
-    f3 = 0.0
-    for a, b in zip(verts, verts[1:]):
-        length, steps = abs(b - a), math.ceil(abs(b - a) / path.refinement)
-        def parts(origins, sigma):
-            # W at every node is continued from a, where it is w
-            z = origins[None, :] + (b - a) / length * sigma[:, None]
-            return triple._dx(z), triple._dy(z), continue_sqrt(f, a, z, w, steps)
-
-        f3 += _column_integrals(parts, np.array([a]), (b - a) / length, length, [length],
-                                tol / (len(verts) - 1))[0, 0]
-        w = continue_sqrt(f, a, b, w, steps)
-    (x0, y0), (x1, y1) = curve.eval(z0), curve.eval(z1)
-    return np.array([np.real(x1) - np.real(x0), np.real(y1) - np.real(y0), f3])
-
-
 def surface_point(triple: HolomorphicTriple, t: float, s: float,
                   tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Surface value f(t + i s): exact Re x, Re y and the column integral f3, taken
     over [0, |s|] and negated for s < 0 (f3 is odd in s)."""
-    f3 = _column_integrals(triple.grid_parts, np.array([float(t)]), 1j, abs(s), [abs(s)],
-                           tol)[0, 0]
+    f3 = _column_integrals(triple, np.array([float(t)]), [abs(s)], tol)[0, 0]
     x, y = triple.curve.eval(complex(t, s))
     return np.array([np.real(x), np.real(y), -f3 if s < 0 else f3])
 
@@ -298,29 +239,29 @@ def _chebyshev_increments(coef, x, x0):
     return out
 
 
-def _column_integrals(parts, origins, direction: complex, hi: float, levels, tol: float):
-    """Re int i W dz from each origin to origin + direction * level, shape (L, len(origins)).
+def _column_integrals(triple: HolomorphicTriple, t, levels, tol: float):
+    """-int_0^level Re W(t + i sigma) d sigma for each t and level, shape (L, len(t)).
 
-    ``parts(origins, sigma)`` gives x', y' and W at origins[None, :] + direction *
-    sigma[:, None].  Clenshaw-Curtis over sigma in [0, hi], which holds every
-    level.  A column is done when the upper half of its integrated series
-    sums to within tol or within its rounding floor (the cancellation in x'^2 +
-    y'^2 limits the relative accuracy of W); the others double n, keeping their
-    samples, up to CC_MAX_N.
+    Clenshaw-Curtis over sigma in [0, max(levels)], with x', y' and W from
+    ``triple.grid_parts``.  A column is done when the upper half of its
+    integrated series sums to within tol or within its rounding floor (the
+    cancellation in x'^2 + y'^2 limits the relative accuracy of W); the others
+    double n, keeping their samples, up to CC_MAX_N.
     """
     def sample(k, n, cols):
         sigma = half + half * np.cos(np.pi * k / n)
-        vx, vy, w = parts(origins[cols], sigma)
+        vx, vy, w = triple.grid_parts(t[cols], sigma)
         mag2 = vx.real ** 2 + vx.imag ** 2 + vy.real ** 2 + vy.imag ** 2
-        return ((1j * direction * w).real, ROUNDING_SAFETY * np.finfo(float).eps * hi
+        return (-w.real, ROUNDING_SAFETY * np.finfo(float).eps * hi
                 * np.max(mag2 / np.abs(w), axis=0))
 
-    out = np.zeros((len(levels), len(origins)))
+    out = np.zeros((len(levels), len(t)))
+    hi = max(levels)
     half = 0.5 * hi
     if half == 0.0:
         return out
     x = np.clip((np.asarray(levels, dtype=float) - half) / half, -1.0, 1.0)
-    n, cols = CC_FIRST_N, np.arange(len(origins))
+    n, cols = CC_FIRST_N, np.arange(len(t))
     values, floor = sample(np.arange(n + 1), n, cols)
     while True:
         coef = half * _chebyshev_antiderivative(values)
@@ -342,9 +283,9 @@ def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int
     """Points and Phi (ns, nt, 3) on the grid, by blocks of whole columns, each
     evaluated at the distinct |s| and reflected into the rows with s < 0.
 
-    A block holds about BLOCK_POINTS grid points, which bounds the temporaries
-    of one evaluation; ``workers`` > 1 runs the blocks on threads.  A column's
-    values do not depend on its block.
+    A block holds about BLOCK_POINTS evaluation points (columns times distinct
+    |s|), which bounds the temporaries of one evaluation; ``workers`` > 1 runs
+    the blocks on threads.  A column's values do not depend on its block.
     """
     # the distinct |s| and each row's index among them, in Python: np.unique's sort
     # kernels would add their code pages to the peak RSS of every patch
@@ -360,7 +301,7 @@ def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int
     def fill(cols):
         cols = slice(cols[0], cols[-1] + 1)
         t = t_vals[cols]
-        f3 = _column_integrals(triple.grid_parts, t, 1j, levels[-1], levels, tol)
+        f3 = _column_integrals(triple, t, levels, tol)
         vx, vy, w = triple.grid_parts(t, levels)
         half = np.stack([curve.x.grid(t, levels).real, curve.y.grid(t, levels).real, f3], axis=-1)
         half_phi = np.stack([vx, vy, 1j * w], axis=-1)
@@ -373,7 +314,7 @@ def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int
             np.negative(part, out=part)
 
     blocks = np.array_split(np.arange(len(t_vals)), min(len(t_vals), max(
-        int(workers), -(-len(s_vals) * len(t_vals) // BLOCK_POINTS))))
+        int(workers), -(-len(levels) * len(t_vals) // BLOCK_POINTS))))
     if workers <= 1:
         for cols in blocks:
             fill(cols)

@@ -36,6 +36,32 @@ def metric_length_by_quadrature(k, lam, n=32):
     return 0.5 * s0 * float(weights @ np.sqrt(dens))
 
 
+def continue_sqrt(f, z_from, z_to, w_from, steps):
+    """Oracle: a square root of f continued along straight segments in ``steps``
+    equal steps, every entry of the broadcast z_from, z_to, w_from together.
+
+    w_from^2 = f(z_from), and f maps an array of points to an array of values.
+    Each step takes the roots at its midpoint and at its end with the sign of
+    least turn from the root before (Re p > 0 for p = root * conj(previous)), and
+    fails the test where that turn is pi/4 or more (|Im p| >= |Re p|): the step
+    is too coarse to tell the sheets apart, and nothing halves it.
+    """
+    shape = np.broadcast(z_from, z_to, w_from).shape
+    a, b, w = (np.array(np.broadcast_to(v, shape), dtype=complex).ravel()
+               for v in (z_from, z_to, w_from))
+    prev, n = a, a.size
+    for j in range(1, steps + 1):
+        nxt = b if j == steps else a + (b - a) * (j / steps)
+        roots = np.sqrt(np.asarray(f(np.concatenate([0.5 * (prev + nxt), nxt])), dtype=complex))
+        for root in (roots[:n], roots[n:]):
+            p = root * np.conj(w)
+            if not np.all(np.abs(p.imag) < np.abs(p.real)):
+                pytest.fail("a continuation step turns the root by pi/4 or more")
+            w = np.where(p.real < 0, -root, root)
+        prev = nxt
+    return w.reshape(shape)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -18,10 +18,9 @@ from bjorling.analysis import (
     pullback_residual,
     v_model,
 )
-from bjorling.continuation import continue_sqrt
 from bjorling.curves import EpitrochoidParams, InvalidCurveParameters
 
-from conftest import metric_length_by_quadrature
+from conftest import continue_sqrt, metric_length_by_quadrature
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from bjorling import analysis, continuation, meshing, schwarz
+from bjorling import analysis, continuation, meshing
 from bjorling.cli import main
 from bjorling.continuation import find_strip
 from bjorling.meshing import export_csv, sample_mesh
@@ -87,8 +87,7 @@ def test_one_zero_scan_per_command(command, curve, tmp_path, monkeypatch, capsys
         calls[0] += 1
         return scan(*args, **kwargs)
 
-    for module in (continuation, schwarz):
-        monkeypatch.setattr(module, "singularity_scan", counting_scan)
+    monkeypatch.setattr(continuation, "singularity_scan", counting_scan)
     argv = [command, "--curve", curve, "--nt", "32", "--ns", "9"]
     if command == "generate":
         argv += ["--out", str(tmp_path / "x")]

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from bjorling.continuation import BranchJump, PathPolyline, continue_sqrt
 from bjorling.weierstrass import DivisionNearZero, data_from_phi
 
 
@@ -20,23 +19,6 @@ def test_division_near_zero_at_pole_of_g():
     with pytest.raises(DivisionNearZero):
         data.g(0.0)
     assert abs(data.g(1.0) - 1.0) < 1e-15
-
-
-def test_branch_jump_guard_trips_on_discontinuity():
-    # a jump 1 -> -1 rotates the root by pi/2 across any step, so halving
-    # can never meet the pi/4 continuity criterion
-    f = lambda z: np.where(z.real < 0.3, 1.0, -1.0)
-    with pytest.raises(BranchJump):
-        continue_sqrt(f, 0.0, 1.0, 1.0 + 0j, 1)
-
-
-def test_path_polyline_validation():
-    with pytest.raises(ValueError):
-        PathPolyline(vertices=(0j,))
-    with pytest.raises(ValueError):
-        PathPolyline(vertices=(0j, 0j))
-    with pytest.raises(ValueError):
-        PathPolyline(vertices=(0j, 1j), refinement=0.0)
 
 
 def test_toml_config_when_supported(tmp_path):

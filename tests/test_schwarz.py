@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bjorling import schwarz
-from bjorling.continuation import PathPolyline, SingularityOnPath, find_strip
+from bjorling.continuation import SingularityOnPath, find_strip
 from bjorling.curves import PlanarCurve, TrigPolySeries, make_circle, make_cycloid, make_parabola
 from bjorling.schwarz import (
     CC_FIRST_N,
@@ -15,7 +15,6 @@ from bjorling.schwarz import (
     StripTooWide,
     phi,
     planar_normal,
-    schwarz_integrate,
     surface_patch,
     surface_point,
 )
@@ -80,41 +79,6 @@ def test_planar_normal():
     assert np.allclose(planar_normal(make_cycloid(), math.pi), [0.0, 1.0, 0.0])
     n = planar_normal(epi(3, 0.6), 1.234)
     assert abs(np.linalg.norm(n) - 1.0) < 1e-14
-
-
-def test_schwarz_integrate_catenoid_closed_form():
-    triple = phi(make_circle())
-    for t, s in ((0.0, 1.0), (1.3, -0.7), (2 * math.pi, 0.5), (4.0, 0.0)):
-        got = schwarz_integrate(triple, 0.0, t + 1j * s)
-        assert np.max(np.abs(got - catenoid(t, s))) < 1e-10
-
-
-def test_schwarz_integrate_empty_and_closure():
-    triple = phi(epi(2, 0.5))
-    assert np.allclose(schwarz_integrate(triple, 0.3, 0.3), 0.0)
-    out = schwarz_integrate(triple, 0.0, 2 * math.pi)
-    assert np.max(np.abs(out)) < 1e-10
-
-
-def test_schwarz_integrate_path_independence():
-    triple = phi(epi(2, 0.5))
-    z = 1.0 + 0.1j
-    direct = schwarz_integrate(triple, 0.0, z)
-    dog = schwarz_integrate(triple, 0.0, z,
-                            path=PathPolyline(vertices=(0j, 0.5 - 0.05j, 1.0 + 0j, z)))
-    assert np.max(np.abs(direct - dog)) < 1e-10
-
-
-def test_schwarz_integrate_matches_patch_column():
-    # t -> t + is along the patch column gives the patch f3 at that node
-    curve = epi(2, 0.5)
-    cap = find_strip(curve).cap
-    patch = surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
-    triple = phi(curve)
-    for j, l in ((0, 32), (37, 0), (100, 20), (255, 9)):
-        t, s = patch.t_vals[j], patch.s_vals[l]
-        got = schwarz_integrate(triple, t, t + 1j * s)
-        assert abs(got[2] - patch.points[l, j, 2]) < 1e-13
 
 
 def test_surface_patch_rows_and_anchor():
@@ -214,6 +178,34 @@ def test_symmetric_patch_is_its_own_reflection_bitwise(curve, ns):
         assert np.all(ph[mid, :, :2].imag == 0.0) and np.all(ph[mid, :, 2].real == 0.0)
     threaded = surface_patch(curve, curve.domain, (-cap, cap), 48, ns, workers=3)
     assert _bits_equal(threaded.points, pts) and _bits_equal(threaded.phi, ph)
+
+
+@pytest.mark.parametrize("curve", [epi(2, 0.5), make_parabola()], ids=lambda c: c.label)
+def test_symmetric_patch_does_not_depend_on_its_blocks(curve, monkeypatch):
+    # one block for the whole patch against one column per block, bit for bit
+    cap = find_strip(curve).cap
+    whole = surface_patch(curve, curve.domain, (-cap, cap), 48, 33)
+    monkeypatch.setattr(schwarz, "BLOCK_POINTS", 1)
+    split = surface_patch(curve, curve.domain, (-cap, cap), 48, 33)
+    assert _bits_equal(split.points, whole.points) and _bits_equal(split.phi, whole.phi)
+
+
+def test_block_bound_counts_the_distinct_levels(monkeypatch):
+    # a symmetric 256 x 129 patch is evaluated at 65 |s| levels: 16640 points,
+    # one block under BLOCK_POINTS, though its 33024 rows x columns are two
+    calls = [0]
+    column_integrals = schwarz._column_integrals
+
+    def counting(*args):
+        calls[0] += 1
+        return column_integrals(*args)
+
+    monkeypatch.setattr(schwarz, "_column_integrals", counting)
+    curve = epi(2, 0.5)
+    cap = find_strip(curve).cap
+    surface_patch(curve, curve.domain, (-cap, cap), 256, 129)
+    assert 65 * 256 <= schwarz.BLOCK_POINTS < 129 * 256
+    assert calls[0] == 1
 
 
 def test_patch_workers_deterministic():
