@@ -3,12 +3,17 @@ verification, and zero/pole table reproduction.
 
 Identical configuration produces byte-identical outputs; timestamps only
 appear behind --timestamp.
+
+The parser is built once per process, on the first `main` call, and reused by
+every later call.  It holds only immutable defaults and each call parses into a
+fresh Namespace; the command function is looked up by name at each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -204,15 +209,26 @@ def _verify_window(curve, strip, halfwidth: float, nt: int, target: float = 2.5e
 
     A coarse probe patch estimates the ht^2 error constant; the window is
     anchored at the domain start (a lobe waist for epitrochoids) and shrunk
-    only when the full domain cannot meet `target` at the requested nt.
+    only when the full domain cannot meet `target` at the requested nt.  A
+    probe whose squared spacings are not finite and positive (h^2 underflows
+    or overflows), or whose error constant is not finite, is invalid input.
     """
     t_lo, t_hi = curve.domain
     length = t_hi - t_lo
+    ht, hs = length / 127.0, 2.0 * halfwidth / 64.0  # the probe's spacings
+    ht2, hs2 = ht * ht, hs * hs
+    if not (0.0 < min(ht2, hs2) and math.isfinite(max(ht2, hs2))):
+        raise InvalidCurveParameters(
+            "verify's window probe cannot resolve a domain of length %g and a strip "
+            "of half-width %g" % (length, halfwidth))
     probe = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), 128, 65, strip=strip)
     h_probe = verify.mean_curvature_residual(
         probe.points, probe.t_vals[1] - probe.t_vals[0],
         probe.s_vals[1] - probe.s_vals[0])
-    c_t = h_probe / (length / 127.0) ** 2
+    c_t = h_probe / ht2
+    if not math.isfinite(c_t):
+        raise InvalidCurveParameters(
+            "verify's window probe found no finite curvature error constant (%g)" % c_t)
     if c_t <= 0:
         return curve.domain
     ext = (nt - 1) * math.sqrt(target / c_t)
@@ -223,6 +239,8 @@ def _verify_window(curve, strip, halfwidth: float, nt: int, target: float = 2.5e
 
 def cmd_verify(args) -> int:
     _check_patch_args(args)
+    if args.nt < 3:
+        raise InvalidCurveParameters("verify's stencils need an interior column: --nt >= 3")
     curve = _build_curve(args)
     strip = find_strip(curve)
     halfwidth = _halfwidth(strip, args.s_fraction)
@@ -248,7 +266,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: built on the first call and returned by every
+    later one, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="bjorling",
         description="Minimal surfaces through planar geodesics: generation, "
@@ -262,36 +283,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--clip", action="store_true",
                        help="also export the half cut away by the x1x2-plane")
     p_gen.add_argument("--timestamp", action="store_true")
-    p_gen.set_defaults(func=cmd_generate)
 
     p_tab = sub.add_parser("table", help="reproduce the zero/pole order table")
     p_tab.add_argument("--k", type=int, required=True)
     p_tab.add_argument("--lambda", dest="lam", type=float, required=True)
     p_tab.add_argument("--json", help="write the table as JSON")
     p_tab.add_argument("--timestamp", action="store_true")
-    p_tab.set_defaults(func=cmd_table)
 
     p_ana = sub.add_parser("analyze", help="degeneration report for an epitrochoid")
     p_ana.add_argument("--k", type=int, required=True)
     p_ana.add_argument("--lambda", dest="lam", type=float, required=True)
     p_ana.add_argument("--json", help="write the report as JSON")
     p_ana.add_argument("--timestamp", action="store_true")
-    p_ana.set_defaults(func=cmd_analyze)
 
     p_ver = sub.add_parser("verify", help="independent patch checks")
     _add_curve_args(p_ver)
     _add_patch_args(p_ver, ns=129, s_fraction=0.5)
     p_ver.add_argument("--json", help="write the report as JSON")
     p_ver.add_argument("--timestamp", action="store_true")
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at each call, so the cached parser holds no function
+        return globals()["cmd_" + args.command](args)
     except (InvalidCurveParameters, StripTooWide) as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
         return EXIT_BAD_PARAMS

@@ -1,12 +1,14 @@
+import argparse
 import concurrent.futures
 import hashlib
 import json
+import os
 import threading
 
 import numpy as np
 import pytest
 
-from bjorling import analysis, continuation, meshing
+from bjorling import analysis, cli, continuation, meshing
 from bjorling.cli import main
 from bjorling.continuation import find_strip
 from bjorling.meshing import export_csv, sample_mesh
@@ -171,6 +173,15 @@ def test_generate_rejects_cusped_parameters(tmp_path, capsys):
     # grids need two nodes per direction
     ["generate", "--curve", "circle", "--nt", "1"],
     ["verify", "--curve", "circle", "--nt", "1"],
+    # verify's stencils need an interior column
+    ["verify", "--curve", "circle", "--nt", "2"],
+    ["verify", "--curve", "circle", "--nt", "2", "--ns", "9"],
+    # the window probe's h^2 underflows: hs on the circle, ht on the parabola
+    ["verify", "--curve", "circle", "--s-fraction", "1e-300"],
+    ["verify", "--curve", "parabola", "--half-width", "1e-300"],
+    # ht^2 overflows (1e200); the probe's error constant is inf (1e-155)
+    ["verify", "--curve", "parabola", "--half-width", "1e200"],
+    ["verify", "--curve", "parabola", "--half-width", "1e-155"],
 ])
 def test_bad_input_exits_with_bad_params(argv, tmp_path, capsys):
     if argv[0] == "generate":
@@ -375,3 +386,61 @@ def test_timestamp_only_behind_flag(tmp_path):
           "--out", str(out), "--timestamp"])
     summary = json.loads((out / "circle_summary.json").read_text())
     assert "generated_at" in summary
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    counts = []
+    for argv in (["generate", "--curve", "circle", "--nt", "8", "--ns", "3",
+                  "--out", str(tmp_path / "g")],
+                 ["verify", "--curve", "circle", "--nt", "128", "--ns", "17"],
+                 ["table", "--k", "2", "--lambda", "0.5"],
+                 ["analyze", "--k", "2", "--lambda", "0.5"]):
+        assert main(argv) == 0, argv
+        counts.append(len(added))
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 4
+    assert cli.build_parser.cache_info().misses == 1
+    # the command is looked up at each call, not held by the cached parser
+    monkeypatch.setattr(cli, "cmd_table", lambda args: 7)
+    assert main(["table", "--k", "2", "--lambda", "0.5"]) == 7
+
+
+def test_generate_clip_does_not_leak_into_the_next_call(tmp_path, capsys):
+    argv = ["generate", "--curve", "circle", "--nt", "8", "--ns", "3"]
+    assert main(argv + ["--clip", "--out", str(tmp_path / "a")]) == 0
+    assert (tmp_path / "a" / "circle_halfcut.obj").exists()
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert sorted(os.listdir(tmp_path / "b")) == ["circle.obj", "circle.ply",
+                                                 "circle_summary.json"]
+
+
+def test_verify_json_does_not_leak_into_the_next_call(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--curve", "circle", "--nt", "128", "--ns", "17"]
+    assert main(argv + ["--json", "p"]) == 0
+    written = (tmp_path / "p").read_bytes()
+    assert main(argv) == 0
+    assert os.listdir(tmp_path) == ["p"]
+    assert (tmp_path / "p").read_bytes() == written
+
+
+def test_parse_error_does_not_leak_into_the_next_call(tmp_path, capsys):
+    argv = ["table", "--k", "2", "--lambda", "0.5"]
+    first = main(argv), capsys.readouterr().out
+    # --k and --json are parsed before --lambda fails
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--k", "3", "--json", str(tmp_path / "t.json"), "--lambda", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert (main(argv), capsys.readouterr().out) == first
+    assert first[0] == 0
+    assert not (tmp_path / "t.json").exists()
