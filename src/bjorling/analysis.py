@@ -21,7 +21,10 @@ fails to immerse there, at finite intrinsic distance from the geodesic.
 
 Orders of zeros and poles are counted numerically by the argument principle,
 never read off symbolically: each is the winding number of a single-valued
-square (g^2, or eta^2 written in the local coordinate) on one small loop.
+square (g^2, or eta^2 written in the local coordinate) on one small loop.  The
+loops are counted in batches, one array of (loops x samples) per group of points
+that share ``ramified`` and ``at_infinity``: g^2 and eta^2 come from one power
+v^{k+1} on that array, and each row is checked, and its loop doubled, on its own.
 """
 
 from __future__ import annotations
@@ -129,24 +132,24 @@ class VModel:
         """eta_coeff with vk = v^{k+1} and vk3 = v^{k+3}."""
         return self.eta_constant * (vk - self.a) / vk3
 
-    def g_squared(self, v):
-        """g^2 = w^2 (v^p / (v^{k+1} - a))^2: rational in v, no branch of w."""
-        vk = v ** (self.k + 1)
-        return self._w_squared(v, vk) * (v**self.p_exponent / (vk - self.a)) ** 2
+    def loop_squares(self, v, at_infinity: bool, ramified: bool):
+        """g^2 and (eta/dl)^2 at v, stacked on a new leading axis, from one power
+        v^{k+1} (slow in numpy from 100 on); neither takes a branch of w.
 
-    def eta_squared(self, v, at_infinity: bool, ramified: bool):
-        """(eta/dl)^2 = eta_coeff(v)^2 (dv/dl)^2 in the local coordinate l: v - v0, or
-        u = 1/v at infinity with (dv/du)^2 = v^4; where ramified, the square root of
-        that coordinate, with (dv/dw)^2 = 4p/p'^2 (p = w^2) and (du/dtau)^2 = 4/v.
-        v^k and v^{k+3} come from the one power v^{k+1} (slow in numpy from 100 on)."""
+        g^2 = w^2 (v^p / (v^{k+1} - a))^2.  (eta/dl)^2 = eta_coeff(v)^2 (dv/dl)^2 in
+        the local coordinate l: v - v0, or u = 1/v at infinity with (dv/du)^2 = v^4;
+        where ramified, the square root of that coordinate, with (dv/dw)^2 = 4p/p'^2
+        (p = w^2) and (du/dtau)^2 = 4/v.  v^k and v^{k+3} come from v^{k+1}."""
         vk = v ** (self.k + 1)
+        w2 = self._w_squared(v, vk)
+        g2 = w2 * (v**self.p_exponent / (vk - self.a)) ** 2
         eta2 = self._eta_coeff(vk, vk * v * v) ** 2
         if at_infinity:
-            return eta2 * v**4 * (4.0 / v if ramified else 1.0)
-        if ramified:
+            eta2 = eta2 * v**4 * (4.0 / v if ramified else 1.0)
+        elif ramified:
             p_prime = self._w_squared_prime(v, vk, (self.k + 1) * vk / v)
-            return eta2 * (4.0 * (self._w_squared(v, vk) / p_prime) / p_prime)
-        return eta2
+            eta2 = eta2 * (4.0 * (w2 / p_prime) / p_prime)
+        return np.stack((g2, eta2))
 
     def w_on_geodesic(self, t):
         """w at v = e^{it}, continued along the unit circle from w(0) = -i|1 - a|.
@@ -204,30 +207,56 @@ def degeneracy_points(model: VModel) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def order_estimate(fn, center: complex | None, ramified: bool, r0: float, samples: int) -> int:
-    """Order of f at a point from the winding of F = f^2 (fn: array of v -> F in the
-    local coordinate) on |v - center| = r0, or on |1/v| = r0 if center is None.
+def order_estimate(fn, centers, ramified: bool, r0, samples: int) -> np.ndarray:
+    """Orders of f at a batch of points, each from the winding of F = f^2 on its own
+    loop: |v - centers[j]| = r0[j], or |1/v| = r0[j] if centers is None (at infinity).
 
-    By the argument principle F winds once per order in the chart coordinate:
-    the order of f where the point is ramified (that coordinate is the local
-    one squared), twice it where not.  The loop starts at ``samples`` points,
-    which must exceed 8 times the winding, and doubles while a step turns by
-    pi/4 or more: the ratio p of F at one sample to F at the one before turns
-    by less than pi/4 exactly when |Im p| < Re p.  Raises NonConvergent when
-    F is non-finite or zero on the loop, past ORDER_MAX_SAMPLES samples, or on
-    an odd winding at an unramified point.
+    fn maps the loops' samples v, shape (loops, samples), to F in the local
+    coordinate: of that shape, or with leading axes for several functions on the
+    same loops.  Each row (one F on one loop) is one winding count, and the orders
+    come back in F's shape less its samples axis.  By the argument principle F
+    winds once per order in the chart coordinate: the order of f where the points
+    are ramified (that coordinate is the local one squared), twice it where not.
+    The loops start at ``samples`` points, which must exceed 8 times the largest
+    winding.  A row is settled once no step turns by pi/4 or more: the ratio p of F
+    at one sample to F at the one before turns by less than pi/4 exactly when
+    |Im p| < Re p.  Only the loops with a row still unsettled are evaluated again,
+    at twice the samples, and only those rows are checked, so each row gets the
+    order its loop alone gives.  Raises NonConvergent when an unsettled row's F is
+    non-finite or zero on its loop, past ORDER_MAX_SAMPLES samples, or on an odd
+    winding at an unramified point.
     """
+    r0 = np.asarray(r0, dtype=float)
+    centers = None if centers is None else np.asarray(centers, dtype=complex)
+    todo = np.arange(r0.size)  # the loops with a row still unsettled
+    orders = None
     while samples <= ORDER_MAX_SAMPLES:
-        c = r0 * np.exp(2j * math.pi * np.arange(samples) / samples)
-        vals = np.asarray(fn(1.0 / c if center is None else center + c), dtype=complex)
-        if not np.all(np.isfinite(vals) & (vals != 0)):
-            raise NonConvergent("square not finite and nonzero on the loop of radius %g" % r0)
-        steps = np.roll(vals, -1) / vals
-        if np.all(np.abs(steps.imag) < steps.real):
-            winding = round(float(np.sum(np.angle(steps))) / (2.0 * math.pi))
-            if winding % 2 and not ramified:
-                raise NonConvergent("odd winding %d at an unramified point" % winding)
-            return winding if ramified else winding // 2
+        c = r0[todo, None] * np.exp(2j * math.pi * np.arange(samples) / samples)
+        vals = np.asarray(fn(1.0 / c if centers is None else centers[todo, None] + c),
+                          dtype=complex)
+        if orders is None:
+            shape = vals.shape[:-1]
+            orders = np.zeros(shape, dtype=int).reshape(-1, r0.size)  # (functions, loops)
+            unsettled = np.ones(orders.shape, dtype=bool)
+        fun, loop = np.nonzero(unsettled[:, todo])
+        rows = vals.reshape(-1, todo.size, samples)[fun, loop]
+        loop = todo[loop]
+        bad = ~np.all(np.isfinite(rows) & (rows != 0), axis=-1)
+        if np.any(bad):
+            raise NonConvergent("square not finite and nonzero on the loop of radius %g"
+                                % r0[loop[np.argmax(bad)]])
+        steps = np.roll(rows, -1, axis=-1) / rows
+        done = np.all(np.abs(steps.imag) < steps.real, axis=-1)
+        winding = np.round(np.sum(np.angle(steps[done]), axis=-1) / (2.0 * math.pi))
+        winding = winding.astype(int)
+        odd = winding % 2 == 1
+        if np.any(odd) and not ramified:
+            raise NonConvergent("odd winding %d at an unramified point" % winding[odd][0])
+        orders[fun[done], loop[done]] = winding if ramified else winding // 2
+        unsettled[fun[done], loop[done]] = False
+        todo = np.flatnonzero(np.any(unsettled, axis=0))
+        if todo.size == 0:
+            return orders.reshape(shape)
         samples *= 2
     raise NonConvergent("steps still turn by pi/4 or more at %d samples" % ORDER_MAX_SAMPLES)
 
@@ -297,35 +326,50 @@ def _point_classes(model: VModel) -> tuple:
     )
 
 
-def _orders_at(model: VModel, specials: tuple, i: int | None,
-               ramified: bool) -> tuple[int, int]:
-    """(ord g, ord eta) at entry i of specials = (0,) + degeneracy_points(model), i
-    None for infinity, by winding numbers.
+def _loop_orders(model: VModel, specials: tuple, points, ramified: bool) -> np.ndarray:
+    """Orders (ord g row, ord eta row) at the given entries of specials = (0,) +
+    degeneracy_points(model), or at infinity if points is (None,), all ramified or
+    all not, by one batched ``order_estimate`` on ``VModel.loop_squares``.
 
-    ``order_estimate`` counts each on ``VModel.g_squared`` and ``VModel.eta_squared``
-    from 32(k+3) samples, above 8 times the largest winding 2k+6.  r0 is a tenth of the
-    distance to the nearest other special point (in u = 1/v at infinity), a twentieth at
-    branch points, where eta's square also has poles at the zeros of (w^2)': they come
-    within 0.099 of that distance (k = 6, a far from 1).
+    The loops start at 32(k+3) samples, above 8 times the largest winding 2k+6.  r0 is
+    a tenth of the distance to the nearest other special point (in u = 1/v at
+    infinity), a twentieth at branch points, where eta's square also has poles at the
+    zeros of (w^2)': they come within 0.099 of that distance (k = 6, a far from 1).
     """
-    v0 = None if i is None else specials[i]
-    r0 = (0.1 / max(abs(p) for p in specials) if v0 is None else
-          (0.1 if i == 0 else 0.05) * min(abs(v0 - p) for p in specials if p is not v0))
-    samples = 32 * (model.k + 3)
-    return (order_estimate(model.g_squared, v0, ramified, r0, samples),
-            order_estimate(lambda v: model.eta_squared(v, v0 is None, ramified),
-                           v0, ramified, r0, samples))
+    at_infinity = points[0] is None
+    if at_infinity:
+        centers, r0 = None, [0.1 / max(abs(p) for p in specials)]
+    else:
+        centers = [specials[i] for i in points]
+        r0 = [(0.1 if i == 0 else 0.05)
+              * min(abs(specials[i] - p) for j, p in enumerate(specials) if j != i)
+              for i in points]
+    return order_estimate(lambda v: model.loop_squares(v, at_infinity, ramified),
+                          centers, ramified, r0, 32 * (model.k + 3))
+
+
+def _batches(model: VModel) -> dict:
+    """{(ramified, at infinity): [(label, i), ...]}: the classes of ``_point_classes``
+    whose loops one ``_loop_orders`` call counts together."""
+    out: dict = {}
+    for label, i, ramified, _ in _point_classes(model):
+        out.setdefault((ramified, i is None), []).append((label, i))
+    return out
 
 
 def order_table(model: VModel) -> OrderTable:
-    """Orders at the punctures, degeneration points and infinity (``_orders_at``)."""
+    """Orders at the punctures, degeneration points and infinity, one batch of loops
+    per ``_batches`` entry: at most three."""
     specials = (0j,) + degeneracy_points(model)
-    rows = []
-    for label, i, ramified, _ in _point_classes(model):
-        g_order, eta_order = _orders_at(model, specials, i, ramified)
-        rows.append(OrderRow(point=label, g_order=g_order, eta_order=eta_order,
-                             flagged=i is None and model.e == 0))
-    return OrderTable(k=model.k, lam=model.lam, rows=tuple(rows))
+    orders = {}
+    for (ramified, _), members in _batches(model).items():
+        g_orders, eta_orders = _loop_orders(model, specials, [i for _, i in members],
+                                            ramified).tolist()
+        orders.update(zip([label for label, _ in members], zip(g_orders, eta_orders)))
+    rows = tuple(OrderRow(point=label, g_order=orders[label][0], eta_order=orders[label][1],
+                          flagged=i is None and model.e == 0)
+                 for label, i, _, _ in _point_classes(model))
+    return OrderTable(k=model.k, lam=model.lam, rows=rows)
 
 
 def divisor_degree_check(table: OrderTable, model: VModel) -> tuple[int, int]:
@@ -396,8 +440,10 @@ def obstruction_report(model: VModel) -> DegeneracyReport:
     specials = (0j,) + degeneracy_points(model)
     pts = specials[1:]
     dens = tuple(model.metric_density(v0, 0.0) for v0 in pts)
-    orders = [_orders_at(model, specials, i, True) for i in range(1, len(specials))]
-    expos = tuple(2 * (eta_order + 2 * min(g_order, 0)) for g_order, eta_order in orders)
+    g_orders, eta_orders = _loop_orders(model, specials, range(1, len(specials)),
+                                        True).tolist()
+    expos = tuple(2 * (eta_order + 2 * min(g_order, 0))
+                  for g_order, eta_order in zip(g_orders, eta_orders))
     return DegeneracyReport(
         k=model.k,
         lam=model.lam,

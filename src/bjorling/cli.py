@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, meshing, verify, weierstrass
 from .continuation import find_strip
 from .curves import InvalidCurveParameters, curve_from_config, regularity_margin
-from .schwarz import StripTooWide, surface_patch
+from .schwarz import QuadratureFailure, StripTooWide, surface_patch
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -314,6 +314,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_PARAMS
     except analysis.NonConvergent as exc:
         print("order count failed: %s" % exc, file=sys.stderr)
+        return EXIT_THRESHOLD
+    except QuadratureFailure as exc:
+        print("quadrature failed: %s" % exc, file=sys.stderr)
         return EXIT_THRESHOLD
     except OSError as exc:
         print("io failure: %s" % exc, file=sys.stderr)

@@ -8,6 +8,9 @@ import pytest
 
 from bjorling.analysis import (
     NonConvergent,
+    VModel,
+    _batches,
+    _loop_orders,
     degeneracy_points,
     divisor_degree_check,
     expected_orders,
@@ -18,6 +21,7 @@ from bjorling.analysis import (
     pullback_residual,
     v_model,
 )
+from bjorling.cli import main
 from bjorling.curves import EpitrochoidParams, InvalidCurveParameters
 
 from conftest import continue_sqrt, metric_length_by_quadrature
@@ -25,6 +29,25 @@ from conftest import continue_sqrt, metric_length_by_quadrature
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 WITNESS_PARAMS = [(2, 0.5), (2, 2.0), (3, 0.6), (4, 0.4)]
+
+DIVISOR_SWEEP = [
+    (2, 0.5), (3, 0.6),
+    # a near 1
+    (2, 0.32), (3, 0.26), (12, 0.95 / 13),
+    # a >> 1
+    (1, 30.0), (2, 100.0),
+    # large k, up to the largest that v_model accepts at a = 0.61
+    (8, 0.1), (20, 0.8 / 21), (44, 0.61 / 45), (48, 0.61 / 49), (50, 0.61 / 51),
+    (60, 0.01), (148, 0.61 / 149),
+    # a^(1/(k+1)) or a^(-1/(k+1)) below 1e-12
+    (2, 1e-40), (2, 1e-100), (3, 1e-60), (2, 1e40),
+    # a zero of (w^2)' within a tenth of the spacing of a branch point
+    (6, 1.1e-4), (6, 1e-6), (6, 200.0),
+] + [
+    # every k up to 12 at a = 1.3 * 10^d: at the extremes of a the zeros of (w^2)'
+    # come nearest the branch points, by a ratio that depends on k
+    (k, 1.3 * 10.0**d / (k + 1)) for k in range(1, 13) for d in range(-45, 46, 15)
+]
 
 
 def test_v_model_even():
@@ -71,24 +94,27 @@ def test_w_squared_prime_matches_finite_difference(rng):
 
 @pytest.mark.parametrize("k,lam", [(2, 0.5), (3, 0.6), (1, 30.0), (148, 0.61 / 149)])
 def test_loop_squares_match_the_model_functions(k, lam, rng):
-    # g^2 and eta^2 share one power v^{k+1}; the model's own w^2, (w^2)' and
-    # eta_coeff, each with its own powers, must give the same squares
+    # loop_squares takes g^2 and eta^2 from one shared power v^{k+1}; the model's own
+    # w^2, (w^2)' and eta_coeff, each with its own powers, must give the same squares
     model = v_model(k, lam)
     radius = model.a ** (1.0 / (k + 1))
-    v = radius * np.exp(2j * math.pi * rng.random(64)) * (1.0 + 0.05 * rng.standard_normal(64))
+    v = radius * np.exp(2j * math.pi * rng.random((2, 32))) * (
+        1.0 + 0.05 * rng.standard_normal((2, 32)))
     vk = v ** (k + 1)
     g2 = model.w_squared(v) * (v ** model.p_exponent / (vk - model.a)) ** 2
     eta2 = model.eta_coeff(v) ** 2
     expect = {
-        "g": (model.g_squared(v), g2),
-        "eta": (model.eta_squared(v, False, False), eta2),
-        "eta ramified": (model.eta_squared(v, False, True),
-                         eta2 * 4.0 * model.w_squared(v) / model.w_squared_prime(v) ** 2),
-        "eta at infinity": (model.eta_squared(v, True, False), eta2 * v**4),
-        "eta ramified at infinity": (model.eta_squared(v, True, True), eta2 * v**4 * 4.0 / v),
+        (False, False): eta2,
+        (False, True): eta2 * 4.0 * model.w_squared(v) / model.w_squared_prime(v) ** 2,
+        (True, False): eta2 * v**4,
+        (True, True): eta2 * v**4 * 4.0 / v,
     }
-    for name, (got, want) in expect.items():
-        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-11, name
+    for (at_infinity, ramified), want_eta2 in expect.items():
+        got = model.loop_squares(v, at_infinity, ramified)
+        assert got.shape == (2,) + v.shape
+        for name, row, want in (("g", got[0], g2), ("eta", got[1], want_eta2)):
+            assert np.max(np.abs(row - want) / np.abs(want)) < 1e-11, (
+                name, at_infinity, ramified)
 
 
 @pytest.mark.parametrize("k,lam", WITNESS_PARAMS)
@@ -140,22 +166,94 @@ def test_order_estimate_known_orders():
         return np.vectorize(lambda v: fn(v) ** 2, otypes=[complex])
 
     v0 = 1.5 ** (1 / 3)
-    assert order_estimate(squared(g_of_v), complex(v0), True, 0.02, 160) == -1
-    assert order_estimate(squared(g_of_v), 0j, True, 0.05, 160) == 5
-    assert order_estimate(squared(eta_local), 0j, True, 0.05, 160) == -9
+    assert order_estimate(squared(g_of_v), [v0], True, [0.02], 160).tolist() == [-1]
+    assert order_estimate(squared(g_of_v), [0j], True, [0.05], 160).tolist() == [5]
+    assert order_estimate(squared(eta_local), [0j], True, [0.05], 160).tolist() == [-9]
 
 
 def test_order_estimate_raises_when_square_vanishes_on_loop():
     # v - 0.05 is zero at the loop's first sample v = r0
     with pytest.raises(NonConvergent):
-        order_estimate(lambda v: v - 0.05, 0j, False, 0.05, 64)
+        order_estimate(lambda v: v - 0.05, [0j], False, [0.05], 64)
 
 
 def test_order_estimate_raises_on_odd_unramified_winding():
     # a square winds an even number of times around an unramified point
     with pytest.raises(NonConvergent):
-        order_estimate(lambda v: v**3, 0j, False, 0.05, 64)
-    assert order_estimate(lambda v: v**3, 0j, True, 0.05, 64) == 3
+        order_estimate(lambda v: v**3, [0j], False, [0.05], 64)
+    assert order_estimate(lambda v: v**3, [0j], True, [0.05], 64).tolist() == [3]
+
+
+def test_order_estimate_raises_on_one_odd_row_of_a_batch():
+    def squares(v):
+        return np.stack((v**2, v**3))
+
+    with pytest.raises(NonConvergent, match="odd winding 3"):
+        order_estimate(squares, [0j, 1j], False, [0.05, 0.05], 64)
+    assert order_estimate(squares, [0j, 1j], True, [0.05, 0.05], 64).tolist() == [[2, 0],
+                                                                                 [3, 0]]
+
+
+def test_order_estimate_doubles_only_the_rows_that_turn_too_far():
+    # v^20 turns by 20 * 2pi/n per step, so it needs 256 samples.  The other row is
+    # v^3, except at z1, the second sample of the 128-point loop, where 0/(v - z1)
+    # makes it nan: on its own it settles at 64 samples and never meets z1
+    z1 = np.exp(2j * math.pi / 128)
+
+    def squares(v):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.stack((v**20, v**3 + 0.0 / (v - z1)))
+
+    assert order_estimate(lambda v: squares(v)[1:], [0j], True, [1.0], 64).tolist() == [[3]]
+    assert order_estimate(lambda v: squares(v)[:1], [0j], True, [1.0], 64).tolist() == [[20]]
+    assert order_estimate(squares, [0j], True, [1.0], 64).tolist() == [[20], [3]]
+    # a second loop, around a point where both rows have no zero, settles at once
+    assert order_estimate(squares, [0j, 3.0], True, [1.0, 0.5], 64).tolist() == [[20, 0],
+                                                                                [3, 0]]
+
+
+def test_order_estimate_raises_when_one_loop_of_a_batch_meets_a_zero():
+    # v - 1.05 is zero at the second loop's first sample; the first loop alone is fine
+    assert order_estimate(lambda v: v - 1.05, [0j], True, [0.05], 64).tolist() == [0]
+    with pytest.raises(NonConvergent):
+        order_estimate(lambda v: v - 1.05, [0j, 1.0], True, [0.05, 0.05], 64)
+
+
+@pytest.mark.parametrize("k,lam", DIVISOR_SWEEP)
+def test_batched_orders_equal_each_loop_counted_alone(k, lam):
+    # every row (g and eta) of each batch that order_table and obstruction_report
+    # count, against the same loop counted on its own
+    m = v_model(k, lam)
+    specials = (0j,) + degeneracy_points(m)
+    batches = [([i for _, i in members], ramified)
+               for (ramified, _), members in _batches(m).items()]
+    batches.append((list(range(1, len(specials))), True))
+    for points, ramified in batches:
+        batch = _loop_orders(m, specials, points, ramified)
+        alone = np.hstack([_loop_orders(m, specials, [i], ramified) for i in points])
+        assert batch.shape == (2, len(points))
+        assert batch.tolist() == alone.tolist(), (points, ramified)
+
+
+def test_commands_evaluate_the_loop_squares_once_per_batch_and_level(monkeypatch):
+    # a work count that no machine moves: the shapes of the loop arrays evaluated
+    shapes = []
+    loop_squares = VModel.loop_squares
+
+    def counted(self, v, at_infinity, ramified):
+        shapes.append(v.shape)
+        return loop_squares(self, v, at_infinity, ramified)
+
+    monkeypatch.setattr(VModel, "loop_squares", counted)
+    assert main(["analyze", "--k", "2", "--lambda", "0.5"]) == 0
+    # all 6 points in one array, and once more per doubling for the loops still turning
+    assert shapes[0] == (6, 160)
+    assert [n for _, n in shapes] == [160 * 2**j for j in range(len(shapes))]
+    for k, want in ((2, [(3, 160), (1, 160)]), (3, [(1, 192), (2, 192), (1, 192)])):
+        shapes.clear()
+        assert main(["table", "--k", str(k), "--lambda", "0.5"]) == 0
+        # one array per batch: the ramified finite points, the unramified origin, infinity
+        assert shapes == want
 
 
 @pytest.mark.parametrize("k,lam", [(2, 0.5), (4, 0.4), (1, 0.6), (3, 0.6)])
@@ -172,24 +270,7 @@ def test_order_table_parametric(k, lam):
             assert row.flagged
 
 
-@pytest.mark.parametrize("k,lam", [
-    (2, 0.5), (3, 0.6),
-    # a near 1
-    (2, 0.32), (3, 0.26), (12, 0.95 / 13),
-    # a >> 1
-    (1, 30.0), (2, 100.0),
-    # large k, up to the largest that v_model accepts at a = 0.61
-    (8, 0.1), (20, 0.8 / 21), (44, 0.61 / 45), (48, 0.61 / 49), (50, 0.61 / 51),
-    (60, 0.01), (148, 0.61 / 149),
-    # a^(1/(k+1)) or a^(-1/(k+1)) below 1e-12
-    (2, 1e-40), (2, 1e-100), (3, 1e-60), (2, 1e40),
-    # a zero of (w^2)' within a tenth of the spacing of a branch point
-    (6, 1.1e-4), (6, 1e-6), (6, 200.0),
-] + [
-    # every k up to 12 at a = 1.3 * 10^d: at the extremes of a the zeros of (w^2)'
-    # come nearest the branch points, by a ratio that depends on k
-    (k, 1.3 * 10.0**d / (k + 1)) for k in range(1, 13) for d in range(-45, 46, 15)
-])
+@pytest.mark.parametrize("k,lam", DIVISOR_SWEEP)
 def test_order_table_divisor_degrees(k, lam):
     m = v_model(k, lam)
     table = order_table(m)

@@ -285,6 +285,19 @@ def test_table_nonconvergent_exits_1_without_traceback(monkeypatch, capsys):
     assert "square not finite" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_generate_quadrature_failure_exits_1_without_traceback(capsys, tmp_path):
+    # the parabola's columns at this half-width overflow and do not converge;
+    # nothing is written
+    out = tmp_path / "out"
+    assert main(["generate", "--curve", "parabola", "--half-width", "1e200",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("quadrature failed: ")
+    assert not out.exists()
+
+
 def test_analyze(capsys, tmp_path):
     json_path = tmp_path / "degen.json"
     code = main(["analyze", "--k", "2", "--lambda", "0.5", "--json", str(json_path)])
