@@ -70,6 +70,16 @@ class VModel:
     def p_exponent(self) -> int:
         return (self.k + 3) // 2
 
+    @cached_property
+    def loop_radii(self) -> np.ndarray:
+        """r0 of ``_loop_orders`` at each of (0,) + degeneracy_points(self), by one matrix."""
+        specials = np.array((0j,) + degeneracy_points(self))
+        gaps = np.abs(specials[:, None] - specials)
+        gaps.flat[::specials.size + 1] = np.inf  # the diagonal
+        radii = 0.05 * gaps.min(axis=1)
+        radii[0] *= 2.0  # a tenth at the origin: 2 fl(0.05 m) = fl(0.1 m)
+        return radii
+
     @property
     def genus(self) -> int:
         return self.k + self.e
@@ -340,10 +350,7 @@ def _loop_orders(model: VModel, specials: tuple, points, ramified: bool) -> np.n
     if at_infinity:
         centers, r0 = None, [0.1 / max(abs(p) for p in specials)]
     else:
-        centers = [specials[i] for i in points]
-        r0 = [(0.1 if i == 0 else 0.05)
-              * min(abs(specials[i] - p) for j, p in enumerate(specials) if j != i)
-              for i in points]
+        centers, r0 = [specials[i] for i in points], model.loop_radii[list(points)]
     return order_estimate(lambda v: model.loop_squares(v, at_infinity, ramified),
                           centers, ramified, r0, 32 * (model.k + 3))
 

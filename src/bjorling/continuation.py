@@ -1,4 +1,4 @@
-"""Square roots of the complexified speed x'(w)^2 + y'(w)^2, and its zeros.
+"""The complexified speed^2 = x'(w)^2 + y'(w)^2 as P Q, its square root and its zeros.
 
 The speed has isolated zeros off the real axis; the square root the surface
 needs is defined by continuity along a path from the axis, where it is
@@ -16,13 +16,14 @@ apart, so a grid does the axis work once).  A segment that passes a zero
 raises ``SingularityOnPath``.  This is the package's one square-root rule:
 every patch, surface point, Weierstrass g and CLI command takes it.
 
-The zeros of the speed are exact polynomial roots.  speed^2 factors as
-(x' + i y')(x' - i y'), and for real series the zeros of the second factor
-are the conjugates of those of the first.  A trigonometric series makes
-x' + i y' a Laurent polynomial in v = e^{iz}, v^low R(v^step) with step the
-gcd of its exponent offsets, so speed^2 has period 2 pi/step and its zeros are
-z = -i log(u)/step + 2 pi n/step over the roots u of R; a monomial series
-makes it a polynomial in z.  Either way ``np.roots`` (the eigenvalues of the
+speed^2 = P Q with P = x' + i y' and Q(z) = conj P(conj z) = x' - i y', both from one
+cached table of P's coefficients that also gives the zeros (``velocity``): only a factor
+that vanishes loses digits, where x'^2 + y'^2 cancels (at an epitrochoid's cap, a >> 1).
+The zeros are exact polynomial roots, those of Q the conjugates of those of P.  A
+trigonometric series makes P a Laurent polynomial in v = e^{iz}, v^low R(v^step)
+with step the gcd of its exponent offsets, so speed^2 has period 2 pi/step and
+its zeros are z = -i log(u)/step + 2 pi n/step over the roots u of R; a
+monomial series makes it a polynomial in z.  Either way ``np.roots`` (the eigenvalues of the
 companion matrix) gives the whole zero set, complete by construction.  It
 splits an m-fold root into m close ones; those are merged into one zero at
 their mean, well conditioned where each root is not (Zeng, Math. Comp. 74, 2005).
@@ -55,37 +56,42 @@ class SingularityOnPath(RuntimeError):
     """A zero of the complexified speed lies on or too close to the path."""
 
 
-@functools.lru_cache(maxsize=None)
-def derivative_series(curve: PlanarCurve):
-    """Cached (x', y') series of a curve."""
-    d = curve.derivative()
-    return d.x, d.y
+def velocity(curve: PlanarCurve, t, s):
+    """(P, Q, speed^2) at t + i s for t and s that broadcast together: P = x' + i y',
+    Q(t, s) = conj P(t, -s) = x' - i y' and speed^2 = P Q.  Trigonometric series sum the
+    terms c e^{int} e^{-ns} of ``_velocity_terms``, outer products of 1-D factors on a
+    grid; monomial ones go by Horner in z.  At s = 0, Q = conj P and speed^2 is exactly real."""
+    trig, terms = _velocity_terms(curve)
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    shape = np.broadcast_shapes(t.shape, s.shape)
+    p, q = np.zeros(shape, complex), np.zeros(shape, complex)
+    if trig:
+        for n, c in terms:
+            a = c * np.exp(1j * (n * t))
+            p += a * np.exp(-n * s) if n else a
+            q += a.conjugate() * np.exp(n * s) if n else a.conjugate()
+    else:
+        coef = dict(terms)
+        z, z_bar = t + 1j * s, t - 1j * s
+        for n in range(max(coef, default=0), -1, -1):
+            p, q = p * z + coef.get(n, 0j), q * z_bar + coef.get(n, 0j)
+        q = q.conjugate()
+    speed2 = np.multiply(p, q, out=np.empty(shape, complex))
+    np.copyto(speed2.imag, 0.0, where=s == 0.0)
+    return p, q, speed2
 
 
 def speed_squared(curve: PlanarCurve, z):
-    """x'(z)^2 + y'(z)^2, entire in z.
-
-    For epitrochoids this equals (k+2)^2 (1 + a^2 - 2a cos((k+1)z)); the
-    generic series evaluation is used for every curve and the closed form is
-    kept as a test oracle.
-    """
-    dx, dy = derivative_series(curve)
-    vx = dx(z)
-    vy = dy(z)
-    return vx * vx + vy * vy
+    """x'(z)^2 + y'(z)^2 = P(z) Q(z): (k+2)^2 (1 + a^2 - 2a cos((k+1)z)) for epitrochoids."""
+    return velocity(curve, np.real(z), np.imag(z))[2]
 
 
-def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEMENT,
-                     speed2=None):
-    """The strip branch of sqrt(speed^2) at points z of any shape, in closed form.
-
-    ``speed2`` is speed^2 at z when the caller has it.  Raises SingularityOnPath
-    when the vertical segment to a point passes a zero: its Im lies between 0
-    and Im z and its Re within ``refinement`` of Re z, modulo the period.
-    """
+def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEMENT):
+    """The strip branch of sqrt(speed^2) at points z of any shape, in closed form;
+    SingularityOnPath where the vertical segment to a point passes a zero: its Im
+    between 0 and Im z and its Re within ``refinement`` of Re z, modulo the period."""
     z = np.asarray(z, dtype=complex)
-    return strip_branch(curve, z.real, z.imag,
-                        speed_squared(curve, z) if speed2 is None else speed2, refinement)
+    return strip_branch(curve, z.real, z.imag, speed_squared(curve, z), refinement)
 
 
 def strip_branch(curve: PlanarCurve, t, s, speed2, refinement: float = DEFAULT_REFINEMENT):
@@ -144,6 +150,27 @@ def _merge_roots(roots, period: float):
 
 
 @functools.lru_cache(maxsize=None)
+def _velocity_terms(curve: PlanarCurve):
+    """(trig, ((n, c), ...)): x' + i y' = sum c v^n, v = e^{iz}, if trig, else sum c z^n, for
+    ``velocity`` and ``_zero_set``.  InvalidCurveParameters for z^p, p >= 1, beside trig terms."""
+    d = curve.derivative()
+    trig = d.x.trig + tuple((1j * amp, freq, phase) for amp, freq, phase in d.y.trig)
+    poly = d.x.poly + tuple((1j * c, power) for c, power in d.y.poly)
+    if trig and any(power >= 1 for _, power in poly):
+        raise InvalidCurveParameters("the derivative of %s mixes trigonometric terms "
+                                     "with powers of z" % curve.label)
+    # cos fz = (v^f + v^-f)/2 and sin fz = (v^f - v^-f)/2i
+    coef = collections.defaultdict(complex)
+    for amp, freq, phase in trig:
+        half = 0.5 * amp if phase == PHASE_COS else -0.5j * amp
+        coef[freq] += half
+        coef[-freq] += half if phase == PHASE_COS else -half
+    for c, power in poly:
+        coef[power] += c
+    return bool(trig), tuple(sorted((n, c) for n, c in coef.items() if c != 0))
+
+
+@functools.lru_cache(maxsize=None)
 def _zero_set(curve: PlanarCurve):
     """(((zero, multiplicity), ...), period): every zero of speed^2 once modulo
     its period, with its multiplicity.
@@ -158,28 +185,14 @@ def _zero_set(curve: PlanarCurve):
         params = curve.epitrochoid
         return tuple((complex(0.0, sign * params.zero_height), 1)
                      for sign in (-1.0, 1.0)), TWO_PI / (params.k + 1)
-    dx, dy = derivative_series(curve)
-    trig = dx.trig + tuple((1j * amp, freq, phase) for amp, freq, phase in dy.trig)
-    poly = dx.poly + tuple((1j * c, power) for c, power in dy.poly)
-    if trig and any(power >= 1 for _, power in poly):
-        raise InvalidCurveParameters("the derivative of %s mixes trigonometric terms "
-                                     "with powers of z" % curve.label)
-    # x' + i y' as coefficients of v^n (trig, v = e^{iz}) or of z^n (monomials):
-    # cos fz = (v^f + v^-f)/2 and sin fz = (v^f - v^-f)/2i
-    coef = collections.defaultdict(complex)
-    for amp, freq, phase in trig:
-        half = 0.5 * amp if phase == PHASE_COS else -0.5j * amp
-        coef[freq] += half
-        coef[-freq] += half if phase == PHASE_COS else -half
-    for c, power in poly:
-        coef[power] += c
-    powers = [n for n, c in coef.items() if c != 0]
-    if not powers:
+    trig, terms = _velocity_terms(curve)
+    if not terms:
         raise InvalidCurveParameters("speed^2 of %s vanishes identically" % curve.label)
+    coef = dict(terms)
     # v = 0 is no point of the plane, z = 0 is
-    low = min(powers) if trig else 0
-    step = (math.gcd(*(n - low for n in powers)) or 1) if trig else 1
-    roots = np.roots([coef[n] for n in range(max(powers), low - 1, -step)])
+    low = min(coef) if trig else 0
+    step = (math.gcd(*(n - low for n in coef)) or 1) if trig else 1
+    roots = np.roots([coef.get(n, 0j) for n in range(max(coef), low - 1, -step)])
     if trig:
         roots = -1j / step * np.log(roots)
     # the series are real, so the zeros of x' - i y' are the conjugates

@@ -213,9 +213,9 @@ def make_cycloid(delta: float = 0.1) -> PlanarCurve:
 
 
 def make_parabola(half_width: float = 2.0) -> PlanarCurve:
-    """Parabola (t, t^2) on [-half_width, half_width]."""
-    if not (half_width > 0 and math.isfinite(half_width)):
-        raise InvalidCurveParameters("half_width must be positive and finite")
+    """Parabola (t, t^2) on [-half_width, half_width], its speed^2 1 + 4 t^2 finite."""
+    if not (half_width > 0 and math.isfinite(1.0 + 4.0 * half_width * half_width)):
+        raise InvalidCurveParameters("half_width must be positive with 1 + 4 half_width^2 finite")
     return PlanarCurve(
         x=TrigPolySeries(poly=((1.0, 1),)),
         y=TrigPolySeries(poly=((1.0, 2),)),

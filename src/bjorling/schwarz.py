@@ -2,11 +2,12 @@
 
 Given a regular planar curve c, the holomorphic null triple
 
-    Phi(z) = (x'(z), y'(z), i*W(z)),    W = sqrt(x'(z)^2 + y'(z)^2),
+    Phi(z) = ((P + Q)/2, i (Q - P)/2, i W) = (x'(z), y'(z), i W(z)),    W = sqrt(P Q),
 
 integrates to the unique minimal surface through c with the in-plane normal:
-f(z) = c(t0) + Re int_{t0}^{z} Phi dw.  W is the strip branch from the
-continuation module (positive on the real axis).  The curves are entire
+f(z) = c(t0) + Re int_{t0}^{z} Phi dw, with P = x' + i y', Q = x' - i y' and
+speed^2 = P Q from ``continuation.velocity`` and W its strip branch (positive on
+the real axis).  The curves are entire
 series, so this is Bjorling's formula f = Re{c(z) - i int n x c' dw} evaluated
 exactly where it can be:
 
@@ -25,10 +26,11 @@ Chebyshev points cos(pi k/n) of [0, max|s|], a DCT-I (one real FFT) gives the
 interpolant's coefficients, and the termwise integral is evaluated at every
 |s| level minus its value at s = 0.  W is analytic past the interval, so the
 coefficients fall geometrically (Trefethen, ATAP, ch. 8 and 19); columns whose
-series has not converged double n, reusing every sample.  On a patch, x', y'
+series has not converged double n, reusing every sample.  On a patch, P, Q
 and W at the nodes and on the grid come from ``HolomorphicTriple.grid_parts``,
-from the series' 1-D factors on the tensor grid.  A patch must stay inside
-``Strip.cap`` of the curve's ``Strip`` from ``continuation.find_strip``.
+from 1-D factors on the tensor grid.  A patch must stay inside ``Strip.cap``
+of the curve's ``Strip`` from ``continuation.find_strip``.  ``verify``'s null
+residual is relative, max |sum phi_i^2| / sum |phi_i|^2, the sum's own rounding.
 """
 
 from __future__ import annotations
@@ -38,14 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import (
-    DEFAULT_REFINEMENT,
-    Strip,
-    derivative_series,
-    find_strip,
-    strip_branch,
-    strip_sqrt_array,
-)
+from .continuation import DEFAULT_REFINEMENT, Strip, find_strip, strip_branch, velocity
 from .curves import InvalidCurveParameters, PlanarCurve, regularity_margin
 
 DEFAULT_QUAD_TOL = 1e-11
@@ -69,10 +64,10 @@ class StripTooWide(ValueError):
 
 
 class HolomorphicTriple:
-    """The null curve Phi = (x', y', i*sqrt(x'^2+y'^2)) with the strip branch.
-
-    phi1^2 + phi2^2 + phi3^2 = 0 holds identically; on the real axis phi3 is
-    purely imaginary with positive imaginary part.
+    """The null curve Phi = ((P + Q)/2, i (Q - P)/2, i W) = (x', y', i W), from
+    ``continuation.velocity``'s P = x' + i y' and Q = x' - i y' and the strip branch W
+    of sqrt(P Q).  phi1^2 + phi2^2 + phi3^2 = 0 holds identically; on the real axis
+    phi3 is purely imaginary with positive imaginary part.
     """
 
     def __init__(self, curve: PlanarCurve, refinement: float = DEFAULT_REFINEMENT):
@@ -82,27 +77,29 @@ class HolomorphicTriple:
                 "curve %s is not regular (speed^2 min = %g)" % (curve.label, margin))
         self.curve = curve
         self.refinement = refinement
-        self._dx, self._dy = derivative_series(curve)
 
     def __call__(self, z):
         """Phi at strip points of any shape; the result has shape z.shape + (3,)."""
         z = np.asarray(z, dtype=complex)
-        vx, vy = self._dx(z), self._dy(z)
-        w = strip_sqrt_array(self.curve, z, self.refinement, vx * vx + vy * vy)
-        return np.stack([vx, vy, 1j * w], axis=-1)
+        p, q, speed2 = velocity(self.curve, z.real, z.imag)
+        return _null_triple(p, q, strip_branch(self.curve, z.real, z.imag, speed2,
+                                               self.refinement))
 
     def grid_parts(self, t_vals, s_vals):
-        """x', y' and the strip branch W at t_vals[None, :] + i s_vals[:, None],
-        each of shape (ns, nt), from the series' 1-D factors."""
-        t, s = np.asarray(t_vals, dtype=float), np.asarray(s_vals, dtype=float)
-        vx, vy = self._dx.grid(t, s), self._dy.grid(t, s)
-        return vx, vy, strip_branch(self.curve, t[None, :], s[:, None], vx * vx + vy * vy,
-                                    self.refinement)
+        """P, Q and the strip branch W at t_vals[None, :] + i s_vals[:, None],
+        each of shape (ns, nt), from 1-D factors."""
+        t, s = np.asarray(t_vals, dtype=float)[None, :], np.asarray(s_vals, dtype=float)[:, None]
+        p, q, speed2 = velocity(self.curve, t, s)
+        return p, q, strip_branch(self.curve, t, s, speed2, self.refinement)
 
     def grid_values(self, t_vals, s_vals):
         """Phi on the grid, shape (ns, nt, 3); rows follow s_vals order."""
-        vx, vy, w = self.grid_parts(t_vals, s_vals)
-        return np.stack([vx, vy, 1j * w], axis=-1)
+        return _null_triple(*self.grid_parts(t_vals, s_vals))
+
+
+def _null_triple(p, q, w):
+    """Phi = ((P + Q)/2, i (Q - P)/2, i W), stacked on a new last axis."""
+    return np.stack([0.5 * (p + q), 0.5j * (q - p), 1j * w], axis=-1)
 
 
 def phi(curve: PlanarCurve) -> HolomorphicTriple:
@@ -111,12 +108,10 @@ def phi(curve: PlanarCurve) -> HolomorphicTriple:
 
 
 def planar_normal(curve: PlanarCurve, t):
-    """Unit normal (-y', x', 0)/|c'| of the Bjorling data along the curve."""
-    dx, dy = derivative_series(curve)
-    vx = np.asarray(dx(np.asarray(t, dtype=float)), dtype=float)
-    vy = np.asarray(dy(np.asarray(t, dtype=float)), dtype=float)
-    speed = np.hypot(vx, vy)
-    return np.stack([-vy / speed, vx / speed, 0.0 * speed], axis=-1)
+    """Unit normal (-y', x', 0)/|c'| of the Bjorling data along the curve, from P = x' + i y'."""
+    p = velocity(curve, t, 0.0)[0]
+    speed = np.abs(p)
+    return np.stack([-p.imag / speed, p.real / speed, 0.0 * speed], axis=-1)
 
 
 def surface_point(triple: HolomorphicTriple, t: float, s: float,
@@ -152,8 +147,10 @@ class PatchGrid:
         return 0.5 * np.sum(np.abs(self.phi) ** 2, axis=-1)
 
     def null_residual(self) -> float:
-        """max |phi1^2 + phi2^2 + phi3^2| over the grid."""
-        return float(np.max(np.abs(np.sum(self.phi**2, axis=-1))))
+        """max |sum phi_i^2| / sum |phi_i|^2 over the grid: relative to its own rounding."""
+        p, f = self.phi, self.phi.view(float)
+        return float(np.max(np.abs(p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2)
+                            / np.einsum("...j,...j", f, f)))
 
     def conformality_residuals(self) -> tuple[float, float]:
         """(max |E-G|/E, max |F|/E) from the exact first fundamental form, by
@@ -242,18 +239,16 @@ def _chebyshev_increments(coef, x, x0):
 def _column_integrals(triple: HolomorphicTriple, t, levels, tol: float):
     """-int_0^level Re W(t + i sigma) d sigma for each t and level, shape (L, len(t)).
 
-    Clenshaw-Curtis over sigma in [0, max(levels)], with x', y' and W from
+    Clenshaw-Curtis over sigma in [0, max(levels)], with W from
     ``triple.grid_parts``.  A column is done when the upper half of its
-    integrated series sums to within tol or within its rounding floor (the
-    cancellation in x'^2 + y'^2 limits the relative accuracy of W); the others
-    double n, keeping their samples, up to CC_MAX_N.
+    integrated series sums to within tol or within its rounding floor, the
+    integrand's own size ROUNDING_SAFETY eps hi max|W|; the others double n,
+    keeping their samples, up to CC_MAX_N.
     """
     def sample(k, n, cols):
         sigma = half + half * np.cos(np.pi * k / n)
-        vx, vy, w = triple.grid_parts(t[cols], sigma)
-        mag2 = vx.real ** 2 + vx.imag ** 2 + vy.real ** 2 + vy.imag ** 2
-        return (-w.real, ROUNDING_SAFETY * np.finfo(float).eps * hi
-                * np.max(mag2 / np.abs(w), axis=0))
+        w = triple.grid_parts(t[cols], sigma)[2]
+        return -w.real, ROUNDING_SAFETY * np.finfo(float).eps * hi * np.max(np.abs(w), axis=0)
 
     out = np.zeros((len(levels), len(t)))
     hi = max(levels)
@@ -302,9 +297,8 @@ def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int
         cols = slice(cols[0], cols[-1] + 1)
         t = t_vals[cols]
         f3 = _column_integrals(triple, t, levels, tol)
-        vx, vy, w = triple.grid_parts(t, levels)
         half = np.stack([curve.x.grid(t, levels).real, curve.y.grid(t, levels).real, f3], axis=-1)
-        half_phi = np.stack([vx, vy, 1j * w], axis=-1)
+        half_phi = _null_triple(*triple.grid_parts(t, levels))
         for out_row, row in enumerate(rows):
             points[out_row, cols], phi_grid[out_row, cols] = half[row], half_phi[row]
         # rows with s < 0 hold (f1, f2, -f3) and (conj Phi1, conj Phi2, -conj Phi3) of

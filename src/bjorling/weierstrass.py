@@ -3,10 +3,10 @@
 Convention: Phi = ((1 - g^2) eta/2, i (1 + g^2) eta/2, g eta) so that
 eta = phi1 - i phi2 and, for a planar geodesic,
 
-    g = i sqrt((x' + i y')/(x' - i y')),     eta = (x'(z) - i y'(z)) dz,
+    g = i W/Q = i sqrt(P/Q),     eta = Q dz = (x'(z) - i y'(z)) dz,
 
-with the sqrt determination tied to the strip branch of the speed.  The
-metric density is the conformal factor E = (1/4)(1 + |g|^2)^2 |eta/dz|^2,
+with P = x' + i y', Q and W, the strip branch of sqrt(P Q), from ``continuation``.
+The metric density is the conformal factor E = (1/4)(1 + |g|^2)^2 |eta/dz|^2,
 which equals x'^2 + y'^2 on the real axis.
 """
 
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .continuation import derivative_series, strip_sqrt_array
+from .continuation import strip_branch, velocity
 from .curves import PlanarCurve
 from .schwarz import HolomorphicTriple, phi, surface_point
 
@@ -36,16 +36,16 @@ class WeierstrassData:
 
 
 def data_from_curve(curve: PlanarCurve) -> WeierstrassData:
-    """Weierstrass data on the strip straight from the curve series."""
-    dx, dy = derivative_series(curve)
+    """Weierstrass data on the strip straight from the curve series: eta = Q and
+    g = i W/Q, with W the strip branch of sqrt(P Q)."""
 
     def eta(z):
-        return dx(z) - 1j * dy(z)
+        return velocity(curve, np.real(z), np.imag(z))[1]
 
     def g(z):
         zs = np.asarray(z, dtype=complex)
-        vx, vy = dx(zs), dy(zs)
-        out = 1j * strip_sqrt_array(curve, zs, speed2=vx * vx + vy * vy) / (vx - 1j * vy)
+        _, q, speed2 = velocity(curve, zs.real, zs.imag)
+        out = 1j * strip_branch(curve, zs.real, zs.imag, speed2) / q
         return complex(out) if out.ndim == 0 else out
 
     return WeierstrassData(g=g, eta=eta, chart="z-strip")
@@ -89,13 +89,13 @@ def gauss_map_check(curve: PlanarCurve, t_samples, h: float = 1e-3) -> float:
     """
     data = data_from_curve(curve)
     triple = phi(curve)
-    dx, dy = derivative_series(curve)
+    ts = np.asarray(t_samples, dtype=float)
     worst = 0.0
-    for t in np.asarray(t_samples, dtype=float):
+    for t, p in zip(ts, velocity(curve, ts, 0.0)[0]):
         f_up = surface_point(triple, t, +h, tol=1e-13)
         f_dn = surface_point(triple, t, -h, tol=1e-13)
         fs = (f_up - f_dn) / (2.0 * h)
-        ft = np.array([float(dx(t)), float(dy(t)), 0.0])
+        ft = np.array([p.real, p.imag, 0.0])
         nu = np.cross(ft, fs)
         nu = nu / np.linalg.norm(nu)
         worst = max(worst, abs(stereographic(nu) - data.g(t)))

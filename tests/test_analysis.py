@@ -235,6 +235,23 @@ def test_batched_orders_equal_each_loop_counted_alone(k, lam):
         assert batch.tolist() == alone.tolist(), (points, ramified)
 
 
+@pytest.mark.parametrize("k,lam", DIVISOR_SWEEP)
+def test_loop_radii_match_the_pairwise_loop(k, lam, monkeypatch):
+    # the distance matrix against min over the other special points, one pair at
+    # a time: numpy's complex abs may differ from Python's by an ulp
+    m = v_model(k, lam)
+    specials = (0j,) + degeneracy_points(m)
+    seen = []
+    monkeypatch.setattr("bjorling.analysis.order_estimate",
+                        lambda fn, centers, ramified, r0, samples: seen.append(r0)
+                        or np.zeros((2, len(r0)), dtype=int))
+    points = list(range(len(specials)))
+    _loop_orders(m, specials, points, True)
+    expect = [(0.1 if i == 0 else 0.05) * min(abs(specials[i] - p) for j, p in
+                                              enumerate(specials) if j != i) for i in points]
+    assert np.allclose(seen[0], expect, rtol=1e-15, atol=0.0)
+
+
 def test_commands_evaluate_the_loop_squares_once_per_batch_and_level(monkeypatch):
     # a work count that no machine moves: the shapes of the loop arrays evaluated
     shapes = []

@@ -27,3 +27,8 @@ def test_bench_epi_paper_traced_smoke():
 def test_bench_generic_strip_traced_smoke():
     # the workload whose curves have no closed-form zeros, so the scan runs
     _traced_smoke("generic_strip")
+
+
+def test_bench_dense_patch_traced_smoke():
+    # the workload that runs the 1024x129 library patch and its thread probe
+    _traced_smoke("dense_patch")

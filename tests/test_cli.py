@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from bjorling import analysis, cli, continuation, meshing
+from bjorling import analysis, cli, continuation, meshing, schwarz
 from bjorling.cli import main
 from bjorling.continuation import find_strip
 from bjorling.meshing import export_csv, sample_mesh
@@ -34,17 +34,17 @@ def test_generate_circle(tmp_path, capsys):
 @pytest.mark.parametrize("argv,expect", [
     (["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5", "--nt", "24", "--ns", "7"], {
         "epitrochoid_k2_lam0p5.obj":
-            "b529c0dadd8292a6b35c4af4a2ed6fdbe976929a025b0a00e5f155685185ccd7",
+            "f32995f98afdfff190158d73273c5e52f405e51ed96a6d56036a09f038b27fce",
         "epitrochoid_k2_lam0p5.ply":
-            "14b2d55a586deaa2f39cfb0dac2a945be15db8518583ed968fffacfd302e7f8e",
+            "2090911f72071b5b28b98145c432345b743b5ad5add1fe8fff975e74b80e5ca2",
         "epitrochoid_k2_lam0p5_halfcut.obj":
-            "3012e2cd4791ed5601a98c7da68c4a3d6f9ee9a75557d6e95b610bef6855f451",
+            "5505b19c2248ec4d95b187785b703355bdec2a579a94d7244688700bb2f93aec",
     }),
     (["--curve", "cycloid", "--nt", "32", "--ns", "9"], {
-        "cycloid.obj": "7ddb45056dc882c10bb7f3f7e467799cc6461b31f88937d81c7c268d3917b2d0",
-        "cycloid.ply": "263672985745321c0a6525e61864381c770924835ad2cc77824f7af585efd9c3",
+        "cycloid.obj": "68775f5ad568fae3cbda82520608ec7ec48307016eaea6f90335a9a8b8a22b23",
+        "cycloid.ply": "a0e829bccba0ba08ab11713fabbb5a6c58a1df321d3b536952d575da54def89e",
         "cycloid_halfcut.obj":
-            "7f831dfc129528a3f1034376a57db9695cb568e0c744c2a2e17c1d859f475d59",
+            "3cf930dfca726db1dc6dc42c011b0fe101eb61584b3325ee73b25e1f3b4b3b58",
     }),
 ])
 def test_generate_output_bytes_pinned(argv, expect, tmp_path):
@@ -62,7 +62,7 @@ def test_csv_output_bytes_pinned(tmp_path):
     h = find_strip(curve).cap
     export_csv(sample_mesh(surface_patch(curve, curve.domain, (-h, h), 24, 7)), tmp_path / "m.csv")
     assert (hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest()
-            == "1fbeb16bc7f581aef39be1259b4d2dc7278cb5792fa6454db5b3e8638a999288")
+            == "90f6020129a6ca4820c1b654dd46861ffb73e2599ed0d163e505e55d103c7a13")
 
 
 def test_cli_starts_no_thread(tmp_path, monkeypatch, capsys):
@@ -179,7 +179,8 @@ def test_generate_rejects_cusped_parameters(tmp_path, capsys):
     # the window probe's h^2 underflows: hs on the circle, ht on the parabola
     ["verify", "--curve", "circle", "--s-fraction", "1e-300"],
     ["verify", "--curve", "parabola", "--half-width", "1e-300"],
-    # ht^2 overflows (1e200); the probe's error constant is inf (1e-155)
+    # speed^2 = 1 + 4 t^2 overflows (1e200); the probe's error constant is inf (1e-155)
+    ["generate", "--curve", "parabola", "--half-width", "1e200"],
     ["verify", "--curve", "parabola", "--half-width", "1e200"],
     ["verify", "--curve", "parabola", "--half-width", "1e-155"],
 ])
@@ -285,17 +286,35 @@ def test_table_nonconvergent_exits_1_without_traceback(monkeypatch, capsys):
     assert "square not finite" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_generate_quadrature_failure_exits_1_without_traceback(capsys, tmp_path):
-    # the parabola's columns at this half-width overflow and do not converge;
+def test_generate_quadrature_failure_exits_1_without_traceback(capsys, tmp_path, monkeypatch):
+    # no column converges on the first Chebyshev grid, and none may double:
     # nothing is written
+    monkeypatch.setattr(schwarz, "CC_MAX_N", 32)
     out = tmp_path / "out"
-    assert main(["generate", "--curve", "parabola", "--half-width", "1e200",
+    assert main(["generate", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("quadrature failed: ")
+    assert err.startswith("quadrature failed: ") and err.endswith(" 33 points\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generate_far_from_the_cusp_raises_no_warning(tmp_path, capsys):
+    # a = 1e6: speed^2 = P Q stays finite and accurate up to the cap
+    out = tmp_path / "out"
+    assert main(["generate", "--curve", "epitrochoid", "--k", "1", "--lambda", "5e5",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("k,a", [(1, 10.0), (2, 10.0), (3, 10.0), (6, 5.0)])
+def test_verify_passes_where_the_absolute_null_check_failed(k, a, capsys):
+    # the null residual is relative to sum |phi_i|^2: with speed^2 exact, an
+    # absolute one read its own rounding, eps |Phi|^2, and failed these surfaces
+    assert main(["verify", "--curve", "epitrochoid", "--k", str(k),
+                 "--lambda", repr(a / (k + 1))]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
 
 
 def test_analyze(capsys, tmp_path):

@@ -53,6 +53,18 @@ def test_speed_squared_closed_form_off_axis(rng):
     assert np.max(np.abs(speed_squared(curve, z) - closed)) < 1e-9
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_speed_squared_closed_form_on_the_cap_line(k, d):
+    # a = 10^d: x'^2 + y'^2 would cancel x' and y' of size a e^{(k+2)s} down to
+    # speed^2; P Q loses digits only in the factor that vanishes, away from the cap
+    a = 10.0 ** d
+    curve = epi(k, a / (k + 1))
+    z = np.linspace(0.0, 2 * math.pi, 97) + 1j * find_strip(curve).cap
+    closed = (k + 2) ** 2 * (1 + a * a - 2 * a * np.cos((k + 1) * z))
+    assert np.max(np.abs(speed_squared(curve, z) - closed) / np.abs(closed)) < 2e-14
+
+
 def test_continue_sqrt_constant_for_circle():
     curve = make_circle()
     f = lambda z: speed_squared(curve, z)
@@ -379,7 +391,7 @@ def test_strip_branch_on_axes_equals_the_materialized_grid(curve):
     z = t[None, :] + 1j * s[:, None]
     sp = speed_squared(curve, z)
     assert np.array_equal(strip_branch(curve, t[None, :], s[:, None], sp),
-                          strip_sqrt_array(curve, z, speed2=sp))
+                          strip_sqrt_array(curve, z))
 
 
 def test_strip_branch_on_axes_refuses_the_same_points():

@@ -111,8 +111,8 @@ def test_oblique_clip_bytes_pinned(tmp_path):
     export_ply(cut, tmp_path / "cut.ply")
     got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ("cut.obj", "cut.ply")]
-    assert got == ["d5db4525376e2afd71eed1d5c66c787b7c5403cb317f20be5d3b7fcd5e63e908",
-                   "aa068fcda804cea5bad5c1c3b3b1679f46d788d0b57ed8f3a81845a17e481ff9"]
+    assert got == ["0b0f9a50639d081d404af8dd06319aa5ff523b08e97ceac1879e4b6483649bfc",
+                   "bd4bd7cc856818cb773e9aef00f3a8af85107aded12a521d506cb51222a53e31"]
 
 
 def test_obj_roundtrip(tmp_path):

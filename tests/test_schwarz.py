@@ -72,6 +72,17 @@ def test_null_identity_on_grid(test_curve):
     assert float(np.max(np.abs(np.sum(vals**2, axis=-1)))) < 1e-12
 
 
+@pytest.mark.parametrize("curve", [epi(2, 0.5), make_circle()], ids=lambda c: c.label)
+def test_null_residual_reads_an_error_in_phi3(curve):
+    # relative to sum |phi_i|^2, a 1e-9 error in Phi3 reads 1e-9 and fails the
+    # 1e-12 verify threshold; the exact triple sits at its rounding floor
+    cap = min(find_strip(curve).cap, 0.9)
+    patch = surface_patch(curve, curve.domain, (-cap, cap), 64, 17)
+    assert patch.null_residual() < 1e-15
+    patch.phi[..., 2] *= 1.0 + 1e-9
+    assert 0.9e-9 < patch.null_residual() < 1.1e-9
+
+
 def test_planar_normal():
     assert np.allclose(planar_normal(make_circle(), 0.0), [-1.0, 0.0, 0.0])
     assert np.allclose(planar_normal(epi(2, 0.5), 0.0), [1.0, 0.0, 0.0])
@@ -254,10 +265,11 @@ def _f3_closed_form(k, lam, t, s, panels=16, order=40):
     return -s * total
 
 
-@pytest.mark.parametrize("k,lam", [(1, 30.0), (2, 0.5), (6, 0.9)])
+@pytest.mark.parametrize("k,lam", [(1, 30.0), (2, 0.5), (6, 0.9)]
+                         + [(k, 10.0 ** d / (k + 1)) for k in (1, 2, 4) for d in range(1, 7)])
 def test_f3_matches_closed_form_up_to_strip_cap(k, lam):
-    # a = 60 cancels x'^2 + y'^2 by ~1e4 near the cap: the step test must
-    # accept at the integrand's rounding floor instead of failing
+    # up to a = 1e6, where x'^2 + y'^2 would lose every digit near the cap (k = 1)
+    # and P Q loses none; the step test accepts at the integrand's rounding floor
     curve = epi(k, lam)
     cap = find_strip(curve).cap
     patch = surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
@@ -296,10 +308,12 @@ def test_asymmetric_patch_matches_closed_forms(k, lam, name):
 def test_patch_work_counters(monkeypatch):
     # series points per 256x33 patch (767446 before the Bjorling-formula
     # construction, 280064 with the G7/K15 level march, 52992 with both halves
-    # of s evaluated), counted at both entry points: a grid costs ns*nt points
-    # like its pointwise evaluation
-    points = {"call": 0, "grid": 0}
-    series_call, series_grid = TrigPolySeries.__call__, TrigPolySeries.grid
+    # of s evaluated, 35456 with x' and y' as two series, 22336 with them from
+    # one ``velocity`` point), counted at both entry points of the series and at
+    # ``velocity``: a grid costs ns*nt points like its pointwise evaluation
+    points = {"call": 0, "grid": 0, "velocity": 0}
+    series_call, series_grid, velocity = TrigPolySeries.__call__, TrigPolySeries.grid, \
+        schwarz.velocity
 
     def counting_call(self, z):
         points["call"] += int(np.size(z))
@@ -309,12 +323,18 @@ def test_patch_work_counters(monkeypatch):
         points["grid"] += int(np.size(t) * np.size(s))
         return series_grid(self, t, s)
 
+    def counting_velocity(curve, t, s):
+        points["velocity"] += int(np.broadcast(t, s).size)
+        return velocity(curve, t, s)
+
     monkeypatch.setattr(TrigPolySeries, "__call__", counting_call)
     monkeypatch.setattr(TrigPolySeries, "grid", counting_grid)
+    monkeypatch.setattr(schwarz, "velocity", counting_velocity)
     curve = epi(2, 0.5)
     cap = find_strip(curve).cap
     surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
-    assert points["call"] + points["grid"] <= 35456
+    assert points["velocity"] > 0
+    assert points["call"] + points["grid"] + points["velocity"] <= 35456
     # only the 2 x 256 regularity samples go point by point
     assert points["call"] <= 512
 
@@ -350,7 +370,7 @@ def test_strip_branch_certificate_is_exact():
     # Phi needs no quadrature: these bytes pin the separable grid evaluation
     # and the reflection that fills the rows with s < 0
     assert (hashlib.sha256(patch.phi.tobytes()).hexdigest()
-            == "82e6b53a6d0e4dafe087bf8d81515dbdc6c0cbed7cfd52b0a3bf385ceb14e939")
+            == "731a7f278d30fd9f7dd15607ad002b3a6931e6c93b635351e0c3e3d21ca1ab56")
     T, S = np.meshgrid(patch.t_vals, patch.s_vals)
     assert np.max(np.abs(patch.points[..., 2] - _f3_closed_form(2, 0.35, T, S))) < 1e-12
 
