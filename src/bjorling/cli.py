@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import analysis, meshing, verify, weierstrass
-from .continuation import find_strip
+from .continuation import SingularityOnPath, find_strip
 from .curves import InvalidCurveParameters, curve_from_config, regularity_margin
 from .schwarz import QuadratureFailure, StripTooWide, surface_patch
 
@@ -130,15 +130,15 @@ def cmd_generate(args) -> int:
     obj_path = os.path.join(args.out, slug + ".obj")
     ply_path = os.path.join(args.out, slug + ".ply")
     # the half-cut's vertices are mostly the mesh's own, and a symmetric
-    # patch's lower rows mirror its upper ones: one text table serves both OBJs
+    # patch's lower rows mirror its upper ones: one cell table serves both OBJs
     half = meshing.clip_halfspace(mesh, (0.0, 0.0, 1.0), 0.0) if args.clip else None
-    texts = meshing.vertex_texts(*(m.vertices for m in (mesh, half) if m is not None))
-    meshing.export_obj(mesh, obj_path, texts[0])
+    cells = meshing.vertex_cells(*(m.vertices for m in (mesh, half) if m is not None))
+    meshing.export_obj(mesh, obj_path, cells[0])
     meshing.export_ply(mesh, ply_path)
     outputs = [obj_path, ply_path]
     if half is not None:
         half_path = os.path.join(args.out, slug + "_halfcut.obj")
-        meshing.export_obj(half, half_path, texts[1])
+        meshing.export_obj(half, half_path, cells[1])
         outputs.append(half_path)
     summary = {
         "curve": curve.label,
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     try:
         # looked up at each call, so the cached parser holds no function
         return globals()["cmd_" + args.command](args)
-    except (InvalidCurveParameters, StripTooWide) as exc:
+    except (InvalidCurveParameters, StripTooWide, SingularityOnPath) as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
         return EXIT_BAD_PARAMS
     except analysis.NonConvergent as exc:

@@ -11,15 +11,14 @@ with float64 properties (faces triangulated by fan split since many PLY
 consumers reject quads); CSV is RFC-4180 style with a mandatory header.  All
 writers are byte-deterministic for identical input.
 
-`vertex_texts` is the one place a float becomes text, for the OBJ and CSV
-writers alike: every value is written exactly as ``FLOAT_FMT % value``, but
-each distinct value (bit pattern) is formatted once per call and its text
-shared.  `generate` builds one table for the mesh and its half-cut, which
-share most vertices, and a symmetric patch repeats most of its own values
-(its rows with s < 0 mirror those with s > 0).  A table with few repeated
-values, such as a patch over an asymmetric s-range, pays for the sort and
-the sharing: with none repeated, about 1.5x the vertex block's time of
-formatting each value in place.
+The OBJ and CSV writers assemble their text as numpy byte matrices, whose 0
+bytes are dropped at the end.  `vertex_cells` is the one place a float
+becomes text: every value is written exactly as ``FLOAT_FMT % value``, as a
+sign byte and the text of |value|, and each distinct |value| (bit pattern) is
+formatted once per call.  `generate` builds one table for the mesh and its
+half-cut, which share most vertices, and a symmetric patch repeats most of
+its own |values| (its rows with s < 0 mirror those with s > 0, f3 negated).
+OBJ face lines gather the digits of each vertex number, laid out once.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import numpy as np
 from .schwarz import PatchGrid
 
 FLOAT_FMT = "%.17g"
+CELL = 24   # a sign byte, then the longest %.17g text of a non-negative double
 PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", 3)])  # packed, 13 bytes a triangle
 
 
@@ -150,29 +150,72 @@ def mesh_area(mesh: SurfaceMesh) -> float:
     return float(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1).sum())
 
 
-def vertex_texts(*tables) -> list[tuple[str, ...]]:
-    """The ``FLOAT_FMT`` text of every value of each table, in row-major order.
+def _cell_text(values: list[float]) -> np.ndarray:
+    """(m, CELL - 1) bytes: ``FLOAT_FMT % v`` of each value, 0-padded.  The one
+    % call that turns floats into text."""
+    text = ("%-23.17g" * len(values) % tuple(values)).encode()
+    cells = np.frombuffer(text, dtype=np.uint8).reshape(len(values), CELL - 1).copy()
+    cells[cells == ord(" ")] = 0
+    return cells
 
-    The one place a float becomes text: each distinct value among all the
-    tables is formatted once, by a single % call, and its text is shared by
-    every place it occurs.  Values are keyed by their bit pattern, so 0.0 and
-    -0.0 keep their own text; inf and nan format as % formats them.  The
-    distinct keys come from a stable argsort, the sort `clip_halfspace`'s
-    ``np.unique(return_index=True)`` already runs (a plain sort maps more
-    sort-kernel code into the process).
+
+def vertex_cells(*tables) -> list[np.ndarray]:
+    """Per table, the ``FLOAT_FMT`` text of each value in row-major order as an
+    (n, CELL) byte array: a sign column (``-`` or 0) and the text of |v|, 0-padded.
+
+    Each distinct |v| bit pattern among all the tables is formatted once, so
+    v and -v share their digits, and nan prints as % prints it, unsigned.
+    Ties in the sort do not change the text, so its default kind serves (the
+    kernel `clip_halfspace`'s ``np.unique`` already runs).
     """
     flat = [np.asarray(t, dtype=np.float64).reshape(-1) for t in tables]
-    keys = np.concatenate(flat).view(np.int64)
-    order = np.argsort(keys, kind="stable")
+    values = np.concatenate(flat)
+    keys = values.view(np.int64) & np.int64(0x7FFFFFFFFFFFFFFF)
+    order = np.argsort(keys)
     ranked = keys[order]
     first = np.ones(len(ranked), dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]
-    values = ranked[first].view(np.float64).tolist()
-    texts = ((FLOAT_FMT + "\n") * len(values) % tuple(values)).split("\n")
-    table = np.empty(len(keys), dtype=object)
-    table[order] = np.array(texts, dtype=object)[np.cumsum(first) - 1]
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.cumsum(first) - 1
+    distinct = np.zeros((np.count_nonzero(first), CELL), dtype=np.uint8)
+    distinct[:, 1:] = _cell_text(ranked[first].view(np.float64).tolist())
+    cells = distinct[rank]
+    cells[:, 0] = np.where(np.signbit(values) & ~np.isnan(values), ord("-"), 0)
     bounds = np.cumsum([0] + [len(f) for f in flat]).tolist()
-    return [tuple(table[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:])]
+    return [cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _lines(cells: np.ndarray, lead: bytes, sep: bytes, end: bytes) -> bytes:
+    """``lead + sep.join(row) + end`` for each row of (n, m, CELL) cells, laid
+    out in one byte array whose 0 bytes are then dropped."""
+    n, m, _ = cells.shape
+
+    def column(text: bytes) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (n, len(text)))
+
+    parts = [column(lead)]
+    for c in range(m):
+        parts += [cells[:, c], column(sep if c < m - 1 else end)]
+    out = np.concatenate(parts, axis=1)
+    return out[out != 0].tobytes()
+
+
+def _face_lines(mesh: SurfaceMesh) -> bytes:
+    """The OBJ ``f`` lines: the 1-based decimal digits of every vertex index
+    are laid out once and gathered by ``mesh.indices``, one corner a row."""
+    x = np.arange(1, len(mesh.vertices) + 1)
+    width = len(str(len(mesh.vertices)))
+    digits = np.zeros((len(x), width), dtype=np.uint8)
+    for col in range(width - 1, -1, -1):
+        digits[:, col] = np.where(x > 0, x % 10 + ord("0"), 0)
+        x //= 10
+    # per corner: "f" on a face's first, " ", the digits, "\n" on its last
+    out = np.zeros((len(mesh.indices), width + 3), dtype=np.uint8)
+    out[mesh.offsets[:-1], 0] = ord("f")
+    out[:, 1] = ord(" ")
+    out[:, 2:-1] = digits[mesh.indices]
+    out[mesh.offsets[1:] - 1, -1] = ord("\n")
+    return out[out != 0].tobytes()
 
 
 def _write(path, data: bytes, kind: str) -> None:
@@ -183,15 +226,13 @@ def _write(path, data: bytes, kind: str) -> None:
         raise OSError("cannot write %s to %s: %s" % (kind, path, exc)) from exc
 
 
-def export_obj(mesh: SurfaceMesh, path, text=None) -> None:
-    """Write ``mesh`` as OBJ; ``text`` is its `vertex_texts` entry when the
+def export_obj(mesh: SurfaceMesh, path, cells=None) -> None:
+    """Write ``mesh`` as OBJ; ``cells`` is its `vertex_cells` entry when the
     caller has already formatted it together with other meshes."""
-    if text is None:
-        text, = vertex_texts(mesh.vertices)
-    sizes = np.diff(mesh.offsets).tolist()
-    templates = {m: "f" + " %d" * m + "\n" for m in set(sizes)}
-    faces = "".join(map(templates.__getitem__, sizes)) % tuple((mesh.indices + 1).tolist())
-    _write(path, ("v %s %s %s\n" * len(mesh.vertices) % text + faces).encode(), "OBJ")
+    if cells is None:
+        cells, = vertex_cells(mesh.vertices)
+    text = _lines(cells.reshape(len(mesh.vertices), 3, CELL), b"v ", b" ", b"\n")
+    _write(path, text + _face_lines(mesh), "OBJ")
 
 
 def load_obj(path) -> SurfaceMesh:
@@ -225,6 +266,6 @@ def export_ply(mesh: SurfaceMesh, path) -> None:
 def export_csv(mesh: SurfaceMesh, path) -> None:
     header = ["x", "y", "z"] + sorted(mesh.attributes)
     table = np.column_stack([mesh.vertices] + [mesh.attributes[k] for k in header[3:]])
-    text, = vertex_texts(table)
-    rows = (",".join(["%s"] * len(header)) + "\r\n") * len(table) % text
-    _write(path, (",".join(header) + "\r\n" + rows).encode(), "CSV")
+    cells, = vertex_cells(table)
+    rows = _lines(cells.reshape(len(table), len(header), CELL), b"", b",", b"\r\n")
+    _write(path, (",".join(header) + "\r\n").encode() + rows, "CSV")

@@ -102,7 +102,9 @@ def geodesic_residual(curve: PlanarCurve, patch: PatchGrid) -> float:
 
 def symmetry_residual(curve: PlanarCurve, angle: float | None = None,
                       t_samples: int = 64, s_values=(0.0,)) -> float:
-    """max |Phi(z + angle) - R_angle Phi(z)| with R a rotation about the x3-axis.
+    """max |Phi(z + angle) - R_angle Phi(z)| / max |Phi(z)| over the sampled
+    rows, with R a rotation about the x3-axis: relative, as the null residual
+    is, since rounding in Phi grows with Phi.
 
     For an epitrochoid the natural angle 2*pi/(k+1) is used by default; a
     circle is equivariant under every angle.
@@ -121,7 +123,7 @@ def symmetry_residual(curve: PlanarCurve, angle: float | None = None,
     rotated[..., 0] = c * a[..., 0] - sn * a[..., 1]
     rotated[..., 1] = sn * a[..., 0] + c * a[..., 1]
     rotated[..., 2] = a[..., 2]
-    return float(np.max(np.abs(b - rotated)))
+    return float(np.max(np.abs(b - rotated)) / np.max(np.abs(a)))
 
 
 @dataclass(frozen=True)

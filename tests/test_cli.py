@@ -114,36 +114,44 @@ def test_one_validation_per_built_mesh(tmp_path, monkeypatch, capsys):
 
 
 def test_generate_formats_each_distinct_value_once(tmp_path, monkeypatch):
-    # the pinned epi(2, 0.5) 24x7 --clip case: one text table for the mesh and
-    # its half-cut, one text object per distinct bit pattern.  The half-cut's
+    # the pinned epi(2, 0.5) 24x7 --clip case: one cell table for the mesh and
+    # its half-cut, and one % call on the distinct |v| alone.  The half-cut's
     # shared vertices and the patch's mirrored rows keep that under half of
-    # the values: the rows with s < 0 share their f1, f2 texts with their
-    # mirror rows and write f3 negated, so a patch that stops being its own
-    # mirror fails here
-    calls = []
-    vertex_texts = meshing.vertex_texts
+    # the values: the rows with s < 0 share their f1, f2 cells with their
+    # mirror rows and their f3 cells differ only in the sign byte, so a patch
+    # that stops being its own mirror fails here
+    calls, formatted = [], []
+    vertex_cells, cell_text = meshing.vertex_cells, meshing._cell_text
 
     def recording(*tables):
-        texts = vertex_texts(*tables)
-        calls.append((tables, texts))
-        return texts
+        cells = vertex_cells(*tables)
+        calls.append((tables, cells))
+        return cells
 
-    monkeypatch.setattr(meshing, "vertex_texts", recording)
+    def recording_text(values):
+        formatted.append(values)
+        return cell_text(values)
+
+    monkeypatch.setattr(meshing, "vertex_cells", recording)
+    monkeypatch.setattr(meshing, "_cell_text", recording_text)
     assert main(["generate", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
                  "--nt", "24", "--ns", "7", "--clip", "--out", str(tmp_path / "x")]) == 0
-    (tables, texts), = calls
+    (tables, cells), = calls
     assert len(tables) == 2 and tables[0].shape == (24 * 7, 3)
     assert 0 < len(tables[1]) < 24 * 7
     values = np.concatenate([t.reshape(-1) for t in tables])
-    distinct = len(np.unique(values.view(np.int64)))
-    assert len({id(text) for group in texts for text in group}) == distinct
-    assert 2 * distinct < len(values)
-    grid = tables[0].reshape(7, 24, 3)
-    text = np.array(texts[0], dtype=object).reshape(7, 24, 3)
+    (texted,) = formatted
+    assert sorted(np.array(texted).view(np.int64).tolist()) == sorted(
+        set(np.abs(values).view(np.int64).tolist()))
+    assert 2 * len(texted) < len(values)
+    for table, cell in zip(tables, cells):
+        assert [bytes(c[c != 0]).decode() for c in cell] == [
+            meshing.FLOAT_FMT % v for v in table.reshape(-1).tolist()]
+    grid = cells[0].reshape(7, 24, 3, meshing.CELL)
     for row in range(3):
-        assert all(a is b for a, b in zip(text[row, :, :2].flat, text[6 - row, :, :2].flat))
-        assert text[row, :, 2].tolist() == [meshing.FLOAT_FMT % -v
-                                            for v in grid[6 - row, :, 2].tolist()]
+        assert np.array_equal(grid[row, :, :2], grid[6 - row, :, :2])
+        assert np.array_equal(grid[row, :, 2, 1:], grid[6 - row, :, 2, 1:])
+        assert np.all(grid[row, :, 2, 0] != grid[6 - row, :, 2, 0])
 
 
 def test_generate_epitrochoid_with_clip(tmp_path):
@@ -297,6 +305,28 @@ def test_generate_quadrature_failure_exits_1_without_traceback(capsys, tmp_path,
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("quadrature failed: ") and err.endswith(" 33 points\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_singularity_on_path_exits_2_without_traceback(command, capsys, tmp_path, monkeypatch):
+    def on_path(*args, **kwargs):
+        raise continuation.SingularityOnPath("the vertical path to 1 passes the speed^2 zero")
+
+    monkeypatch.setattr(cli, "surface_patch", on_path)
+    out = tmp_path / "out"
+    argv = [command, "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5"]
+    assert main(argv + (["--out", str(out)] if command == "generate" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("invalid parameters: the vertical path")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["500", "5000", "500000"])
+def test_verify_passes_k1_at_large_lambda(lam, capsys):
+    # the symmetry residual is relative to |Phi|, which grows like 3 lambda
+    assert main(["verify", "--curve", "epitrochoid", "--k", "1", "--lambda", lam]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

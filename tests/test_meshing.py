@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bjorling import meshing
 from bjorling.continuation import find_strip
 from bjorling.curves import make_circle
 from bjorling.meshing import (
@@ -16,7 +17,7 @@ from bjorling.meshing import (
     load_obj,
     mesh_area,
     sample_mesh,
-    vertex_texts,
+    vertex_cells,
 )
 from bjorling.schwarz import surface_patch
 
@@ -164,22 +165,109 @@ def test_empty_mesh_exports(tmp_path):
     assert load_obj(tmp_path / "empty.obj").vertices.shape == (0, 3)
 
 
-def test_vertex_texts_equal_float_fmt():
-    # every text is FLOAT_FMT % v: signed zeros apart in one table, subnormals,
-    # the %g notation boundaries, inf/nan (CSV's abs_g), values shared by two
-    # tables, a Fortran-ordered table, a one-row and an empty table
+def decode(cells) -> list[str]:
+    return [bytes(c[c != 0]).decode() for c in cells]
+
+
+def test_vertex_cells_equal_float_fmt(monkeypatch):
+    # every cell decodes to FLOAT_FMT % v: signed zeros apart in one table,
+    # subnormals, the %g notation boundaries, inf/nan (CSV's abs_g) and a nan
+    # with its sign bit set, values shared by two tables, a Fortran-ordered
+    # table, a one-row and an empty table
     tiny = np.nextafter(0.0, 1.0)
-    a = np.array([[0.0, -0.0, tiny], [-tiny, 2.2250738585072009e-308, 2.2250738585072014e-308],
+    a = np.array([[0.0, -0.0, tiny], [-tiny, 2.2250738585072009e-308, -2.2250738585072014e-308],
                   [1e16, 1e17, np.nextafter(1e17, 0.0)], [1e-4, 1e-5, np.nextafter(1e-4, 0.0)],
-                  [np.inf, -np.inf, np.nan], [0.1, -0.0, 1e16]])
+                  [np.inf, -np.inf, np.nan], [0.1, -0.0, 1e16], [-np.nan, -0.1, -1e-5]])
     fortran = np.asfortranarray(np.array([[0.1, 2.0, -0.0], [3.0, 1e-5, 0.1]]))
     one = np.array([[0.5, -0.0, 0.5]])
     tables = (a, fortran, one, np.zeros((0, 3)))
-    got = vertex_texts(*tables)
-    assert got == [tuple(FLOAT_FMT % v for v in t.reshape(-1).tolist()) for t in tables]
-    assert got[0][:2] == ("0", "-0") and got[1][:3] == ("0.10000000000000001", "2", "-0")
-    assert got[0][12:15] == ("inf", "-inf", "nan")
-    assert got[0][15] is got[1][0] and got[2][0] is got[2][2]
+    formatted = []
+    cell_text = meshing._cell_text
+
+    def recording(values):
+        formatted.append(values)
+        return cell_text(values)
+
+    monkeypatch.setattr(meshing, "_cell_text", recording)
+    got = vertex_cells(*tables)
+    assert [c.shape for c in got] == [(21, 24), (6, 24), (3, 24), (0, 24)]
+    assert [decode(c) for c in got] == [[FLOAT_FMT % v for v in t.reshape(-1).tolist()]
+                                        for t in tables]
+    assert decode(got[0][:2]) == ["0", "-0"] and decode(got[0][12:15]) == ["inf", "-inf", "nan"]
+    assert decode(got[0][5:6]) == ["-2.2250738585072014e-308"]
+    assert decode(got[0][18:19]) == ["nan"]
+    # one % call, on the distinct |v| alone: v and -v share their digits
+    values = np.concatenate([t.reshape(-1) for t in tables])
+    (texted,) = formatted
+    assert sorted(np.array(texted).view(np.int64).tolist()) == sorted(
+        set(np.abs(values).view(np.int64).tolist()))
+
+
+def oracle_obj(mesh) -> bytes:
+    verts = "".join("v %s %s %s\n" % tuple(FLOAT_FMT % v for v in row)
+                    for row in mesh.vertices.tolist())
+    faces = "".join(("f" + " %d" * len(f) + "\n") % tuple(i + 1 for i in f) for f in mesh.faces)
+    return (verts + faces).encode()
+
+
+def oracle_csv(mesh) -> bytes:
+    header = ["x", "y", "z"] + sorted(mesh.attributes)
+    table = np.column_stack([mesh.vertices] + [mesh.attributes[k] for k in header[3:]])
+    return (",".join(header) + "\r\n" + "".join(",".join(FLOAT_FMT % v for v in row) + "\r\n"
+                                               for row in table.tolist())).encode()
+
+
+def assert_exports_match_oracle(tmp_path, *meshes):
+    # OBJ from one shared table, as generate writes it, and from each mesh's own
+    cells = vertex_cells(*(m.vertices for m in meshes))
+    for i, (mesh, own) in enumerate(zip(meshes, cells)):
+        for shared in (own, None):
+            export_obj(mesh, tmp_path / "m.obj", shared)
+            assert (tmp_path / "m.obj").read_bytes() == oracle_obj(mesh), i
+        export_csv(mesh, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == oracle_csv(mesh), i
+
+
+@pytest.mark.parametrize("curve", [epi(2, 0.5), make_circle()], ids=["epi", "circle"])
+def test_generate_meshes_export_as_oracle(curve, tmp_path):
+    # generate's 256x33 --clip mesh and half-cut
+    distance = find_strip(curve).distance
+    h = 0.9 * distance if math.isfinite(distance) else 1.0
+    mesh = sample_mesh(surface_patch(curve, curve.domain, (-h, h), 256, 33))
+    assert_exports_match_oracle(tmp_path, mesh, clip_halfspace(mesh, (0.0, 0.0, 1.0), 0.0))
+
+
+def test_oblique_cut_exports_as_oracle(tmp_path):
+    curve = epi(3, 0.6)
+    h = find_strip(curve).cap
+    mesh = sample_mesh(surface_patch(curve, curve.domain, (-h, h), 60, 11))
+    cut = clip_halfspace(mesh, (0.3, 0.5, 0.8), 0.1)
+    assert sorted({len(f) for f in cut.faces}) == [3, 4, 5]
+    assert_exports_match_oracle(tmp_path, cut)
+
+
+@pytest.mark.parametrize("n", [3, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+def test_vertex_counts_across_digit_widths_export_as_oracle(n, tmp_path):
+    # face indices on both sides of each digit width; coordinates with the
+    # widest text, signed zeros, subnormals and the 1e16/1e17 boundary, and
+    # attributes with inf and nan of either sign (CSV only: OBJ vertices are finite)
+    special = [-2.2250738585072014e-308, 0.0, -0.0, 5e-324, -5e-324, 1e16,
+               np.nextafter(1e16, 0.0), 1e17, -np.nextafter(1e17, 0.0), 0.1, -1e-5, 123.0]
+    rng = np.random.default_rng(n)
+    vertices = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))
+    vertices.flat[:min(len(special), 3 * n)] = special[:3 * n]
+    faces = [(0, 1, 2), (n - 3, n - 2, n - 1), (n - 1, 0, n // 2, n - 2), (n // 3, n - 1, 1, 0, 2)]
+    odd = np.array([np.inf, -np.inf, np.nan, -np.nan, -0.0] * n)[:n]
+    mesh = SurfaceMesh.from_faces(vertices, faces, attributes={"abs_g": odd, "s": -vertices[:, 0]})
+    assert_exports_match_oracle(tmp_path, mesh)
+
+
+def test_empty_and_one_vertex_meshes_export_as_oracle(tmp_path):
+    empty = SurfaceMesh.from_faces(np.zeros((0, 3)), [], attributes={"t": np.zeros(0)})
+    one = SurfaceMesh.from_faces(np.array([[-0.0, 5e-324, 1e17]]), [],
+                                 attributes={"abs_g": np.array([-np.nan])})
+    assert_exports_match_oracle(tmp_path, empty, one)
+    assert_exports_match_oracle(tmp_path, one)
 
 
 def test_one_vertex_mesh_exports(tmp_path):

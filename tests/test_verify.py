@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bjorling import verify
 from bjorling.curves import make_circle, make_cycloid, make_parabola
 from bjorling.continuation import find_strip
 from bjorling.schwarz import BLOCK_ROWS, PatchGrid, surface_patch
@@ -76,6 +77,32 @@ def test_symmetry_residual_epitrochoids(k):
 def test_symmetry_residual_circle_any_angle():
     assert symmetry_residual(make_circle(), angle=math.pi / 3,
                              s_values=(0.0, 0.3)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [500.0, 5e3, 5e5])
+def test_symmetry_residual_is_relative(lam):
+    # k = 1 at large lambda: |Phi| ~ 3 a, so an absolute residual read 1e-11 ..
+    # 1e-8 on a correct surface; relative to max |Phi| it sits at rounding
+    assert symmetry_residual(epi(1, lam)) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.3, 500.0, 5e5])
+def test_symmetry_residual_fails_wrong_angle_or_scaled_phi(lam, monkeypatch):
+    # mutations: an angle off by 1e-9, and Phi scaled by 1 + 1e-9 on the
+    # rotated side only; both must stay far above the 1e-11 threshold
+    curve = epi(1, lam)
+    assert symmetry_residual(curve, angle=math.pi + 1e-9) > 1e-10
+
+    class ScaledSecondCall(verify.HolomorphicTriple):
+        calls = 0
+
+        def grid_values(self, t_vals, s_vals):
+            ScaledSecondCall.calls += 1
+            values = super().grid_values(t_vals, s_vals)
+            return values * (1.0 + 1e-9) if ScaledSecondCall.calls == 2 else values
+
+    monkeypatch.setattr(verify, "HolomorphicTriple", ScaledSecondCall)
+    assert symmetry_residual(curve) > 1e-10
 
 
 def test_symmetry_requires_angle_for_generic_curve():
