@@ -38,7 +38,6 @@ from .curves import (
     make_cycloid,
     make_epitrochoid,
     make_parabola,
-    regularity_margin,
 )
 from .meshing import (
     SurfaceMesh,
@@ -51,7 +50,6 @@ from .meshing import (
     sample_mesh,
 )
 from .schwarz import (
-    HolomorphicTriple,
     PatchGrid,
     QuadratureFailure,
     StripTooWide,

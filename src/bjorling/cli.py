@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import analysis, meshing, verify, weierstrass
-from .continuation import SingularityOnPath, find_strip
-from .curves import InvalidCurveParameters, curve_from_config, regularity_margin
+from .continuation import SingularityOnPath, find_strip, velocity
+from .curves import InvalidCurveParameters, curve_from_config
 from .schwarz import QuadratureFailure, StripTooWide, surface_patch
 
 EXIT_OK = 0
@@ -123,8 +123,12 @@ def cmd_generate(args) -> int:
     curve = _build_curve(args)
     strip = find_strip(curve)
     halfwidth = _halfwidth(strip, args.s_fraction)
-    mesh = meshing.sample_mesh(surface_patch(curve, curve.domain, (-halfwidth, halfwidth),
-                                             args.nt, args.ns, strip=strip))
+    patch = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), args.nt, args.ns,
+                          strip=strip)
+    # min speed^2 over the patch's t-values at s = 0: positive, as find_strip certified
+    margin = float(np.min(velocity(curve, patch.t_vals, 0.0)[2].real))
+    mesh = meshing.sample_mesh(patch)
+    del patch  # the mesh holds copies: free the patch before the clip and the exports
     os.makedirs(args.out, exist_ok=True)
     slug = _slug(curve)
     obj_path = os.path.join(args.out, slug + ".obj")
@@ -145,7 +149,7 @@ def cmd_generate(args) -> int:
         "strip_halfwidth_used": halfwidth,
         "strip_distance_to_singularity": (strip.distance if math.isfinite(strip.distance)
                                           else None),
-        "regularity_margin": regularity_margin(curve),
+        "regularity_margin": margin,
         "nt": args.nt,
         "ns": args.ns,
         "outputs": [os.path.basename(p) for p in outputs],

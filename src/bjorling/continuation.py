@@ -26,13 +26,17 @@ its zeros are z = -i log(u)/step + 2 pi n/step over the roots u of R; a
 monomial series makes it a polynomial in z.  Either way ``np.roots`` (the eigenvalues of the
 companion matrix) gives the whole zero set, complete by construction.  It
 splits an m-fold root into m close ones; those are merged into one zero at
-their mean, well conditioned where each root is not (Zeng, Math. Comp. 74, 2005).
+their mean, well conditioned where each root is not (Zeng, Math. Comp. 74, 2005),
+and a real zero, whose cluster holds its own conjugate, gets Im exactly 0.
 Epitrochoids take the closed form of 1 + a^2 - 2a cos((k+1)z) instead
 (a = lambda*(k+1), period 2pi/(k+1), zeros at Re z in (2pi/(k+1))Z,
 |Im z| = ln(max(a, 1/a))/(k+1)).
 ``find_strip`` makes the one strip decision a run needs and returns a
 ``Strip`` holding the zeros near the t-window, the distance from the window
 to the nearest one and the usable half-width ``cap``, 0.9 times that distance.
+It is also the one regularity decision: a curve is regular on its window
+exactly when that distance is positive, and a zero on the window raises
+InvalidCurveParameters.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ import numpy as np
 
 from .curves import PHASE_COS, TWO_PI, InvalidCurveParameters, PlanarCurve
 
-DEFAULT_REFINEMENT = 1e-2
+# how near a zero's Re must come to a column's, modulo the period, to lie on its path
+PATH_CLEARANCE = 1e-2
 # np.roots splits a double root by about 2 sqrt(eps) = 3e-8 (relative)
 ROOT_CLUSTER_TOL = 1e-6
 
@@ -86,15 +91,15 @@ def speed_squared(curve: PlanarCurve, z):
     return velocity(curve, np.real(z), np.imag(z))[2]
 
 
-def strip_sqrt_array(curve: PlanarCurve, z, refinement: float = DEFAULT_REFINEMENT):
+def strip_sqrt_array(curve: PlanarCurve, z):
     """The strip branch of sqrt(speed^2) at points z of any shape, in closed form;
     SingularityOnPath where the vertical segment to a point passes a zero: its Im
-    between 0 and Im z and its Re within ``refinement`` of Re z, modulo the period."""
+    between 0 and Im z and its Re within PATH_CLEARANCE of Re z, modulo the period."""
     z = np.asarray(z, dtype=complex)
-    return strip_branch(curve, z.real, z.imag, speed_squared(curve, z), refinement)
+    return strip_branch(curve, z.real, z.imag, speed_squared(curve, z))
 
 
-def strip_branch(curve: PlanarCurve, t, s, speed2, refinement: float = DEFAULT_REFINEMENT):
+def strip_branch(curve: PlanarCurve, t, s, speed2):
     """``strip_sqrt_array`` at t + i s for t and s that broadcast to speed2's shape.
 
     Each ratio (m(z) - r)/(m(t) - r) is rank one, 1 + beta(s) alpha(t): for m = e^{ifz},
@@ -116,7 +121,7 @@ def strip_branch(curve: PlanarCurve, t, s, speed2, refinement: float = DEFAULT_R
         offset = t - zero.real
         if trig:
             offset -= period * np.round(offset / period)
-        passed = (np.abs(offset) <= refinement) \
+        passed = (np.abs(offset) <= PATH_CLEARANCE) \
             & ((np.abs(s) >= abs(zero.imag)) & (s * zero.imag >= 0))
         if np.any(passed):
             raise SingularityOnPath("the vertical path to %s passes the speed^2 zero at %s" % (
@@ -140,13 +145,21 @@ def _wrap(d: complex, period: float) -> complex:
 
 
 def _merge_roots(roots, period: float):
-    """((zero, multiplicity), ...): roots within ROOT_CLUSTER_TOL (mod period) at their mean."""
+    """((zero, multiplicity), ...): roots within ROOT_CLUSTER_TOL (mod period) at their mean.
+
+    A cluster that holds the conjugate of its first member is a real zero: its mean's
+    imaginary part, zero up to the rounding of the sum, is set to exactly 0."""
     clusters = {}  # first member -> offsets of the members from it
     for z in roots:
         home = next((c for c in clusters if abs(_wrap(z - c, period))
                      <= ROOT_CLUSTER_TOL * max(1.0, abs(c))), z)
         clusters.setdefault(home, []).append(_wrap(z - home, period))
-    return tuple((c + sum(d) / len(d) if len(d) > 1 else c, len(d)) for c, d in clusters.items())
+    merged = []
+    for c, d in clusters.items():
+        mean = c + sum(d) / len(d) if len(d) > 1 else c
+        real = _wrap(c.conjugate() - c, period) in d
+        merged.append((complex(mean.real, 0.0) if real else mean, len(d)))
+    return tuple(merged)
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,10 +256,10 @@ class Strip:
     ``zeros`` are the speed^2 zeros with Re z within one period of speed^2 of
     the window (2 pi/(k+1) for an epitrochoid; all of them for monomial
     series), ``multiplicities`` their orders, and ``distance`` is the distance
-    from the real segment t_range to the nearest one, inf only when speed^2
-    has no zero.  A zero is never closer to a
-    sub-window than to the whole window, so the strip is valid for every
-    t-window inside t_range.
+    from the real segment t_range to the nearest one, positive (``find_strip``
+    refuses a zero on the window) and inf only when speed^2 has no zero.  A
+    zero is never closer to a sub-window than to the whole window, so the
+    strip is valid for every t-window inside t_range.
     """
 
     curve: PlanarCurve
@@ -266,11 +279,17 @@ def find_strip(curve: PlanarCurve, t_range=None) -> Strip:
 
     Every zero is a translate by whole periods of one within a period of the
     window, and a translate further out is no closer, so the distance over
-    those is the distance over the whole zero set.
+    those is the distance over the whole zero set.  This is the package's one
+    regularity decision: a zero on the window (distance 0) means the curve is
+    not regular there and raises InvalidCurveParameters, naming the zero.
+    ValueError unless t_lo <= t_hi, both finite.
     """
     if t_range is None:
         t_range = curve.domain
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo <= t_hi):
+        raise ValueError("the t-window (%r, %r) is not a finite interval with t_lo <= t_hi"
+                         % (t_lo, t_hi))
     base, period = _zero_set(curve)
     zeros = singularity_scan(curve, math.inf, (t_lo - period, t_hi + period))
     multiplicities = tuple(min(base, key=lambda b: abs(_wrap(z - b[0], period)))[1]
@@ -278,4 +297,9 @@ def find_strip(curve: PlanarCurve, t_range=None) -> Strip:
     distance = min((abs(z.imag) if t_lo <= z.real <= t_hi
                     else min(abs(z - t_lo), abs(z - t_hi)) for z in zeros),
                    default=math.inf)
+    if distance == 0.0:
+        zero = next(z for z in zeros if z.imag == 0.0 and t_lo <= z.real <= t_hi)
+        raise InvalidCurveParameters(
+            "%s is not regular on (%r, %r): speed^2 vanishes at t = %.17g"
+            % (curve.label, t_lo, t_hi, zero.real + 0.0))
     return Strip(curve, (t_lo, t_hi), zeros, multiplicities, distance)

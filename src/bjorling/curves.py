@@ -225,16 +225,6 @@ def make_parabola(half_width: float = 2.0) -> PlanarCurve:
     )
 
 
-def regularity_margin(curve: PlanarCurve, n_samples: int = 256) -> float:
-    """min over uniform real samples of x'(t)^2 + y'(t)^2."""
-    if n_samples < 16:
-        raise ValueError("n_samples must be at least 16")
-    t = np.linspace(curve.domain[0], curve.domain[1], n_samples)
-    dx = curve.x.derivative()(t)
-    dy = curve.y.derivative()(t)
-    return float(np.min(dx * dx + dy * dy))
-
-
 def curve_from_config(cfg: dict) -> PlanarCurve:
     """Build a curve from a parsed JSON/TOML mapping.
 

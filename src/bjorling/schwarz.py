@@ -1,6 +1,6 @@
 """Schwarz solution of the planar-geodesic Bjorling problem.
 
-Given a regular planar curve c, the holomorphic null triple
+Given a planar curve c, regular on its t-window, the holomorphic null triple
 
     Phi(z) = ((P + Q)/2, i (Q - P)/2, i W) = (x'(z), y'(z), i W(z)),    W = sqrt(P Q),
 
@@ -26,11 +26,14 @@ Chebyshev points cos(pi k/n) of [0, max|s|], a DCT-I (one real FFT) gives the
 interpolant's coefficients, and the termwise integral is evaluated at every
 |s| level minus its value at s = 0.  W is analytic past the interval, so the
 coefficients fall geometrically (Trefethen, ATAP, ch. 8 and 19); columns whose
-series has not converged double n, reusing every sample.  On a patch, P, Q
-and W at the nodes and on the grid come from ``HolomorphicTriple.grid_parts``,
-from 1-D factors on the tensor grid.  A patch must stay inside ``Strip.cap``
-of the curve's ``Strip`` from ``continuation.find_strip``.  ``verify``'s null
-residual is relative, max |sum phi_i^2| / sum |phi_i|^2, the sum's own rounding.
+series has not converged double n, reusing every sample.  P, Q and W at the
+nodes, on the grid and at single points come from one helper on ``velocity`` and
+``strip_branch``; ``phi(curve, t, s)`` takes t and s that broadcast together, so
+a (1, nt) t and an (ns, 1) s give the grid from 1-D factors.  A patch must stay
+inside ``Strip.cap`` of the curve's ``Strip`` from ``continuation.find_strip``,
+which also makes the one regularity decision: it refuses a window with a zero
+of speed^2 on it.  ``verify``'s null residual is relative,
+max |sum phi_i^2| / sum |phi_i|^2, the sum's own rounding.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import DEFAULT_REFINEMENT, Strip, find_strip, strip_branch, velocity
-from .curves import InvalidCurveParameters, PlanarCurve, regularity_margin
+from .continuation import Strip, find_strip, strip_branch, velocity
+from .curves import InvalidCurveParameters, PlanarCurve
 
 DEFAULT_QUAD_TOL = 1e-11
 # multiple of the unit roundoff in the integrand's own rounding floor
@@ -63,48 +66,21 @@ class StripTooWide(ValueError):
     """Requested |Im z| exceeds 0.9x the distance to the nearest speed^2 zero."""
 
 
-class HolomorphicTriple:
-    """The null curve Phi = ((P + Q)/2, i (Q - P)/2, i W) = (x', y', i W), from
-    ``continuation.velocity``'s P = x' + i y' and Q = x' - i y' and the strip branch W
-    of sqrt(P Q).  phi1^2 + phi2^2 + phi3^2 = 0 holds identically; on the real axis
-    phi3 is purely imaginary with positive imaginary part.
-    """
-
-    def __init__(self, curve: PlanarCurve, refinement: float = DEFAULT_REFINEMENT):
-        margin = regularity_margin(curve, 256)
-        if margin <= 0:
-            raise InvalidCurveParameters(
-                "curve %s is not regular (speed^2 min = %g)" % (curve.label, margin))
-        self.curve = curve
-        self.refinement = refinement
-
-    def __call__(self, z):
-        """Phi at strip points of any shape; the result has shape z.shape + (3,)."""
-        z = np.asarray(z, dtype=complex)
-        p, q, speed2 = velocity(self.curve, z.real, z.imag)
-        return _null_triple(p, q, strip_branch(self.curve, z.real, z.imag, speed2,
-                                               self.refinement))
-
-    def grid_parts(self, t_vals, s_vals):
-        """P, Q and the strip branch W at t_vals[None, :] + i s_vals[:, None],
-        each of shape (ns, nt), from 1-D factors."""
-        t, s = np.asarray(t_vals, dtype=float)[None, :], np.asarray(s_vals, dtype=float)[:, None]
-        p, q, speed2 = velocity(self.curve, t, s)
-        return p, q, strip_branch(self.curve, t, s, speed2, self.refinement)
-
-    def grid_values(self, t_vals, s_vals):
-        """Phi on the grid, shape (ns, nt, 3); rows follow s_vals order."""
-        return _null_triple(*self.grid_parts(t_vals, s_vals))
+def _strip_parts(curve: PlanarCurve, t, s):
+    """P = x' + i y', Q = x' - i y' and the strip branch W of sqrt(P Q) at t + i s,
+    for t and s that broadcast together."""
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    p, q, speed2 = velocity(curve, t, s)
+    return p, q, strip_branch(curve, t, s, speed2)
 
 
-def _null_triple(p, q, w):
-    """Phi = ((P + Q)/2, i (Q - P)/2, i W), stacked on a new last axis."""
+def phi(curve: PlanarCurve, t, s):
+    """The null curve Phi = ((P + Q)/2, i (Q - P)/2, i W) = (x', y', i W) at t + i s, for
+    t and s that broadcast together, stacked on a new last axis.  A (1, nt) t and an
+    (ns, 1) s give the grid from 1-D factors.  phi1^2 + phi2^2 + phi3^2 = 0 holds
+    identically; on the real axis phi3 is purely imaginary with positive imaginary part."""
+    p, q, w = _strip_parts(curve, t, s)
     return np.stack([0.5 * (p + q), 0.5j * (q - p), 1j * w], axis=-1)
-
-
-def phi(curve: PlanarCurve) -> HolomorphicTriple:
-    """Null triple of the Schwarz solution for a regular planar curve."""
-    return HolomorphicTriple(curve)
 
 
 def planar_normal(curve: PlanarCurve, t):
@@ -114,12 +90,12 @@ def planar_normal(curve: PlanarCurve, t):
     return np.stack([-p.imag / speed, p.real / speed, 0.0 * speed], axis=-1)
 
 
-def surface_point(triple: HolomorphicTriple, t: float, s: float,
+def surface_point(curve: PlanarCurve, t: float, s: float,
                   tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Surface value f(t + i s): exact Re x, Re y and the column integral f3, taken
     over [0, |s|] and negated for s < 0 (f3 is odd in s)."""
-    f3 = _column_integrals(triple, np.array([float(t)]), [abs(s)], tol)[0, 0]
-    x, y = triple.curve.eval(complex(t, s))
+    f3 = _column_integrals(curve, np.array([float(t)]), [abs(s)], tol)[0, 0]
+    x, y = curve.eval(complex(t, s))
     return np.array([np.real(x), np.real(y), -f3 if s < 0 else f3])
 
 
@@ -183,7 +159,9 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     result; it is kept only for the benchmark's thread probe, and the CLI
     runs serial.  ``strip`` is the curve's strip over a t-window covering t_range
     (found here when not given; ValueError when it belongs to another curve or
-    window).  Raises StripTooWide when |s| exceeds ``strip.cap``.
+    window).  Raises StripTooWide when |s| exceeds ``strip.cap``, and
+    InvalidCurveParameters when the curve is not regular on t_range or the patch
+    leaves float range.
     """
     if nt < 2 or ns < 2:
         raise ValueError("nt and ns must be at least 2")
@@ -198,12 +176,11 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
         raise StripTooWide(
             "requested |s| up to %g exceeds the usable strip half-width %g"
             % (max(abs(s_lo), abs(s_hi)), strip.cap))
-    triple = HolomorphicTriple(curve)
     t_vals = np.linspace(t_lo, t_hi, nt)
     s_vals = np.linspace(s_lo, s_hi, ns)
     if s_lo == -s_hi:  # exact mirror pairs, and 0.0 in the middle of an odd ns
         s_vals = 0.5 * (s_vals - s_vals[::-1])
-    points, phi_grid = _columns(triple, t_vals, s_vals, tol, workers)
+    points, phi_grid = _columns(curve, t_vals, s_vals, tol, workers)
     return PatchGrid(curve=curve, t_vals=t_vals, s_vals=s_vals, points=points, phi=phi_grid)
 
 
@@ -236,18 +213,23 @@ def _chebyshev_increments(coef, x, x0):
     return out
 
 
-def _column_integrals(triple: HolomorphicTriple, t, levels, tol: float):
+def _column_integrals(curve: PlanarCurve, t, levels, tol: float):
     """-int_0^level Re W(t + i sigma) d sigma for each t and level, shape (L, len(t)).
 
-    Clenshaw-Curtis over sigma in [0, max(levels)], with W from
-    ``triple.grid_parts``.  A column is done when the upper half of its
+    Clenshaw-Curtis over sigma in [0, max(levels)], with W on the grid of the
+    columns and the Chebyshev nodes.  A column is done when the upper half of its
     integrated series sums to within tol or within its rounding floor, the
     integrand's own size ROUNDING_SAFETY eps hi max|W|; the others double n,
-    keeping their samples, up to CC_MAX_N.
+    keeping their samples, up to CC_MAX_N.  A W that is not finite raises
+    InvalidCurveParameters: no resolution can integrate it.
     """
     def sample(k, n, cols):
         sigma = half + half * np.cos(np.pi * k / n)
-        w = triple.grid_parts(t[cols], sigma)[2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _strip_parts(curve, t[cols][None, :], sigma[:, None])[2]
+        if not np.all(np.isfinite(w)):
+            raise InvalidCurveParameters(
+                "the patch leaves float range: W is not finite on |s| <= %g" % hi)
         return -w.real, ROUNDING_SAFETY * np.finfo(float).eps * hi * np.max(np.abs(w), axis=0)
 
     out = np.zeros((len(levels), len(t)))
@@ -274,7 +256,7 @@ def _column_integrals(triple: HolomorphicTriple, t, levels, tol: float):
         values, floor, n = both, np.maximum(floor[~done], fresh_floor), 2 * n
 
 
-def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int = 1):
+def _columns(curve: PlanarCurve, t_vals, s_vals, tol: float, workers: int = 1):
     """Points and Phi (ns, nt, 3) on the grid, by blocks of whole columns, each
     evaluated at the distinct |s| and reflected into the rows with s < 0.
 
@@ -291,14 +273,13 @@ def _columns(triple: HolomorphicTriple, t_vals, s_vals, tol: float, workers: int
     low = slice(neg[0], neg[-1] + 1) if neg else slice(0)
     points = np.empty((len(s_vals), len(t_vals), 3))
     phi_grid = np.empty(points.shape, dtype=complex)
-    curve = triple.curve
 
     def fill(cols):
         cols = slice(cols[0], cols[-1] + 1)
         t = t_vals[cols]
-        f3 = _column_integrals(triple, t, levels, tol)
+        f3 = _column_integrals(curve, t, levels, tol)
         half = np.stack([curve.x.grid(t, levels).real, curve.y.grid(t, levels).real, f3], axis=-1)
-        half_phi = _null_triple(*triple.grid_parts(t, levels))
+        half_phi = phi(curve, t[None, :], levels[:, None])
         for out_row, row in enumerate(rows):
             points[out_row, cols], phi_grid[out_row, cols] = half[row], half_phi[row]
         # rows with s < 0 hold (f1, f2, -f3) and (conj Phi1, conj Phi2, -conj Phi3) of

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PlanarCurve
-from .schwarz import BLOCK_ROWS, HolomorphicTriple, PatchGrid
+from .schwarz import BLOCK_ROWS, PatchGrid, phi
 
 _W_FLOOR = 1e-14
 
@@ -113,11 +113,10 @@ def symmetry_residual(curve: PlanarCurve, angle: float | None = None,
         if curve.epitrochoid is None:
             raise ValueError("angle required for a curve without dihedral symmetry")
         angle = 2.0 * math.pi / (curve.epitrochoid.k + 1)
-    triple = HolomorphicTriple(curve)
     t = np.linspace(curve.domain[0], curve.domain[1], t_samples, endpoint=False)
-    s = np.asarray(s_values, dtype=float)
-    a = triple.grid_values(t, s)
-    b = triple.grid_values(t + angle, s)
+    s = np.asarray(s_values, dtype=float)[:, None]
+    a = phi(curve, t, s)
+    b = phi(curve, t + angle, s)
     c, sn = math.cos(angle), math.sin(angle)
     rotated = np.empty_like(a)
     rotated[..., 0] = c * a[..., 0] - sn * a[..., 1]

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .continuation import strip_branch, velocity
+from .continuation import velocity
 from .curves import PlanarCurve
-from .schwarz import HolomorphicTriple, phi, surface_point
+from .schwarz import _strip_parts, surface_point
 
 
 class DivisionNearZero(ArithmeticError):
@@ -43,16 +43,16 @@ def data_from_curve(curve: PlanarCurve) -> WeierstrassData:
         return velocity(curve, np.real(z), np.imag(z))[1]
 
     def g(z):
-        zs = np.asarray(z, dtype=complex)
-        _, q, speed2 = velocity(curve, zs.real, zs.imag)
-        out = 1j * strip_branch(curve, zs.real, zs.imag, speed2) / q
+        _, q, w = _strip_parts(curve, np.real(z), np.imag(z))
+        out = 1j * w / q
         return complex(out) if out.ndim == 0 else out
 
     return WeierstrassData(g=g, eta=eta, chart="z-strip")
 
 
-def data_from_phi(triple: HolomorphicTriple) -> WeierstrassData:
-    """Weierstrass data recovered from the null triple: g = phi3/(phi1 - i phi2)."""
+def data_from_phi(triple: Callable) -> WeierstrassData:
+    """Weierstrass data recovered from a null triple z -> Phi(z), such as
+    lambda z: schwarz.phi(curve, z.real, z.imag): g = phi3/(phi1 - i phi2)."""
 
     def eta(z):
         v = triple(z)
@@ -88,12 +88,11 @@ def gauss_map_check(curve: PlanarCurve, t_samples, h: float = 1e-3) -> float:
     step h; the t-tangent along the geodesic row is the exact curve velocity.
     """
     data = data_from_curve(curve)
-    triple = phi(curve)
     ts = np.asarray(t_samples, dtype=float)
     worst = 0.0
     for t, p in zip(ts, velocity(curve, ts, 0.0)[0]):
-        f_up = surface_point(triple, t, +h, tol=1e-13)
-        f_dn = surface_point(triple, t, -h, tol=1e-13)
+        f_up = surface_point(curve, t, +h, tol=1e-13)
+        f_dn = surface_point(curve, t, -h, tol=1e-13)
         fs = (f_up - f_dn) / (2.0 * h)
         ft = np.array([p.real, p.imag, 0.0])
         nu = np.cross(ft, fs)

@@ -82,13 +82,12 @@ def test_criterion_03_bjorling_contract():
         row = patch.geodesic_row
         worst_row = max(worst_row, float(np.max(np.abs(
             patch.points[row] - curve.point3d(patch.t_vals)))))
-        triple = phi(curve)
         t0, t1 = curve.domain
         for t in np.linspace(t0 + 2 * h, t1 - 2 * h, 17):
-            f_t = (surface_point(triple, t + h, 0.0)
-                   - surface_point(triple, t - h, 0.0)) / (2 * h)
-            f_s = (surface_point(triple, t, +h)
-                   - surface_point(triple, t, -h)) / (2 * h)
+            f_t = (surface_point(curve, t + h, 0.0)
+                   - surface_point(curve, t - h, 0.0)) / (2 * h)
+            f_s = (surface_point(curve, t, +h)
+                   - surface_point(curve, t, -h)) / (2 * h)
             nu = np.cross(f_t, f_s)
             nu /= np.linalg.norm(nu)
             worst_normal = max(worst_normal, float(np.max(np.abs(
@@ -104,14 +103,13 @@ def test_criterion_04_weierstrass_consistency():
     worst_axis = 0.0
     for curve in all_test_curves():
         data = data_from_curve(curve)
-        triple = phi(curve)
         t0, t1 = curve.domain
         s = safe_smax(curve)
         zs = rng.uniform(t0, t1, 100) + 1j * rng.uniform(-s, s, 100)
         for z in zs:
             gv = data.g(z)
             ev = data.eta(z)
-            ph = triple(z)
+            ph = phi(curve, z.real, z.imag)
             recon = np.array([0.5 * (1 - gv**2) * ev,
                               0.5j * (1 + gv**2) * ev,
                               gv * ev])

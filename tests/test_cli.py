@@ -162,7 +162,8 @@ def test_generate_epitrochoid_with_clip(tmp_path):
     assert code == 0
     summary = json.loads((out / "epitrochoid_k2_lam0p5_summary.json").read_text())
     assert abs(summary["strip_halfwidth_used"] - 0.9 * 0.13515503603605478) < 1e-9
-    assert summary["regularity_margin"] > 0
+    # min speed^2 on the patch's t-values at s = 0, where t = 0 gives (k+2)^2 (1 - a)^2
+    assert summary["regularity_margin"] == 4.0
     assert (out / "epitrochoid_k2_lam0p5_halfcut.obj").exists()
 
 
@@ -191,6 +192,10 @@ def test_generate_rejects_cusped_parameters(tmp_path, capsys):
     ["generate", "--curve", "parabola", "--half-width", "1e200"],
     ["verify", "--curve", "parabola", "--half-width", "1e200"],
     ["verify", "--curve", "parabola", "--half-width", "1e-155"],
+    # the patch leaves float range: W is not finite on the columns
+    ["generate", "--curve", "epitrochoid", "--k", "1", "--lambda", "1e300"],
+    ["generate", "--curve", "epitrochoid", "--k", "1", "--lambda", "1e-300"],
+    ["verify", "--curve", "epitrochoid", "--k", "1", "--lambda", "1e200"],
 ])
 def test_bad_input_exits_with_bad_params(argv, tmp_path, capsys):
     if argv[0] == "generate":

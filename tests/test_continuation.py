@@ -16,6 +16,8 @@ from bjorling.continuation import (
 )
 from bjorling.curves import (
     PHASE_COS,
+    PHASE_SIN,
+    TWO_PI,
     InvalidCurveParameters,
     PlanarCurve,
     TrigPolySeries,
@@ -138,8 +140,8 @@ def test_oracle_refuses_a_coarse_step():
 
 
 def _zero_clear_columns(curve, n):
-    # the midpoints of n - 1 equal cells of the domain more than twice the
-    # refinement from every zero (mod the period), and 2.5 times the distance
+    # the midpoints of n - 1 equal cells of the domain more than twice
+    # PATH_CLEARANCE from every zero (mod the period), and 2.5 times the distance
     # to the nearest zero (0.9 without zeros)
     strip = find_strip(curve)
     t = np.linspace(*curve.domain, n)
@@ -182,7 +184,7 @@ def _double_zeros_curve():
 def test_strip_branch_closed_form_equals_vertical_continuation(curve):
     # the closed form against 400 matched steps up every column, bit for bit,
     # up to 2.5 times the distance to the nearest zero: columns that pass
-    # beside a zero (by more than twice the refinement) turn past the
+    # beside a zero (by more than twice PATH_CLEARANCE) turn past the
     # principal root's cut
     t, s_max = _zero_clear_columns(curve, 97)
     z = t[None, :] + 1j * np.linspace(-s_max, s_max, 41)[:, None]
@@ -345,6 +347,50 @@ def test_double_roots_merged_at_the_cluster_mean():
     # simple zeros stay simple; the cycloid's double zero is one root of each factor
     assert set(find_strip(epi(2, 0.5)).multiplicities) == {1}
     assert find_strip(make_cycloid()).multiplicities == (2, 2)
+
+
+def _cusped_epitrochoid(k):
+    # the a = 1 series built by hand (EpitrochoidParams refuses it), so its zeros come
+    # from np.roots: speed^2 = 4 (k+2)^2 sin^2((k+1)t/2), double zeros at 2 pi j/(k+1)
+    return PlanarCurve(x=TrigPolySeries(trig=((k + 2.0, 1, PHASE_COS), (-1.0, k + 2, PHASE_COS))),
+                       y=TrigPolySeries(trig=((k + 2.0, 1, PHASE_SIN), (-1.0, k + 2, PHASE_SIN))),
+                       domain=(0.0, TWO_PI), closed=True, label="cusped k=%d" % k)
+
+
+@pytest.mark.parametrize("curve,window,where", [(_cusped_epitrochoid(k), None, "0$")
+                                                for k in range(1, 9)] + [
+    # the cusp of the cycloid's series at t = 0, inside this window
+    (make_cycloid(), (-0.3, 0.2137), "0$"),
+    # (t^2, t^3): x' + i y' = z (2 + 3iz), zeros from the companion matrix
+    (PlanarCurve(x=TrigPolySeries(poly=((1.0, 2),)), y=TrigPolySeries(poly=((1.0, 3),)),
+                 domain=(-1.0, 1.0), closed=False, label="t^2, t^3"), None, "0$"),
+    # ((t + 1.5)^3, (t + 1.5)^4) expanded: np.roots splits the double zero of x' + i y'
+    # at -1.5, and the merged cluster must still lie on the axis exactly
+    (PlanarCurve(x=TrigPolySeries(poly=((3.375, 0), (6.75, 1), (4.5, 2), (1.0, 3))),
+                 y=TrigPolySeries(poly=((5.0625, 0), (13.5, 1), (13.5, 2), (6.0, 3), (1.0, 4))),
+                 domain=(-2.0, 0.0), closed=False, label="double at -1.5"), None, "-1.49999"),
+], ids=lambda v: v.label if isinstance(v, PlanarCurve) else None)
+def test_a_zero_on_the_window_is_refused(curve, window, where):
+    # a real zero of speed^2 on the window: distance 0, the curve is not regular there
+    window = window or curve.domain
+    match = "vanishes at t = %s" % where
+    with pytest.raises(InvalidCurveParameters, match=match):
+        find_strip(curve, window)
+    with pytest.raises(InvalidCurveParameters, match=match):
+        surface_patch(curve, window, (0.0, 0.1), 8, 3)
+
+
+@pytest.mark.parametrize("window", [(2.5, 1.5), (float("nan"), 2.5), (1.5, float("nan")),
+                                    (1.5, math.inf)])
+def test_a_reversed_or_nan_window_is_refused(window):
+    # (2.5, 1.5) would read distance 0.4275, past the zero at 2 pi/3 + 0.1352i that
+    # (1.5, 2.5) finds, and the patch over it would hold that zero
+    curve = epi(2, 0.5)
+    assert abs(find_strip(curve, (1.5, 2.5)).distance - math.log(1.5) / 3.0) < 1e-12
+    with pytest.raises(ValueError, match="not a finite interval"):
+        find_strip(curve, window)
+    with pytest.raises(ValueError, match="not a finite interval"):
+        surface_patch(curve, window, (0.0, 0.1), 32, 9)
 
 
 def test_mixed_trig_and_monomial_series_rejected():

@@ -13,7 +13,6 @@ from bjorling.curves import (
     make_circle,
     make_cycloid,
     make_parabola,
-    regularity_margin,
     PHASE_COS,
     PHASE_SIN,
 )
@@ -118,24 +117,6 @@ def test_epitrochoid_dihedral_symmetry(k):
     x1, y1 = curve.eval(t + delta)
     rot = (x0 + 1j * y0) * np.exp(1j * delta)
     assert np.max(np.abs((x1 + 1j * y1) - rot)) < 1e-12
-
-
-def test_regularity_margin_values():
-    assert abs(regularity_margin(make_circle()) - 1.0) < 1e-14
-    # min of (k+2)^2 (1 + a^2 - 2 a cos((k+1)t)) at cos = 1 with a = 1.5
-    assert abs(regularity_margin(epi(2, 0.5)) - 4.0) < 1e-12
-    # cusped series built by hand (constructor would reject it): margin -> 0 at t = 0
-    a = 1.0
-    k = 2
-    cusped = PlanarCurve(
-        x=TrigPolySeries(trig=((float(k + 2), 1, PHASE_COS), (-a, k + 2, PHASE_COS))),
-        y=TrigPolySeries(trig=((float(k + 2), 1, PHASE_SIN), (-a, k + 2, PHASE_SIN))),
-        domain=(0.0, 2 * math.pi),
-        closed=True,
-    )
-    assert regularity_margin(cusped, 257) < 1e-25
-    with pytest.raises(ValueError):
-        regularity_margin(make_circle(), 8)
 
 
 def test_epitrochoid_speed_closed_form(rng):

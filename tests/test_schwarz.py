@@ -10,7 +10,6 @@ from bjorling.curves import PlanarCurve, TrigPolySeries, make_circle, make_cyclo
 from bjorling.schwarz import (
     CC_FIRST_N,
     CC_MAX_N,
-    HolomorphicTriple,
     QuadratureFailure,
     StripTooWide,
     phi,
@@ -48,27 +47,25 @@ def test_clenshaw_curtis_exact_through_degree_n():
 
 
 def test_phi_values():
-    triple = phi(make_circle())
     t = np.linspace(0, 2 * math.pi, 9)
-    vals = triple(t.astype(complex))
+    vals = phi(make_circle(), t, 0.0)
     assert np.allclose(vals[:, 0], -np.sin(t), atol=1e-14)
     assert np.allclose(vals[:, 1], np.cos(t), atol=1e-14)
     assert np.allclose(vals[:, 2], 1j, atol=1e-14)
 
-    v = phi(epi(2, 0.5))(0j)
+    v = phi(epi(2, 0.5), 0.0, 0.0)
     assert np.allclose(v, [0.0, -2.0, 2.0j], atol=1e-13)
 
-    v = phi(make_parabola())(0j)
+    v = phi(make_parabola(), 0.0, 0.0)
     assert np.allclose(v, [1.0, 0.0, 1.0j], atol=1e-14)
 
 
 def test_null_identity_on_grid(test_curve):
     cap = find_strip(test_curve).cap
     s_max = 0.8 * cap if math.isfinite(cap) else 0.8
-    triple = phi(test_curve)
     t = np.linspace(*test_curve.domain, 48)
     s = np.linspace(-s_max, s_max, 7)
-    vals = triple.grid_values(t, s)
+    vals = phi(test_curve, t[None, :], s[:, None])
     assert float(np.max(np.abs(np.sum(vals**2, axis=-1)))) < 1e-12
 
 
@@ -136,9 +133,8 @@ def test_surface_point_matches_patch():
     curve = epi(3, 0.6)
     cap = find_strip(curve).cap
     patch = surface_patch(curve, (0.0, 2.0), (-0.8 * cap, 0.8 * cap), 9, 7)
-    triple = phi(curve)
     for j, l in ((4, 5), (6, 1)):
-        pt = surface_point(triple, float(patch.t_vals[j]), float(patch.s_vals[l]))
+        pt = surface_point(curve, float(patch.t_vals[j]), float(patch.s_vals[l]))
         assert np.max(np.abs(pt - patch.points[l, j])) < 1e-10
 
 
@@ -230,13 +226,13 @@ def test_patch_workers_deterministic():
 def test_normal_reproduction_against_planar_normal(test_curve):
     # discrete patch normal at (t, 0) from h = 1e-3 stencils vs planar_normal
     h = 1e-3
-    triple = phi(test_curve)
     t0, t1 = test_curve.domain
     ts = np.linspace(t0 + 2 * h, t1 - 2 * h, 9)
     worst = 0.0
     for t in ts:
-        f_t = (surface_point(triple, t + h, 0.0) - surface_point(triple, t - h, 0.0)) / (2 * h)
-        f_s = (surface_point(triple, t, +h) - surface_point(triple, t, -h)) / (2 * h)
+        f_t = (surface_point(test_curve, t + h, 0.0)
+               - surface_point(test_curve, t - h, 0.0)) / (2 * h)
+        f_s = (surface_point(test_curve, t, +h) - surface_point(test_curve, t, -h)) / (2 * h)
         nu = np.cross(f_t, f_s)
         nu /= np.linalg.norm(nu)
         worst = max(worst, float(np.max(np.abs(nu - planar_normal(test_curve, t)))))
@@ -301,7 +297,7 @@ def test_asymmetric_patch_matches_closed_forms(k, lam, name):
     planar = np.stack([x.real, y.real], axis=-1)
     scale = max(1.0, float(np.max(np.abs(planar))))
     assert np.max(np.abs(patch.points[..., :2] - planar)) < 4e-15 * scale
-    direct = phi(curve).grid_values(patch.t_vals, patch.s_vals)
+    direct = phi(curve, patch.t_vals[None, :], patch.s_vals[:, None])
     assert np.max(np.abs(patch.phi - direct)) < 4e-15 * np.max(np.abs(direct))
 
 
@@ -310,7 +306,8 @@ def test_patch_work_counters(monkeypatch):
     # construction, 280064 with the G7/K15 level march, 52992 with both halves
     # of s evaluated, 35456 with x' and y' as two series, 22336 with them from
     # one ``velocity`` point), counted at both entry points of the series and at
-    # ``velocity``: a grid costs ns*nt points like its pointwise evaluation
+    # ``velocity``: a grid costs ns*nt points like its pointwise evaluation.  No
+    # point goes through the series one by one: regularity comes from the zero set
     points = {"call": 0, "grid": 0, "velocity": 0}
     series_call, series_grid, velocity = TrigPolySeries.__call__, TrigPolySeries.grid, \
         schwarz.velocity
@@ -335,34 +332,32 @@ def test_patch_work_counters(monkeypatch):
     surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
     assert points["velocity"] > 0
     assert points["call"] + points["grid"] + points["velocity"] <= 35456
-    # only the 2 x 256 regularity samples go point by point
-    assert points["call"] <= 512
+    assert points["call"] == 0
 
 
 def test_column_near_a_zero_matches_patch_and_fails_typed():
     curve = epi(2, 0.5)
     cap = find_strip(curve).cap
-    triple = phi(curve)
     # one column from the axis to the cap under the zero at s = ln(1.5)/3
-    pt = surface_point(triple, 0.0, cap)
+    pt = surface_point(curve, 0.0, cap)
     patch = surface_patch(curve, (0.0, 1.0), (0.0, cap), 2, 65)
     assert np.max(np.abs(pt - patch.points[-1, 0])) < 1e-12
     # a column through the zero is refused by the zero set
     with pytest.raises(SingularityOnPath):
-        surface_point(triple, 0.0, 0.2)
+        surface_point(curve, 0.0, 0.2)
 
 
 def test_strip_branch_certificate_is_exact():
     # the zero of epi(2,0.5) above t = 0 sits at ln(1.5)/3 ~ 0.135, below 0.2
-    triple = phi(epi(2, 0.5))
+    curve = epi(2, 0.5)
     with pytest.raises(SingularityOnPath):
-        triple(0.2j)
+        phi(curve, 0.0, 0.2)
     with pytest.raises(SingularityOnPath):
-        triple(np.array([[0.5 + 0.01j, -0.005 - 0.2j]]))
-    # beside the zero by more than the refinement the vertical path is clear
-    assert np.isfinite(triple(0.011 + 0.2j)).all()
-    # epi(2, a=1.05): the zero is only 0.0016 above the cap, inside the
-    # refinement 0.01 by plain distance, yet no column passes it
+        phi(curve, np.array([[0.5, -0.005]]), np.array([[0.01, -0.2]]))
+    # beside the zero by more than PATH_CLEARANCE the vertical path is clear
+    assert np.isfinite(phi(curve, 0.011, 0.2)).all()
+    # epi(2, a=1.05): the zero is only 0.0016 above the cap, inside
+    # PATH_CLEARANCE 0.01 by plain distance, yet no column passes it
     curve = epi(2, 0.35)
     strip = find_strip(curve)
     assert 0.0016 < strip.distance - strip.cap < 0.0017
@@ -378,6 +373,5 @@ def test_strip_branch_certificate_is_exact():
 def test_column_quadrature_fails_typed_past_the_largest_grid():
     # a column ending 1e-8 below a zero passes no zero, but W has a branch
     # point just beyond it that no Chebyshev grid up to the largest resolves
-    triple = HolomorphicTriple(epi(2, 0.5), refinement=1e-9)
     with pytest.raises(QuadratureFailure, match="%d points" % (CC_MAX_N + 1)):
-        surface_point(triple, 0.0, math.log(1.5) / 3.0 - 1e-8)
+        surface_point(epi(2, 0.5), 0.0, math.log(1.5) / 3.0 - 1e-8)

@@ -50,9 +50,13 @@ def test_eta_on_axis_is_velocity(test_curve):
     assert np.max(np.abs(np.abs(eta) ** 2 - sp)) < 1e-11
 
 
+def phi_of_z(curve):
+    return lambda z: phi(curve, np.real(z), np.imag(z))
+
+
 def test_data_from_phi_matches_curve_route(test_curve, rng):
     data_c = data_from_curve(test_curve)
-    data_p = data_from_phi(phi(test_curve))
+    data_p = data_from_phi(phi_of_z(test_curve))
     zs = strip_points(test_curve, rng, 25)
     for z in zs:
         assert abs(data_c.g(z) - data_p.g(z)) < 1e-10
@@ -60,9 +64,9 @@ def test_data_from_phi_matches_curve_route(test_curve, rng):
 
 
 def test_data_from_phi_examples():
-    data = data_from_phi(phi(make_circle()))
+    data = data_from_phi(phi_of_z(make_circle()))
     assert abs(data.g(0.0) - (-1.0)) < 1e-13
-    triple = phi(epi(2, 0.5))
+    triple = phi_of_z(epi(2, 0.5))
     data = data_from_phi(triple)
     assert abs(data.eta(0.0) - 2.0j) < 1e-13
     # g * eta = phi3 identity
@@ -73,7 +77,7 @@ def test_data_from_phi_examples():
 
 def test_reconstruction_identity(test_curve, rng):
     data = data_from_curve(test_curve)
-    triple = phi(test_curve)
+    triple = phi_of_z(test_curve)
     for z in strip_points(test_curve, rng, 100):
         gv = data.g(z)
         ev = data.eta(z)
@@ -87,7 +91,7 @@ def test_reconstruction_identity(test_curve, rng):
 
 def test_density_equals_phi_norm(test_curve, rng):
     data = data_from_curve(test_curve)
-    triple = phi(test_curve)
+    triple = phi_of_z(test_curve)
     for z in strip_points(test_curve, rng, 40):
         lhs = float(np.sum(np.abs(triple(z)) ** 2))
         rhs = 0.5 * (1 + abs(data.g(z)) ** 2) ** 2 * abs(data.eta(z)) ** 2
