@@ -25,9 +25,10 @@ with step the gcd of its exponent offsets, so speed^2 has period 2 pi/step and
 its zeros are z = -i log(u)/step + 2 pi n/step over the roots u of R; a
 monomial series makes it a polynomial in z.  Either way ``np.roots`` (the eigenvalues of the
 companion matrix) gives the whole zero set, complete by construction.  It
-splits an m-fold root into m close ones; those are merged into one zero at
-their mean, well conditioned where each root is not (Zeng, Math. Comp. 74, 2005),
-and a real zero, whose cluster holds its own conjugate, gets Im exactly 0.
+splits an m-fold root into m roots about eps^(1/m) apart; those are merged, by a
+radius that grows with m, into one zero at their mean, well conditioned where each
+root is not (Zeng, Math. Comp. 74, 2005), and a real zero, whose cluster holds its
+own conjugate, gets Im exactly 0.
 Epitrochoids take the closed form of 1 + a^2 - 2a cos((k+1)z) instead
 (a = lambda*(k+1), period 2pi/(k+1), zeros at Re z in (2pi/(k+1))Z,
 |Im z| = ln(max(a, 1/a))/(k+1)).
@@ -145,17 +146,38 @@ def _wrap(d: complex, period: float) -> complex:
 
 
 def _merge_roots(roots, period: float):
-    """((zero, multiplicity), ...): roots within ROOT_CLUSTER_TOL (mod period) at their mean.
+    """((zero, multiplicity), ...): each cluster of roots (mod period) at its mean.
 
-    A cluster that holds the conjugate of its first member is a real zero: its mean's
-    imaginary part, zero up to the rounding of the sum, is set to exactly 0."""
-    clusters = {}  # first member -> offsets of the members from it
+    Roots within ROOT_CLUSTER_TOL of a cluster's first member join it.  np.roots splits
+    an m-fold root into m roots about eps^(1/m) apart, 2/m of the digits of a double
+    root's sqrt(eps), so clusters then merge into a zero of order m >= 3 when all their
+    roots lie within ROOT_CLUSTER_TOL^(2/m) of their mean.  The order of a real zero,
+    whose cluster holds its first member's conjugate, is half its roots (those of x' + i y'),
+    and its mean's imaginary part, zero up to the rounding of the sum, is set to exactly 0."""
+    clusters = {}  # first member -> members
     for z in roots:
         home = next((c for c in clusters if abs(_wrap(z - c, period))
                      <= ROOT_CLUSTER_TOL * max(1.0, abs(c))), z)
-        clusters.setdefault(home, []).append(_wrap(z - home, period))
+        clusters.setdefault(home, []).append(z)
+    for c in list(clusters):
+        if c not in clusters:
+            continue
+        # the largest group of c and its nearest clusters that is one zero: the radius is
+        # below max(1, |c|), so no cluster 2 max(1, |c|) from c can join
+        near = sorted((o for o in clusters if o != c
+                       and abs(_wrap(o - c, period)) <= 2.0 * max(1.0, abs(c))),
+                      key=lambda o: abs(_wrap(o - c, period)))
+        for n in range(len(near), 0, -1):
+            d = [_wrap(z - c, period) for o in (c, *near[:n]) for z in clusters[o]]
+            order = (len(d) + 1) // 2 if _wrap(c.conjugate() - c, period) in d else len(d)
+            mean = sum(d) / len(d)
+            if order >= 3 and max(abs(x - mean) for x in d) \
+                    <= ROOT_CLUSTER_TOL ** (2.0 / order) * max(1.0, abs(c)):
+                clusters[c] += [z for o in near[:n] for z in clusters.pop(o)]
+                break
     merged = []
-    for c, d in clusters.items():
+    for c, members in clusters.items():
+        d = [_wrap(z - c, period) for z in members]
         mean = c + sum(d) / len(d) if len(d) > 1 else c
         real = _wrap(c.conjugate() - c, period) in d
         merged.append((complex(mean.real, 0.0) if real else mean, len(d)))

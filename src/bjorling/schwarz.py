@@ -17,7 +17,9 @@ exactly where it can be:
 The series are real, so x(conj z) = conj x(z) and W(conj z) = conj W(z): f1 and
 f2 are even in s, f3 is odd, Phi1,2(t - is) = conj Phi1,2(t + is) and
 Phi3(t - is) = -conj Phi3(t + is).  A patch is computed at the distinct |s| of
-its rows and its rows with s < 0 are filled by that reflection.
+its rows and its rows with s < 0 are filled by that reflection.  ``surface_patch``
+computes only the points; the patch's Phi is evaluated on the first read of
+``PatchGrid.phi``, at the same |s| and by the same reflection, and cached there.
 
 Only f3 needs quadrature (Phi3 is purely imaginary on the axis, so the axis
 adds nothing): one real integral per grid column, by Clenshaw-Curtis
@@ -38,8 +40,8 @@ max |sum phi_i^2| / sum |phi_i|^2, the sum's own rounding.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,19 +101,29 @@ def surface_point(curve: PlanarCurve, t: float, s: float,
     return np.array([np.real(x), np.real(y), -f3 if s < 0 else f3])
 
 
-@dataclass
 class PatchGrid:
     """Sampled Schwarz surface patch with its exact null-triple values.
 
     ``points[l, j]`` is f(t_vals[j] + i s_vals[l]); ``phi`` carries Phi at the
-    same nodes so conformal quantities need no differencing.
+    same nodes so conformal quantities need no differencing.  Phi is evaluated
+    on its first read, at the distinct |s| and reflected as the points are, and
+    kept on the patch; a ``phi`` given to the constructor is taken as it is.
     """
 
-    curve: PlanarCurve
-    t_vals: np.ndarray
-    s_vals: np.ndarray
-    points: np.ndarray
-    phi: np.ndarray
+    def __init__(self, curve: PlanarCurve, t_vals: np.ndarray, s_vals: np.ndarray,
+                 points: np.ndarray, phi: np.ndarray | None = None):
+        self.curve, self.t_vals, self.s_vals, self.points = curve, t_vals, s_vals, points
+        if phi is not None:
+            self.phi = phi      # shadows the cached property below
+
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        """Phi (ns, nt, 3) on the grid: the rows with s < 0 hold (conj Phi1, conj Phi2,
+        -conj Phi3) of their |s|, so Im Phi1, Im Phi2 and Re Phi3 change sign."""
+        # ``phi`` below is the module's function, which a method body sees, not this property
+        return _columns(self.t_vals, self.s_vals,
+                        lambda t, levels: phi(self.curve, t[None, :], levels[:, None]),
+                        lambda v: (v[..., :2].imag, v[..., 2].real), complex)
 
     @property
     def geodesic_row(self) -> int | None:
@@ -152,11 +164,13 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     (when present) is the input curve itself; f3 comes from one Clenshaw-Curtis
     integral per column over [0, max|s|].  Everything is evaluated at the
     distinct |s| only, and the rows with s < 0 are its reflection: f1 and f2
-    copied, f3 negated, Phi1 and Phi2 conjugated, Phi3 conjugated and negated.
-    When s_range is symmetric, s_vals[ns-1-l] == -s_vals[l] and the middle row
-    of an odd ns is s = 0.0, so the two halves are bitwise mirrors.
-    ``workers`` > 1 splits the columns over threads with bitwise the same
-    result; it is kept only for the benchmark's thread probe, and the CLI
+    copied, f3 negated.  Only the points are computed here: the patch's ``phi``
+    is evaluated on its first read (Phi1 and Phi2 conjugated, Phi3 conjugated
+    and negated in those rows) and cached, so a caller that reads only points
+    never pays for it.  When s_range is symmetric, s_vals[ns-1-l] == -s_vals[l]
+    and the middle row of an odd ns is s = 0.0, so the two halves are bitwise
+    mirrors.  ``workers`` > 1 splits the columns over threads with bitwise the
+    same result; it is kept only for the benchmark's thread probe, and the CLI
     runs serial.  ``strip`` is the curve's strip over a t-window covering t_range
     (found here when not given; ValueError when it belongs to another curve or
     window).  Raises StripTooWide when |s| exceeds ``strip.cap``, and
@@ -180,8 +194,14 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     s_vals = np.linspace(s_lo, s_hi, ns)
     if s_lo == -s_hi:  # exact mirror pairs, and 0.0 in the middle of an odd ns
         s_vals = 0.5 * (s_vals - s_vals[::-1])
-    points, phi_grid = _columns(curve, t_vals, s_vals, tol, workers)
-    return PatchGrid(curve=curve, t_vals=t_vals, s_vals=s_vals, points=points, phi=phi_grid)
+
+    def half(t, levels):
+        f3 = _column_integrals(curve, t, levels, tol)
+        return np.stack([curve.x.grid(t, levels).real, curve.y.grid(t, levels).real, f3], axis=-1)
+
+    # rows with s < 0 hold (f1, f2, -f3) of their |s|
+    points = _columns(t_vals, s_vals, half, lambda v: (v[..., 2],), float, workers)
+    return PatchGrid(curve=curve, t_vals=t_vals, s_vals=s_vals, points=points)
 
 
 def _chebyshev_antiderivative(values):
@@ -256,9 +276,11 @@ def _column_integrals(curve: PlanarCurve, t, levels, tol: float):
         values, floor, n = both, np.maximum(floor[~done], fresh_floor), 2 * n
 
 
-def _columns(curve: PlanarCurve, t_vals, s_vals, tol: float, workers: int = 1):
-    """Points and Phi (ns, nt, 3) on the grid, by blocks of whole columns, each
-    evaluated at the distinct |s| and reflected into the rows with s < 0.
+def _columns(t_vals, s_vals, half, flip, dtype, workers: int = 1):
+    """(ns, nt, 3) values on the grid, by blocks of whole columns: ``half(t, levels)``
+    gives a block's values at the distinct |s| in increasing order, each row takes
+    those of its |s|, and in the rows with s < 0 the parts ``flip(values)`` lists
+    change sign.
 
     A block holds about BLOCK_POINTS evaluation points (columns times distinct
     |s|), which bounds the temporaries of one evaluation; ``workers`` > 1 runs
@@ -271,21 +293,14 @@ def _columns(curve: PlanarCurve, t_vals, s_vals, tol: float, workers: int = 1):
     levels, rows = np.array(list(index)), [index[m] for m in mags]
     neg = [l for l, s in enumerate(s_vals.tolist()) if s < 0]    # one run: s_vals is monotone
     low = slice(neg[0], neg[-1] + 1) if neg else slice(0)
-    points = np.empty((len(s_vals), len(t_vals), 3))
-    phi_grid = np.empty(points.shape, dtype=complex)
+    out = np.empty((len(s_vals), len(t_vals), 3), dtype)
 
     def fill(cols):
         cols = slice(cols[0], cols[-1] + 1)
-        t = t_vals[cols]
-        f3 = _column_integrals(curve, t, levels, tol)
-        half = np.stack([curve.x.grid(t, levels).real, curve.y.grid(t, levels).real, f3], axis=-1)
-        half_phi = phi(curve, t[None, :], levels[:, None])
+        values = half(t_vals[cols], levels)
         for out_row, row in enumerate(rows):
-            points[out_row, cols], phi_grid[out_row, cols] = half[row], half_phi[row]
-        # rows with s < 0 hold (f1, f2, -f3) and (conj Phi1, conj Phi2, -conj Phi3) of
-        # their |s|: f3, Im Phi1, Im Phi2 and Re Phi3 change sign
-        for part in (points[low, cols, 2], phi_grid[low, cols, :2].imag,
-                     phi_grid[low, cols, 2].real):
+            out[out_row, cols] = values[row]
+        for part in flip(out[low, cols]):
             np.negative(part, out=part)
 
     blocks = np.array_split(np.arange(len(t_vals)), min(len(t_vals), max(
@@ -298,4 +313,4 @@ def _columns(curve: PlanarCurve, t_vals, s_vals, tol: float, workers: int = 1):
 
         with ThreadPoolExecutor(max_workers=int(workers)) as pool:
             list(pool.map(fill, blocks))
-    return points, phi_grid
+    return out

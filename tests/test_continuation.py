@@ -357,6 +357,14 @@ def _cusped_epitrochoid(k):
                        domain=(0.0, TWO_PI), closed=True, label="cusped k=%d" % k)
 
 
+def _power_curve(m, r, domain):
+    # ((t - r)^m, (t - r)^(m+1)) expanded: x' + i y' = (t - r)^(m-1) (m + i (m+1)(t - r))
+    def expand(p):
+        return tuple((math.comb(p, j) * (-r) ** (p - j), j) for j in range(p + 1))
+    return PlanarCurve(x=TrigPolySeries(poly=expand(m)), y=TrigPolySeries(poly=expand(m + 1)),
+                       domain=domain, closed=False, label="(t - %r)^%d" % (r, m))
+
+
 @pytest.mark.parametrize("curve,window,where", [(_cusped_epitrochoid(k), None, "0$")
                                                 for k in range(1, 9)] + [
     # the cusp of the cycloid's series at t = 0, inside this window
@@ -369,6 +377,9 @@ def _cusped_epitrochoid(k):
     (PlanarCurve(x=TrigPolySeries(poly=((3.375, 0), (6.75, 1), (4.5, 2), (1.0, 3))),
                  y=TrigPolySeries(poly=((5.0625, 0), (13.5, 1), (13.5, 2), (6.0, 3), (1.0, 4))),
                  domain=(-2.0, 0.0), closed=False, label="double at -1.5"), None, "-1.49999"),
+    # ((t - 0.5)^4, (t - 0.5)^5) expanded: a triple zero of x' + i y' at 0.5, which
+    # np.roots splits by about eps^(1/3), far past the double root's cluster radius
+    (_power_curve(4, 0.5, (-1.0, 1.0)), None, r"0\.(49999|50000)"),
 ], ids=lambda v: v.label if isinstance(v, PlanarCurve) else None)
 def test_a_zero_on_the_window_is_refused(curve, window, where):
     # a real zero of speed^2 on the window: distance 0, the curve is not regular there
@@ -378,6 +389,20 @@ def test_a_zero_on_the_window_is_refused(curve, window, where):
         find_strip(curve, window)
     with pytest.raises(InvalidCurveParameters, match=match):
         surface_patch(curve, window, (0.0, 0.1), 8, 3)
+
+
+def test_a_zero_of_order_three_and_four_is_one_real_zero():
+    # np.roots splits an (m-1)-fold zero of x' + i y' by about eps^(1/(m-1)); the
+    # cluster must still be one real zero of speed^2, of order 2(m-1), at t = r
+    rng = np.random.default_rng(24)
+    for m, r in zip(rng.choice([4, 5], 60), rng.uniform(-3.0, 3.0, 60)):
+        curve = _power_curve(int(m), float(r), (r - 1.0, r + 1.0))
+        zeros, _ = _zero_set(curve)
+        assert sorted(mult for _, mult in zeros) == [1, 1, 2 * (m - 1)]
+        zero = next(z for z, mult in zeros if mult > 1)
+        assert zero.imag == 0.0 and abs(zero.real - r) < 1e-9 * max(1.0, abs(r)), (m, r)
+        with pytest.raises(InvalidCurveParameters, match="vanishes at t = "):
+            find_strip(curve)
 
 
 @pytest.mark.parametrize("window", [(2.5, 1.5), (float("nan"), 2.5), (1.5, float("nan")),

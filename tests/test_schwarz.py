@@ -305,12 +305,13 @@ def test_patch_work_counters(monkeypatch):
     # series points per 256x33 patch (767446 before the Bjorling-formula
     # construction, 280064 with the G7/K15 level march, 52992 with both halves
     # of s evaluated, 35456 with x' and y' as two series, 22336 with them from
-    # one ``velocity`` point), counted at both entry points of the series and at
-    # ``velocity``: a grid costs ns*nt points like its pointwise evaluation.  No
-    # point goes through the series one by one: regularity comes from the zero set
-    points = {"call": 0, "grid": 0, "velocity": 0}
-    series_call, series_grid, velocity = TrigPolySeries.__call__, TrigPolySeries.grid, \
-        schwarz.velocity
+    # one ``velocity`` point, 17472 with Phi evaluated only when read), counted at
+    # both entry points of the series and at ``velocity``: a grid costs ns*nt points
+    # like its pointwise evaluation.  No point goes through the series one by one:
+    # regularity comes from the zero set
+    points = {"call": 0, "grid": 0, "velocity": 0, "phi": 0}
+    series_call, series_grid, velocity, grid_phi = TrigPolySeries.__call__, \
+        TrigPolySeries.grid, schwarz.velocity, schwarz.phi
 
     def counting_call(self, z):
         points["call"] += int(np.size(z))
@@ -324,15 +325,28 @@ def test_patch_work_counters(monkeypatch):
         points["velocity"] += int(np.broadcast(t, s).size)
         return velocity(curve, t, s)
 
+    def counting_phi(curve, t, s):
+        points["phi"] += int(np.broadcast(t, s).size)
+        return grid_phi(curve, t, s)
+
     monkeypatch.setattr(TrigPolySeries, "__call__", counting_call)
     monkeypatch.setattr(TrigPolySeries, "grid", counting_grid)
     monkeypatch.setattr(schwarz, "velocity", counting_velocity)
+    monkeypatch.setattr(schwarz, "phi", counting_phi)
     curve = epi(2, 0.5)
     cap = find_strip(curve).cap
-    surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
-    assert points["velocity"] > 0
+    patch = surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
+    # the points take ``velocity`` only at the Chebyshev nodes of the column
+    # integrals, and the series on two grids of 17 |s| levels
+    assert points["velocity"] > 0 and points["phi"] == 0
+    assert points["grid"] == 2 * 17 * 256
     assert points["call"] + points["grid"] + points["velocity"] <= 35456
     assert points["call"] == 0
+    # the first read of Phi evaluates it at the 17 levels, the second is cached
+    nodes = points["velocity"]
+    first = patch.phi
+    assert points["velocity"] - nodes == points["phi"] == 17 * 256
+    assert patch.phi is first and points["velocity"] - nodes == 17 * 256
 
 
 def test_column_near_a_zero_matches_patch_and_fails_typed():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bjorling import verify
+from bjorling import cli, schwarz, verify
 from bjorling.curves import make_circle, make_cycloid, make_parabola
 from bjorling.continuation import find_strip
 from bjorling.schwarz import BLOCK_ROWS, PatchGrid, surface_patch
@@ -119,6 +119,45 @@ def test_verification_report_bundles(tmp_path):
     assert rep.symmetry_residual is not None and rep.symmetry_residual < 1e-11
     payload = rep.to_json_dict()
     assert payload["grid"]["nt"] == 192
+
+
+def test_verify_evaluates_phi_for_its_final_patch_only(monkeypatch, capsys):
+    # ``velocity`` points under ``phi`` (the grid Phi and the symmetry rows) against
+    # those at the Chebyshev nodes of the column integrals: the window probe reads
+    # only its points, so it takes none under ``phi``
+    points = {"nodes": 0, "phi": 0}
+    inside = [False]
+    probe = {}
+    velocity, phi, window = schwarz.velocity, schwarz.phi, cli._verify_window
+
+    def counting_velocity(curve, t, s):
+        points["phi" if inside[0] else "nodes"] += int(np.broadcast(t, s).size)
+        return velocity(curve, t, s)
+
+    def counting_phi(curve, t, s):
+        inside[0] = True
+        try:
+            return phi(curve, t, s)
+        finally:
+            inside[0] = False
+
+    def counting_window(*args, **kwargs):
+        before = dict(points)
+        try:
+            return window(*args, **kwargs)
+        finally:
+            probe.update({key: points[key] - before[key] for key in points})
+
+    monkeypatch.setattr(schwarz, "velocity", counting_velocity)
+    monkeypatch.setattr(schwarz, "phi", counting_phi)
+    monkeypatch.setattr(verify, "phi", counting_phi)
+    monkeypatch.setattr(cli, "_verify_window", counting_window)
+    assert cli.main(["verify", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
+                     "--nt", "64", "--ns", "33"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert probe["nodes"] > 0 and probe["phi"] == 0
+    # the final patch's 17 |s| levels by 64 columns, and symmetry_residual's two rows of 64
+    assert points["phi"] == 17 * 64 + 2 * 64
 
 
 def test_geodesic_residual_resolution_independent():
