@@ -56,6 +56,10 @@ from .curves import PHASE_COS, TWO_PI, InvalidCurveParameters, PlanarCurve
 PATH_CLEARANCE = 1e-2
 # np.roots splits a double root by about 2 sqrt(eps) = 3e-8 (relative)
 ROOT_CLUSTER_TOL = 1e-6
+# the highest order of a root of x' + i y' that merging recognises: ROOT_CLUSTER_TOL^(2/m)
+# grows toward 1 with m (0.1 at m = 12), where rounding no longer tells one m-fold root
+# from m simple ones; at m = 4 it is 1e-3, well clear of the split eps^(1/4) = 1.2e-4
+MAX_ROOT_ORDER = 4
 
 
 class SingularityOnPath(RuntimeError):
@@ -145,42 +149,35 @@ def _wrap(d: complex, period: float) -> complex:
     return d - period * round(d.real / period) if math.isfinite(period) else d
 
 
-def _merge_roots(roots, period: float):
-    """((zero, multiplicity), ...): each cluster of roots (mod period) at its mean.
+def _merge_roots(roots, period: float, vanishes):
+    """((zero, multiplicity), ...): the roots (mod period) in groups that are one zero.
 
-    Roots within ROOT_CLUSTER_TOL of a cluster's first member join it.  np.roots splits
-    an m-fold root into m roots about eps^(1/m) apart, 2/m of the digits of a double
-    root's sqrt(eps), so clusters then merge into a zero of order m >= 3 when all their
-    roots lie within ROOT_CLUSTER_TOL^(2/m) of their mean.  The order of a real zero,
-    whose cluster holds its first member's conjugate, is half its roots (those of x' + i y'),
-    and its mean's imaginary part, zero up to the rounding of the sum, is set to exactly 0."""
-    clusters = {}  # first member -> members
-    for z in roots:
-        home = next((c for c in clusters if abs(_wrap(z - c, period))
-                     <= ROOT_CLUSTER_TOL * max(1.0, abs(c))), z)
-        clusters.setdefault(home, []).append(z)
-    for c in list(clusters):
-        if c not in clusters:
-            continue
-        # the largest group of c and its nearest clusters that is one zero: the radius is
-        # below max(1, |c|), so no cluster 2 max(1, |c|) from c can join
-        near = sorted((o for o in clusters if o != c
-                       and abs(_wrap(o - c, period)) <= 2.0 * max(1.0, abs(c))),
-                      key=lambda o: abs(_wrap(o - c, period)))
-        for n in range(len(near), 0, -1):
-            d = [_wrap(z - c, period) for o in (c, *near[:n]) for z in clusters[o]]
-            order = (len(d) + 1) // 2 if _wrap(c.conjugate() - c, period) in d else len(d)
-            mean = sum(d) / len(d)
-            if order >= 3 and max(abs(x - mean) for x in d) \
-                    <= ROOT_CLUSTER_TOL ** (2.0 / order) * max(1.0, abs(c)):
-                clusters[c] += [z for o in near[:n] for z in clusters.pop(o)]
+    The first half of roots are those of x' + i y', the second half their conjugates.
+    np.roots splits an m-fold root into m roots about eps^(1/m) apart, 2/m of the digits
+    of a double root's sqrt(eps), so each root in turn takes the largest group of its
+    nearest roots that lies within ROOT_CLUSTER_TOL^(2/m) of its mean, has m <=
+    MAX_ROOT_ORDER and whose mean ``vanishes`` confirms as a zero of x' + i y' (of its
+    conjugate for the second half).  A group of m roots from each half is a real zero of
+    order m, at the real part of its mean."""
+    half, left, merged = len(roots) // 2, list(range(len(roots))), []
+    while left:
+        c = roots[left[0]]
+        near = sorted(left[1:], key=lambda j: abs(_wrap(roots[j] - c, period)))
+        for n in range(min(len(near), 2 * MAX_ROOT_ORDER - 1), -1, -1):
+            group = sorted((left[0], *near[:n]))
+            d = [_wrap(roots[j] - c, period) for j in group]
+            offset = sum(d) / len(d)
+            own = sum(j < half for j in group)
+            real = 0 < own < len(group)
+            mean = complex((c + offset).real, 0.0) if real else c + offset if n else c
+            order = own if real else len(group)
+            if n == 0 or (order <= MAX_ROOT_ORDER and (not real or 2 * own == len(group))
+                          and max(abs(x - offset) for x in d)
+                          <= ROOT_CLUSTER_TOL ** (2.0 / max(order, 2)) * max(1.0, abs(c))
+                          and vanishes(mean if own else mean.conjugate())):
                 break
-    merged = []
-    for c, members in clusters.items():
-        d = [_wrap(z - c, period) for z in members]
-        mean = c + sum(d) / len(d) if len(d) > 1 else c
-        real = _wrap(c.conjugate() - c, period) in d
-        merged.append((complex(mean.real, 0.0) if real else mean, len(d)))
+        merged.append((mean, len(group)))
+        left = [j for j in left if j not in group]
     return tuple(merged)
 
 
@@ -227,13 +224,21 @@ def _zero_set(curve: PlanarCurve):
     # v = 0 is no point of the plane, z = 0 is
     low = min(coef) if trig else 0
     step = (math.gcd(*(n - low for n in coef)) or 1) if trig else 1
-    roots = np.roots([coef.get(n, 0j) for n in range(max(coef), low - 1, -step)])
+    poly = np.array([coef.get(n, 0j) for n in range(max(coef), low - 1, -step)])
+    roots = np.roots(poly)
     if trig:
         roots = -1j / step * np.log(roots)
+
+    def vanishes(z):
+        # x' + i y' is 0 at z up to Horner's rounding, 2 (deg + 1) eps sum |a_k| |w|^k
+        w = cmath.exp(1j * step * z) if trig else z
+        bound = 2.0 * len(poly) * np.finfo(float).eps * np.polyval(np.abs(poly), abs(w))
+        return abs(np.polyval(poly, w)) <= bound
+
     # the series are real, so the zeros of x' - i y' are the conjugates
     period = TWO_PI / step if trig else math.inf
     return _merge_roots([complex(z) for z in roots] + [complex(z).conjugate() for z in roots],
-                        period), period
+                        period, vanishes), period
 
 
 def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[complex, ...]:

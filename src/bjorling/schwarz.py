@@ -107,14 +107,12 @@ class PatchGrid:
     ``points[l, j]`` is f(t_vals[j] + i s_vals[l]); ``phi`` carries Phi at the
     same nodes so conformal quantities need no differencing.  Phi is evaluated
     on its first read, at the distinct |s| and reflected as the points are, and
-    kept on the patch; a ``phi`` given to the constructor is taken as it is.
+    kept on the patch.
     """
 
     def __init__(self, curve: PlanarCurve, t_vals: np.ndarray, s_vals: np.ndarray,
-                 points: np.ndarray, phi: np.ndarray | None = None):
+                 points: np.ndarray):
         self.curve, self.t_vals, self.s_vals, self.points = curve, t_vals, s_vals, points
-        if phi is not None:
-            self.phi = phi      # shadows the cached property below
 
     @functools.cached_property
     def phi(self) -> np.ndarray:

@@ -405,6 +405,31 @@ def test_a_zero_of_order_three_and_four_is_one_real_zero():
             find_strip(curve)
 
 
+def _lifted_power_curve(m, r, lift, domain):
+    # x' = (t - r)^m, y' = lift: x' + i y' has m simple zeros lift^(1/m) from r
+    x = tuple((math.comb(m + 1, j) * (-r) ** (m + 1 - j) / (m + 1), j) for j in range(m + 2))
+    return PlanarCurve(x=TrigPolySeries(poly=x), y=TrigPolySeries(poly=((lift, 1),)),
+                       domain=domain, closed=False, label="(t - %r)^%d + %g i" % (r, m, lift))
+
+
+@pytest.mark.parametrize("m,lift,mults", [(3, 1e-16, [6]), (3, 1e-13, [1] * 6),
+                                          (4, 1e-16, [8]), (4, 1e-13, [1] * 8)])
+def test_close_zeros_merge_only_within_rounding(m, lift, mults):
+    # every split lies inside the order-m radius; at lift = 1e-13 the value i lift at the
+    # group's mean stands far above Horner's rounding there, so the zeros stay apart
+    zeros, _ = _zero_set(_lifted_power_curve(m, 0.3, lift, (-1.0, 1.0)))
+    assert sorted(mult for _, mult in zeros) == mults
+
+
+def test_a_ring_of_twelve_simple_zeros_is_not_one_zero():
+    # x' + i y' = (t - 5)^12 + 1.7e-5 i: 12 simple zeros on a ring of radius 0.4 about
+    # t = 5, inside ROOT_CLUSTER_TOL^(2/12) 5 = 0.5 of their mean, past MAX_ROOT_ORDER
+    curve = _lifted_power_curve(12, 5.0, 1.7e-5, (4.0, 6.0))
+    zeros, _ = _zero_set(curve)
+    assert [mult for _, mult in zeros] == [1] * 24
+    assert find_strip(curve).distance > 0.01
+
+
 @pytest.mark.parametrize("window", [(2.5, 1.5), (float("nan"), 2.5), (1.5, float("nan")),
                                     (1.5, math.inf)])
 def test_a_reversed_or_nan_window_is_refused(window):

@@ -251,7 +251,8 @@ def test_blocked_conformality_equals_the_whole_grid_at_every_seam(ns):
         b[row, 5] *= 2.0                # |E - G|/E about 3
         b[row, 11] += 0.5 * a[row, 11]  # |F|/E about 0.5
         patch = PatchGrid(curve=make_circle(), t_vals=np.arange(nt), s_vals=np.arange(ns),
-                          points=np.zeros((ns, nt, 3)), phi=a - 1j * b)
+                          points=np.zeros((ns, nt, 3)))
+        patch.phi = a - 1j * b          # an instance value shadows the evaluated Phi
         eg, f = _whole_grid_conformality(patch.phi)
         assert np.unravel_index(np.argmax(eg), eg.shape) == (row, 5)
         assert np.unravel_index(np.argmax(f), f.shape) == (row, 11)
