@@ -55,8 +55,8 @@ ROUNDING_SAFETY = 16.0
 CC_FIRST_N = 32
 CC_MAX_N = 1024
 BLOCK_POINTS = 1 << 15
-# whole grid rows per block of the residual checks, whose (rows, nt, 3) temporaries
-# then stay in cache
+# whole grid rows per block of the residual checks, which copy a block into contiguous
+# component planes (components, rows, nt) whose temporaries then stay in cache
 BLOCK_ROWS = 32
 
 
@@ -66,6 +66,11 @@ class QuadratureFailure(RuntimeError):
 
 class StripTooWide(ValueError):
     """Requested |Im z| exceeds 0.9x the distance to the nearest speed^2 zero."""
+
+
+def _plane_dot(u, v):
+    """u . v over component planes u[i], v[i], summed left to right as np.sum sums 3 terms."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _strip_parts(curve: PlanarCurve, t, s):
@@ -132,22 +137,30 @@ class PatchGrid:
         """E = G = (1/2) sum |phi_i|^2 on the grid."""
         return 0.5 * np.sum(np.abs(self.phi) ** 2, axis=-1)
 
+    def _distinct_rows(self):
+        """Phi at the rows with s >= 0 and at those with s < 0 whose -s is no row, by blocks of
+        BLOCK_ROWS.  The other rows are reflections of these, which leave E, G, |F|,
+        |sum phi_i^2| and sum |phi_i|^2 bitwise unchanged."""
+        s, twins = self.s_vals.tolist(), set(self.s_vals.tolist())
+        rows = [l for l, v in enumerate(s) if v >= 0 or -v not in twins]
+        return (self.phi[rows[r:r + BLOCK_ROWS]] for r in range(0, len(rows), BLOCK_ROWS))
+
     def null_residual(self) -> float:
-        """max |sum phi_i^2| / sum |phi_i|^2 over the grid: relative to its own rounding."""
-        p, f = self.phi, self.phi.view(float)
-        return float(np.max(np.abs(p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2)
-                            / np.einsum("...j,...j", f, f)))
+        """max |sum phi_i^2| / sum |phi_i|^2 at one row per distinct |s|: relative to its rounding."""
+        r = -math.inf
+        for p in self._distinct_rows():
+            r = np.max(np.abs(p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2)
+                       / np.einsum("...j,...j", p.view(float), p.view(float)), initial=r)
+        return float(r)
 
     def conformality_residuals(self) -> tuple[float, float]:
-        """(max |E-G|/E, max |F|/E) from the exact first fundamental form, by
-        blocks of BLOCK_ROWS rows."""
+        """(max |E-G|/E, max |F|/E) from the exact first fundamental form, at one row per
+        distinct |s|, on component planes of Re phi_i = (f_t)_i and Im phi_i = -(f_s)_i."""
         eg = f = -math.inf
-        for r in range(0, len(self.phi), BLOCK_ROWS):
-            ft = np.real(self.phi[r:r + BLOCK_ROWS])
-            fs = -np.imag(self.phi[r:r + BLOCK_ROWS])
-            E = np.sum(ft * ft, axis=-1)
-            G = np.sum(fs * fs, axis=-1)
-            F = np.sum(ft * fs, axis=-1)
+        for p in self._distinct_rows():
+            v = np.ascontiguousarray(np.moveaxis(p.view(float), -1, 0))
+            ft, fs = v[0::2], v[1::2]
+            E, F, G = _plane_dot(ft, ft), _plane_dot(ft, fs), _plane_dot(fs, fs)
             eg = np.max(np.abs(E - G) / E, initial=eg)
             f = np.max(np.abs(F) / E, initial=f)
         return float(eg), float(f)

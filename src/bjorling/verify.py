@@ -4,10 +4,9 @@ Mean curvature and the geodesic property are re-derived from patch points by
 central differences only, so they act as an oracle against the construction
 pipeline rather than consuming its Weierstrass data.  The symmetry check works
 on the null triple directly (it is a resolution-independent identity).  The
-curvature and conformality residuals run over blocks of ``BLOCK_ROWS`` whole
-grid rows, with the same expressions and a max (min for EG - F^2) over the
-blocks, so the (rows, nt, 3) temporaries stay in cache and every residual is
-bitwise the one of the whole grid.
+curvature and conformality residuals run on ``BLOCK_ROWS`` grid rows at a time, copied into
+component planes: bitwise the whole grid's, by its operations in its order.  Conformality
+and the null residual read one row per distinct |s|, curvature every row (not mirror-exact).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PlanarCurve
-from .schwarz import BLOCK_ROWS, PatchGrid, phi
+from .schwarz import BLOCK_ROWS, PatchGrid, _plane_dot, phi
 
 _W_FLOOR = 1e-14
 
@@ -35,31 +34,30 @@ def mean_curvature_residual(points: np.ndarray, ht: float, hs: float) -> float:
     """max |H| over interior vertices from central-difference stencils.
 
     H = (E N - 2 F M + G L) / (2 (E G - F^2)); expected O(h^2) for patches of
-    a minimal surface.  Taken over blocks of BLOCK_ROWS interior rows.
+    a minimal surface.  Taken over blocks of BLOCK_ROWS interior rows, as planes.
     """
     P = np.asarray(points, dtype=float)
     h, w_min = -math.inf, math.inf
     # an empty interior is one empty block, so np.min raises as on the whole grid
     for r in range(1, max(len(P) - 1, 2), BLOCK_ROWS):
-        B = P[r - 1:r + BLOCK_ROWS + 1]
-        ft = (B[1:-1, 2:] - B[1:-1, :-2]) / (2.0 * ht)
-        fs = (B[2:, 1:-1] - B[:-2, 1:-1]) / (2.0 * hs)
-        E = _dot(ft, ft)
-        F = _dot(ft, fs)
-        G = _dot(fs, fs)
+        B = np.ascontiguousarray(np.moveaxis(P[r - 1:r + BLOCK_ROWS + 1], -1, 0))
+        ft = (B[:, 1:-1, 2:] - B[:, 1:-1, :-2]) / (2.0 * ht)
+        fs = (B[:, 2:, 1:-1] - B[:, :-2, 1:-1]) / (2.0 * hs)
+        E, F, G = _plane_dot(ft, ft), _plane_dot(ft, fs), _plane_dot(fs, fs)
         W = E * G - F * F
         w_min = min(w_min, float(np.min(W)))
         if w_min < _W_FLOOR:
             continue
-        ftt = (B[1:-1, 2:] - 2.0 * B[1:-1, 1:-1] + B[1:-1, :-2]) / ht**2
-        fss = (B[2:, 1:-1] - 2.0 * B[1:-1, 1:-1] + B[:-2, 1:-1]) / hs**2
-        fts = (B[2:, 2:] - B[2:, :-2] - B[:-2, 2:] + B[:-2, :-2]) / (4.0 * ht * hs)
-        n = np.cross(ft, fs)
-        n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-        L = _dot(ftt, n)
-        M = _dot(fts, n)
-        N = _dot(fss, n)
-        H = (E * N - 2.0 * F * M + G * L) / (2.0 * W)
+        ftt = (B[:, 1:-1, 2:] - 2.0 * B[:, 1:-1, 1:-1] + B[:, 1:-1, :-2]) / ht**2
+        fss = (B[:, 2:, 1:-1] - 2.0 * B[:, 1:-1, 1:-1] + B[:, :-2, 1:-1]) / hs**2
+        fts = (B[:, 2:, 2:] - B[:, 2:, :-2] - B[:, :-2, 2:] + B[:, :-2, :-2]) / (4.0 * ht * hs)
+        # np.cross(ft, fs) and its np.linalg.norm, in their order of operations
+        n = (ft[1] * fs[2] - ft[2] * fs[1], ft[2] * fs[0] - ft[0] * fs[2],
+             ft[0] * fs[1] - ft[1] * fs[0])
+        norm = np.sqrt(_plane_dot(n, n))
+        n = [c / norm for c in n]
+        H = (E * _plane_dot(fss, n) - 2.0 * F * _plane_dot(fts, n)
+             + G * _plane_dot(ftt, n)) / (2.0 * W)
         h = np.max(np.abs(H), initial=h)
     if w_min < _W_FLOOR:
         raise DegenerateMetric("EG - F^2 = %g at an interior vertex" % w_min)

@@ -327,6 +327,24 @@ def test_singularity_on_path_exits_2_without_traceback(command, capsys, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_grid_too_large_for_memory_exits_2_without_traceback(command, capsys, tmp_path,
+                                                              monkeypatch):
+    # what numpy raises for --nt 100000000000, without allocating anything
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(cli, "surface_patch", no_memory)
+    out = tmp_path / "out"
+    argv = [command, "--curve", "circle", "--nt", "100000000000", "--ns", "33"]
+    assert main(argv + (["--out", str(out)] if command == "generate" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("invalid parameters: 100000000000 x 33 grid points (--nt x --ns) "
+                          "do not fit in memory: Unable to allocate 745. GiB")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lam", ["500", "5000", "500000"])
 def test_verify_passes_k1_at_large_lambda(lam, capsys):
     # the symmetry residual is relative to |Phi|, which grows like 3 lambda

@@ -257,3 +257,39 @@ def test_blocked_conformality_equals_the_whole_grid_at_every_seam(ns):
         assert np.unravel_index(np.argmax(eg), eg.shape) == (row, 5)
         assert np.unravel_index(np.argmax(f), f.shape) == (row, 11)
         assert patch.conformality_residuals() == (float(np.max(eg)), float(np.max(f)))
+
+
+def _whole_grid_null(phi):
+    # the unblocked relative null residual at every vertex
+    f = phi.view(float)
+    return np.abs(phi[..., 0] ** 2 + phi[..., 1] ** 2 + phi[..., 2] ** 2) / np.einsum(
+        "...j,...j", f, f)
+
+
+FAMILIES = [make_circle(), make_cycloid(), make_parabola(), epi(2, 0.5)]
+
+
+@pytest.mark.parametrize("curve", FAMILIES, ids=lambda c: c.label)
+@pytest.mark.parametrize("ns, lo, hi", [(129, -0.5, 0.5), (34, -0.9, 0.9), (33, -0.2, 1.0),
+                                        (17, 0.1, 0.9), (17, -0.9, -0.1)])
+def test_residuals_at_distinct_abs_s_equal_the_whole_grid(curve, ns, lo, hi):
+    # one row per distinct |s| gives the whole grid's maxima bit for bit: symmetric
+    # odd and even ns, an asymmetric range and one-sided ones
+    cap = find_strip(curve).cap
+    cap = cap if math.isfinite(cap) else 1.0
+    patch = surface_patch(curve, curve.domain, (lo * cap, hi * cap), 64, ns)
+    eg, f = _whole_grid_conformality(patch.phi)
+    assert patch.conformality_residuals() == (float(np.max(eg)), float(np.max(f)))
+    assert patch.null_residual() == float(np.max(_whole_grid_null(patch.phi)))
+
+
+@pytest.mark.parametrize("curve", FAMILIES, ids=lambda c: c.label)
+@pytest.mark.parametrize("nt, ns", [(128, 65), (256, 129)])
+def test_curvature_on_real_patches_equals_the_whole_grid(curve, nt, ns):
+    # 128 x 65 is verify's window probe, 256 x 129 its default patch
+    strip = find_strip(curve)
+    halfwidth = cli._halfwidth(strip, 0.5)
+    patch = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), nt, ns, strip=strip)
+    ht, hs = patch.t_vals[1] - patch.t_vals[0], patch.s_vals[1] - patch.s_vals[0]
+    H, _ = _whole_grid_curvature(patch.points, ht, hs)
+    assert mean_curvature_residual(patch.points, ht, hs) == float(np.max(np.abs(H)))
