@@ -24,8 +24,6 @@ from .continuation import (
     Strip,
     find_strip,
     singularity_scan,
-    speed_squared,
-    strip_sqrt_array,
 )
 from .curves import (
     EpitrochoidParams,
@@ -33,7 +31,6 @@ from .curves import (
     PlanarCurve,
     TrigPolySeries,
     curve_from_config,
-    epitrochoid_from_radii,
     make_circle,
     make_cycloid,
     make_epitrochoid,
@@ -54,7 +51,6 @@ from .schwarz import (
     QuadratureFailure,
     StripTooWide,
     phi,
-    planar_normal,
     surface_patch,
     surface_point,
 )
@@ -67,14 +63,9 @@ from .verify import (
     verification_report,
 )
 from .weierstrass import (
-    DivisionNearZero,
     WeierstrassData,
     data_from_curve,
-    data_from_phi,
-    gauss_map_check,
-    metric_density,
     period_residual,
-    stereographic,
 )
 
 __version__ = "0.1.0"

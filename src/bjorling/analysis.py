@@ -12,8 +12,8 @@ with a = lambda (k+1), where
 
 Parity enters only through e: the cover is ramified over v = 0 and infinity
 iff e = 1.  One table of point classes (``_point_classes``) states which points
-are ramified and how many copies each has, for the order table and the divisor
-degree check alike.
+are ramified and how many copies each has, for the order table and for the
+divisor degrees that the tests check against it.
 
 The metric density (1+|g|^2)^2 |eta|^2 vanishes quadratically (in the local
 coordinate w) at every root of v^{k+1} = a and v^{k+1} = 1/a: the surface
@@ -37,7 +37,6 @@ from functools import cached_property
 import numpy as np
 
 from .curves import EpitrochoidParams, InvalidCurveParameters, make_epitrochoid
-from .weierstrass import data_from_curve
 
 ORDER_MAX_SAMPLES = 1 << 16
 
@@ -62,10 +61,6 @@ class VModel:
         """Exponent of v in w^2: 1 for even k, 0 for odd k."""
         return 1 - self.k % 2
 
-    @property
-    def even(self) -> bool:
-        return self.e == 1
-
     @cached_property
     def p_exponent(self) -> int:
         return (self.k + 3) // 2
@@ -85,19 +80,12 @@ class VModel:
         return self.k + self.e
 
     @property
-    def w_squared_degree(self) -> int:
-        return 2 * self.k + 2 + self.e
-
-    @property
     def eta_constant(self) -> complex:
         return -1j * (self.k + 2)
 
     def punctures(self) -> tuple[str, ...]:
         origin = ("(0,0)",) if self.e else ("(0,+sqrt(a))", "(0,-sqrt(a))")
         return origin + ("(inf,inf)",)
-
-    def w_squared(self, v):
-        return self._w_squared(v, v ** (self.k + 1))
 
     def _w_squared(self, v, vk):
         """w^2 at v with vk = v^{k+1}."""
@@ -121,18 +109,6 @@ class VModel:
         if abs(d) <= abs(alt):
             return d, alt, v ** (self.p_exponent + self.e) * alt
         return d, alt, None
-
-    def g(self, v, w):
-        """Gauss map on the surface; switches to the pole-resolved form near w = 0.
-
-        On the curve v^{k+1} - a = -w^2 / (v^e (1 - a v^{k+1})), so near the
-        a-family branch points g = v^{p+e} (1 - a v^{k+1}) / w, with the
-        vanishing denominator eliminated.
-        """
-        d, _, A = self._resolved_numerator(v)
-        if A is not None:
-            return A / w
-        return -w * v**self.p_exponent / d
 
     def eta_coeff(self, v):
         """eta = eta_coeff(v) dv."""
@@ -160,15 +136,6 @@ class VModel:
             p_prime = self._w_squared_prime(v, vk, (self.k + 1) * vk / v)
             eta2 = eta2 * (4.0 * (w2 / p_prime) / p_prime)
         return np.stack((g2, eta2))
-
-    def w_on_geodesic(self, t):
-        """w at v = e^{it}, continued along the unit circle from w(0) = -i|1 - a|.
-
-        There a - v^{k+1} = -v^{k+1} conj(1 - a v^{k+1}), so w^2 = -v^{k+1+e}
-        |1 - a v^{k+1}|^2, and k+1+e is even: w = -i e^{i(k+1+e)t/2} |1 - a e^{i(k+1)t}|.
-        """
-        return (-1j * np.exp(0.5j * (self.k + 1 + self.e) * t)
-                * np.abs(1.0 - self.a * np.exp(1j * (self.k + 1) * t)))
 
     def metric_density(self, v, w) -> float:
         """Conformal factor of (1/4)(1+|g|^2)^2 eta etabar in the local coordinate.
@@ -379,17 +346,6 @@ def order_table(model: VModel) -> OrderTable:
     return OrderTable(k=model.k, lam=model.lam, rows=rows)
 
 
-def divisor_degree_check(table: OrderTable, model: VModel) -> tuple[int, int]:
-    """(deg div(g), deg div(eta)) from the computed table, weighted by multiplicity.
-
-    deg div(g) must be 0 and deg div(eta) must be 2*genus - 2.
-    """
-    copies = {label: n for label, _, _, n in _point_classes(model)}
-    deg_g = sum(copies[r.point] * r.g_order for r in table.rows)
-    deg_eta = sum(copies[r.point] * r.eta_order for r in table.rows)
-    return deg_g, deg_eta
-
-
 @dataclass(frozen=True)
 class DegeneracyReport:
     """Numerical witness that the immersion fails at finite distance."""
@@ -463,23 +419,3 @@ def obstruction_report(model: VModel) -> DegeneracyReport:
         vanishing_order=min(expos),
         intrinsic_distance=intrinsic_distance(model),
     )
-
-
-def pullback_residual(model: VModel, n_samples: int = 50) -> float:
-    """max deviation between the v-model and the strip data on the geodesic.
-
-    Substitutes v = e^{it} and undoes the -pi/2 rotation: the rotated data
-    (g', eta') must satisfy g' = -i g_z and eta_z = v * eta'_coeff(v), with w
-    from ``VModel.w_on_geodesic``.
-    """
-    curve = make_epitrochoid(EpitrochoidParams(k=model.k, lam=model.lam))
-    data = data_from_curve(curve)
-    ts = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    ws = model.w_on_geodesic(ts)
-    worst = 0.0
-    for t, w, g_strip, eta_strip in zip(ts.tolist(), ws.tolist(), data.g(ts).tolist(),
-                                        data.eta(ts).tolist()):
-        v = cmath.exp(1j * t)
-        worst = max(worst, abs(model.g(v, w) - (-1j) * g_strip),
-                    abs(v * model.eta_coeff(v) - eta_strip))
-    return worst

@@ -322,6 +322,9 @@ def main(argv=None) -> int:
     except QuadratureFailure as exc:
         print("quadrature failed: %s" % exc, file=sys.stderr)
         return EXIT_THRESHOLD
+    except verify.DegenerateMetric as exc:  # verify's stencils at a vanishing speed
+        print("verification failed: %s" % exc, file=sys.stderr)
+        return EXIT_THRESHOLD
     except MemoryError as exc:  # a grid of --nt x --ns too large to allocate
         print("invalid parameters: %s x %s grid points (--nt x --ns) do not fit in memory: %s"
               % (getattr(args, "nt", "-"), getattr(args, "ns", "-"), exc), file=sys.stderr)

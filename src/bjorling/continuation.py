@@ -2,7 +2,7 @@
 
 The speed has isolated zeros off the real axis; the square root the surface
 needs is defined by continuity along a path from the axis, where it is
-positive.  ``strip_sqrt_array`` is the strip branch: every point continued up
+positive.  ``strip_branch`` is the strip branch: every point continued up
 the vertical segment from its axis foot t, in closed form.  With m = e^{ifz}
 for trigonometric series whose speed^2 has period 2 pi/f and m = z for
 monomial ones, that segment is straight in m, and speed^2 is a factor of
@@ -11,10 +11,10 @@ the zeros of one period.  So the root turns by half of
 sum_j mu_j Arg((m(z) - r_j)/(m(t) - r_j)), and the branch is
 np.sqrt(speed^2) negated where it disagrees with prod sqrt(...)^mu_j.  That
 sign comes from the running product of the rank-1 ratios with a tracked cut
-bit, so no root is taken per zero (its core ``strip_branch`` takes t and s
-apart, so a grid does the axis work once).  A segment that passes a zero
-raises ``SingularityOnPath``.  This is the package's one square-root rule:
-every patch, surface point, Weierstrass g and CLI command takes it.
+bit, so no root is taken per zero (t and s are taken apart, so a grid does the
+axis work once).  A segment that passes a zero raises ``SingularityOnPath``.
+This is the package's one square-root rule: every patch, surface point,
+Weierstrass g and CLI command takes it.
 
 speed^2 = P Q with P = x' + i y' and Q(z) = conj P(conj z) = x' - i y', both from one
 cached table of P's coefficients that also gives the zeros (``velocity``): only a factor
@@ -52,7 +52,7 @@ import numpy as np
 
 from .curves import PHASE_COS, TWO_PI, InvalidCurveParameters, PlanarCurve
 
-# how near a zero's Re must come to a column's, modulo the period, to lie on its path
+# how near a complex zero's Re must come to a column's, modulo the period, to lie on its path
 PATH_CLEARANCE = 1e-2
 # np.roots splits a double root by about 2 sqrt(eps) = 3e-8 (relative)
 ROOT_CLUSTER_TOL = 1e-6
@@ -91,21 +91,12 @@ def velocity(curve: PlanarCurve, t, s):
     return p, q, speed2
 
 
-def speed_squared(curve: PlanarCurve, z):
-    """x'(z)^2 + y'(z)^2 = P(z) Q(z): (k+2)^2 (1 + a^2 - 2a cos((k+1)z)) for epitrochoids."""
-    return velocity(curve, np.real(z), np.imag(z))[2]
-
-
-def strip_sqrt_array(curve: PlanarCurve, z):
-    """The strip branch of sqrt(speed^2) at points z of any shape, in closed form;
-    SingularityOnPath where the vertical segment to a point passes a zero: its Im
-    between 0 and Im z and its Re within PATH_CLEARANCE of Re z, modulo the period."""
-    z = np.asarray(z, dtype=complex)
-    return strip_branch(curve, z.real, z.imag, speed_squared(curve, z))
-
-
 def strip_branch(curve: PlanarCurve, t, s, speed2):
-    """``strip_sqrt_array`` at t + i s for t and s that broadcast to speed2's shape.
+    """The strip branch of sqrt(speed^2) at t + i s, in closed form, for t and s that
+    broadcast to the shape of speed2 = ``velocity(curve, t, s)[2]``.  SingularityOnPath
+    where the vertical segment to a point passes a zero: its Im between 0 and s and
+    its Re, modulo the period, within PATH_CLEARANCE of t, or equal to t for a real zero,
+    which a vertical segment meets only at its foot.
 
     Each ratio (m(z) - r)/(m(t) - r) is rank one, 1 + beta(s) alpha(t): for m = e^{ifz},
     f = 2 pi/period, beta = expm1(-fs) and alpha = e^{ift}/(e^{ift} - r), and for m = z,
@@ -126,7 +117,7 @@ def strip_branch(curve: PlanarCurve, t, s, speed2):
         offset = t - zero.real
         if trig:
             offset -= period * np.round(offset / period)
-        passed = (np.abs(offset) <= PATH_CLEARANCE) \
+        passed = (np.abs(offset) <= (PATH_CLEARANCE if zero.imag else 0.0)) \
             & ((np.abs(s) >= abs(zero.imag)) & (s * zero.imag >= 0))
         if np.any(passed):
             raise SingularityOnPath("the vertical path to %s passes the speed^2 zero at %s" % (

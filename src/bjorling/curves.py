@@ -135,11 +135,6 @@ class PlanarCurve:
         """Evaluate the (complexified) coordinate series at z."""
         return self.x(z), self.y(z)
 
-    def point3d(self, t):
-        """Curve point embedded in R^3 (third coordinate 0)."""
-        x, y = self.eval(t)
-        return np.stack([x, y, 0.0 * x], axis=-1)
-
     def derivative(self) -> "PlanarCurve":
         """Exact termwise derivative, again a PlanarCurve-shaped series pair."""
         return PlanarCurve(
@@ -164,23 +159,6 @@ def make_epitrochoid(params: EpitrochoidParams) -> PlanarCurve:
         label=f"epitrochoid(k={k}, lam={lam:g})",
         epitrochoid=params,
     )
-
-
-def epitrochoid_from_radii(r_c: float, r_m: float, lam: float) -> PlanarCurve:
-    """Rolling-circle form (fixed radius r_c, rolling radius r_m, arm lam).
-
-    Normalizes r_c to 1, requires the single-wrapped condition r_m = r_c/(k+1)
-    for an integer k >= 1, and rescales by (k+1) to the canonical curve.
-    """
-    if not (r_c > 0 and r_m > 0):
-        raise InvalidCurveParameters("radii must be positive")
-    ratio = r_c / r_m
-    k_float = ratio - 1.0
-    k = int(round(k_float))
-    if abs(k_float - k) > 1e-9 or k < 1:
-        raise InvalidCurveParameters(
-            "not single-wrapped: r_c/r_m - 1 = %g is not a positive integer" % k_float)
-    return make_epitrochoid(EpitrochoidParams(k=k, lam=lam / r_c))
 
 
 def make_circle() -> PlanarCurve:

@@ -90,13 +90,6 @@ def phi(curve: PlanarCurve, t, s):
     return np.stack([0.5 * (p + q), 0.5j * (q - p), 1j * w], axis=-1)
 
 
-def planar_normal(curve: PlanarCurve, t):
-    """Unit normal (-y', x', 0)/|c'| of the Bjorling data along the curve, from P = x' + i y'."""
-    p = velocity(curve, t, 0.0)[0]
-    speed = np.abs(p)
-    return np.stack([-p.imag / speed, p.real / speed, 0.0 * speed], axis=-1)
-
-
 def surface_point(curve: PlanarCurve, t: float, s: float,
                   tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Surface value f(t + i s): exact Re x, Re y and the column integral f3, taken
@@ -197,7 +190,7 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     elif strip.curve != curve or not strip.t_range[0] <= t_lo <= t_hi <= strip.t_range[1]:
         raise ValueError("the strip for %s over %s does not cover %s over %s"
                          % (strip.curve.label, strip.t_range, curve.label, (t_lo, t_hi)))
-    if max(abs(s_lo), abs(s_hi)) > strip.cap + 1e-12:
+    if max(abs(s_lo), abs(s_hi)) > strip.cap * (1.0 + 1e-12):
         raise StripTooWide(
             "requested |s| up to %g exceeds the usable strip half-width %g"
             % (max(abs(s_lo), abs(s_hi)), strip.cap))

@@ -26,10 +26,6 @@ class DegenerateMetric(ArithmeticError):
     """EG - F^2 fell below 1e-14 at an interior vertex."""
 
 
-def _dot(u, v):
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
-
-
 def mean_curvature_residual(points: np.ndarray, ht: float, hs: float) -> float:
     """max |H| over interior vertices from central-difference stencils.
 
@@ -83,18 +79,21 @@ def geodesic_residual(curve: PlanarCurve, patch: PatchGrid) -> float:
     d2 = curve.derivative().derivative()
     t_int = patch.t_vals[1:-1]
     acc = np.stack([d2.x(t_int), d2.y(t_int), np.zeros_like(t_int)], axis=-1)
+    def dot(u, v):  # over the last axis, as component planes
+        return _plane_dot(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0))
+
     # tangential component: solve the 2x2 Gram system per sample
-    e = _dot(ft, ft)
-    f = _dot(ft, fs)
-    g = _dot(fs, fs)
-    bt = _dot(acc, ft)
-    bs = _dot(acc, fs)
+    e = dot(ft, ft)
+    f = dot(ft, fs)
+    g = dot(fs, fs)
+    bt = dot(acc, ft)
+    bs = dot(acc, fs)
     det = e * g - f * f
     alpha = (bt * g - bs * f) / det
     beta = (bs * e - bt * f) / det
     tangential = alpha[..., None] * ft + beta[..., None] * fs
     unit_t = ft / np.linalg.norm(ft, axis=-1, keepdims=True)
-    sideways = tangential - _dot(tangential, unit_t)[..., None] * unit_t
+    sideways = tangential - dot(tangential, unit_t)[..., None] * unit_t
     return float(np.max(np.linalg.norm(sideways, axis=-1)))
 
 

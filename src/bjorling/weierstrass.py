@@ -1,4 +1,4 @@
-"""Weierstrass data (g, eta) of the Schwarz surface and consistency checks.
+"""Weierstrass data (g, eta) of the Schwarz surface, and the period residual.
 
 Convention: Phi = ((1 - g^2) eta/2, i (1 + g^2) eta/2, g eta) so that
 eta = phi1 - i phi2 and, for a planar geodesic,
@@ -6,8 +6,6 @@ eta = phi1 - i phi2 and, for a planar geodesic,
     g = i W/Q = i sqrt(P/Q),     eta = Q dz = (x'(z) - i y'(z)) dz,
 
 with P = x' + i y', Q and W, the strip branch of sqrt(P Q), from ``continuation``.
-The metric density is the conformal factor E = (1/4)(1 + |g|^2)^2 |eta/dz|^2,
-which equals x'^2 + y'^2 on the real axis.
 """
 
 from __future__ import annotations
@@ -19,20 +17,15 @@ import numpy as np
 
 from .continuation import velocity
 from .curves import PlanarCurve
-from .schwarz import _strip_parts, surface_point
-
-
-class DivisionNearZero(ArithmeticError):
-    """g = phi3/(phi1 - i phi2) evaluated at a pole of g."""
+from .schwarz import _strip_parts
 
 
 @dataclass
 class WeierstrassData:
-    """Evaluable pair (g, eta/d(chart)) in a named chart."""
+    """Evaluable pair (g, eta/dz) on the strip."""
 
     g: Callable
     eta: Callable
-    chart: str = "z-strip"
 
 
 def data_from_curve(curve: PlanarCurve) -> WeierstrassData:
@@ -47,58 +40,7 @@ def data_from_curve(curve: PlanarCurve) -> WeierstrassData:
         out = 1j * w / q
         return complex(out) if out.ndim == 0 else out
 
-    return WeierstrassData(g=g, eta=eta, chart="z-strip")
-
-
-def data_from_phi(triple: Callable) -> WeierstrassData:
-    """Weierstrass data recovered from a null triple z -> Phi(z), such as
-    lambda z: schwarz.phi(curve, z.real, z.imag): g = phi3/(phi1 - i phi2)."""
-
-    def eta(z):
-        v = triple(z)
-        return v[..., 0] - 1j * v[..., 1]
-
-    def g(z):
-        v = triple(z)
-        den = v[..., 0] - 1j * v[..., 1]
-        if np.min(np.abs(den)) < 1e-13:
-            raise DivisionNearZero("phi1 - i*phi2 vanishes: pole of g at z=%s" % (z,))
-        return v[..., 2] / den
-
-    return WeierstrassData(g=g, eta=eta, chart="z-strip")
-
-
-def metric_density(data: WeierstrassData, z):
-    """Conformal factor (1/4)(1 + |g|^2)^2 |eta|^2 at a chart point."""
-    gv = data.g(z)
-    ev = data.eta(z)
-    return 0.25 * (1.0 + np.abs(gv) ** 2) ** 2 * np.abs(ev) ** 2
-
-
-def stereographic(n):
-    """Projection from the north pole: (n1 + i n2)/(1 - n3)."""
-    n = np.asarray(n, dtype=float)
-    return (n[..., 0] + 1j * n[..., 1]) / (1.0 - n[..., 2])
-
-
-def gauss_map_check(curve: PlanarCurve, t_samples, h: float = 1e-3) -> float:
-    """max |sigma(nu(t)) - g(t)| with nu the patch normal at (t, 0).
-
-    The s-tangent comes from central differencing of the Schwarz surface at
-    step h; the t-tangent along the geodesic row is the exact curve velocity.
-    """
-    data = data_from_curve(curve)
-    ts = np.asarray(t_samples, dtype=float)
-    worst = 0.0
-    for t, p in zip(ts, velocity(curve, ts, 0.0)[0]):
-        f_up = surface_point(curve, t, +h, tol=1e-13)
-        f_dn = surface_point(curve, t, -h, tol=1e-13)
-        fs = (f_up - f_dn) / (2.0 * h)
-        ft = np.array([p.real, p.imag, 0.0])
-        nu = np.cross(ft, fs)
-        nu = nu / np.linalg.norm(nu)
-        worst = max(worst, abs(stereographic(nu) - data.g(t)))
-    return worst
+    return WeierstrassData(g=g, eta=eta)
 
 
 def period_residual(curve: PlanarCurve) -> np.ndarray:

@@ -1,0 +1,149 @@
+"""Test oracles: checks of the package that no command of it calls.
+
+Weierstrass data recovered from a null triple, the conformal factor and the Gauss
+map from a patch normal, the v-model's Gauss map and its w along the geodesic
+(with their pullback to the strip data), the divisor degrees of an order table,
+the planar normal and curve points in R^3, and the closed-form f3 of the cycloid
+(Catalan's surface) and of the parabola.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from bjorling.analysis import OrderTable, VModel, _point_classes
+from bjorling.continuation import velocity
+from bjorling.curves import EpitrochoidParams, PlanarCurve, make_epitrochoid
+from bjorling.schwarz import surface_point
+from bjorling.weierstrass import WeierstrassData, data_from_curve
+
+
+def point3d(curve: PlanarCurve, t):
+    """Curve point embedded in R^3 (third coordinate 0)."""
+    x, y = curve.eval(t)
+    return np.stack([x, y, 0.0 * x], axis=-1)
+
+
+def planar_normal(curve: PlanarCurve, t):
+    """Unit normal (-y', x', 0)/|c'| of the Bjorling data along the curve, from P = x' + i y'."""
+    p = velocity(curve, t, 0.0)[0]
+    speed = np.abs(p)
+    return np.stack([-p.imag / speed, p.real / speed, 0.0 * speed], axis=-1)
+
+
+def data_from_phi(triple) -> WeierstrassData:
+    """Weierstrass data recovered from a null triple z -> Phi(z), such as
+    lambda z: schwarz.phi(curve, z.real, z.imag): g = phi3/(phi1 - i phi2)."""
+
+    def eta(z):
+        v = triple(z)
+        return v[..., 0] - 1j * v[..., 1]
+
+    def g(z):
+        v = triple(z)
+        return v[..., 2] / (v[..., 0] - 1j * v[..., 1])
+
+    return WeierstrassData(g=g, eta=eta)
+
+
+def metric_density(data: WeierstrassData, z):
+    """Conformal factor (1/4)(1 + |g|^2)^2 |eta|^2 at a chart point."""
+    gv = data.g(z)
+    ev = data.eta(z)
+    return 0.25 * (1.0 + np.abs(gv) ** 2) ** 2 * np.abs(ev) ** 2
+
+
+def stereographic(n):
+    """Projection from the north pole: (n1 + i n2)/(1 - n3)."""
+    n = np.asarray(n, dtype=float)
+    return (n[..., 0] + 1j * n[..., 1]) / (1.0 - n[..., 2])
+
+
+def gauss_map_check(curve: PlanarCurve, t_samples, h: float = 1e-3) -> float:
+    """max |sigma(nu(t)) - g(t)| with nu the patch normal at (t, 0).
+
+    The s-tangent comes from central differencing of the Schwarz surface at
+    step h; the t-tangent along the geodesic row is the exact curve velocity.
+    """
+    data = data_from_curve(curve)
+    ts = np.asarray(t_samples, dtype=float)
+    worst = 0.0
+    for t, p in zip(ts, velocity(curve, ts, 0.0)[0]):
+        f_up = surface_point(curve, t, +h, tol=1e-13)
+        f_dn = surface_point(curve, t, -h, tol=1e-13)
+        fs = (f_up - f_dn) / (2.0 * h)
+        ft = np.array([p.real, p.imag, 0.0])
+        nu = np.cross(ft, fs)
+        nu = nu / np.linalg.norm(nu)
+        worst = max(worst, abs(stereographic(nu) - data.g(t)))
+    return worst
+
+
+def model_g(model: VModel, v, w):
+    """Gauss map on the v-model's surface; switches to the pole-resolved form near w = 0.
+
+    On the curve v^{k+1} - a = -w^2 / (v^e (1 - a v^{k+1})), so near the
+    a-family branch points g = v^{p+e} (1 - a v^{k+1}) / w, with the
+    vanishing denominator eliminated.
+    """
+    d, _, A = model._resolved_numerator(v)
+    if A is not None:
+        return A / w
+    return -w * v**model.p_exponent / d
+
+
+def w_on_geodesic(model: VModel, t):
+    """w at v = e^{it}, continued along the unit circle from w(0) = -i|1 - a|.
+
+    There a - v^{k+1} = -v^{k+1} conj(1 - a v^{k+1}), so w^2 = -v^{k+1+e}
+    |1 - a v^{k+1}|^2, and k+1+e is even: w = -i e^{i(k+1+e)t/2} |1 - a e^{i(k+1)t}|.
+    """
+    return (-1j * np.exp(0.5j * (model.k + 1 + model.e) * t)
+            * np.abs(1.0 - model.a * np.exp(1j * (model.k + 1) * t)))
+
+
+def pullback_residual(model: VModel, n_samples: int = 50) -> float:
+    """max deviation between the v-model and the strip data on the geodesic.
+
+    Substitutes v = e^{it} and undoes the -pi/2 rotation: the rotated data
+    (g', eta') must satisfy g' = -i g_z and eta_z = v * eta'_coeff(v), with w
+    from ``w_on_geodesic``.
+    """
+    curve = make_epitrochoid(EpitrochoidParams(k=model.k, lam=model.lam))
+    data = data_from_curve(curve)
+    ts = 2.0 * math.pi * np.arange(n_samples) / n_samples
+    ws = w_on_geodesic(model, ts)
+    worst = 0.0
+    for t, w, g_strip, eta_strip in zip(ts.tolist(), ws.tolist(), data.g(ts).tolist(),
+                                        data.eta(ts).tolist()):
+        v = cmath.exp(1j * t)
+        worst = max(worst, abs(model_g(model, v, w) - (-1j) * g_strip),
+                    abs(v * model.eta_coeff(v) - eta_strip))
+    return worst
+
+
+def divisor_degree_check(table: OrderTable, model: VModel) -> tuple[int, int]:
+    """(deg div(g), deg div(eta)) from the computed table, weighted by multiplicity.
+
+    deg div(g) must be 0 and deg div(eta) must be 2*genus - 2.
+    """
+    copies = {label: n for label, _, _, n in _point_classes(model)}
+    deg_g = sum(copies[r.point] * r.g_order for r in table.rows)
+    deg_eta = sum(copies[r.point] * r.eta_order for r in table.rows)
+    return deg_g, deg_eta
+
+
+def cycloid_f3(t, s):
+    """f3 of the cycloid (t - sin t, 1 - cos t), Catalan's surface (1855): W = 2 sin(z/2), so
+    f3 = -int_0^s Re 2 sin((t + i sigma)/2) d sigma = -4 sin(t/2) sinh(s/2)."""
+    return -4.0 * np.sin(0.5 * t) * np.sinh(0.5 * s)
+
+
+def parabola_f3(t, s):
+    """f3 of the parabola (t, t^2): -Im F(t + is) with F' = W = sqrt(1 + 4z^2), F real on
+    the axis, F(z) = z sqrt(1 + 4z^2)/2 + asinh(2z)/4.  The principal roots are the strip
+    branch: 1 + 4z^2 and 1 + (2z)^2 stay off the negative axis for |Im z| < 1/2."""
+    z = t + 1j * s
+    root = np.sqrt(1.0 + 4.0 * z * z)
+    return -(0.5 * z * root + 0.25 * np.arcsinh(2.0 * z)).imag

@@ -19,11 +19,12 @@ from bjorling.analysis import (
 from bjorling.cli import main
 from bjorling.curves import make_circle, make_cycloid, make_parabola
 from bjorling.continuation import find_strip
-from bjorling.schwarz import phi, planar_normal, surface_patch, surface_point
+from bjorling.schwarz import phi, surface_patch, surface_point
 from bjorling.verify import mean_curvature_residual, symmetry_residual
 from bjorling.weierstrass import data_from_curve, period_residual
 
 from conftest import EPI_PARAMS, epi, metric_length_by_quadrature
+from oracles import planar_normal, point3d
 
 WITNESS_PARAMS = [(2, 0.5), (2, 2.0), (3, 0.6), (4, 0.4)]
 
@@ -53,7 +54,7 @@ def test_criterion_01_catenoid_oracle():
     closed_form = np.stack([np.cos(T) * np.cosh(S) - 1.0,
                             np.sin(T) * np.cosh(S),
                             -S], axis=-1)
-    raw_integral = patch.points - np.asarray(curve.point3d(0.0))
+    raw_integral = patch.points - np.asarray(point3d(curve, 0.0))
     err = float(np.max(np.abs(raw_integral - closed_form)))
     elapsed = time.perf_counter() - start
     report(1, "catenoid oracle", err < 1e-9 and elapsed < 5.0,
@@ -81,7 +82,7 @@ def test_criterion_03_bjorling_contract():
         patch = surface_patch(curve, curve.domain, (-s, s), 129, 9)
         row = patch.geodesic_row
         worst_row = max(worst_row, float(np.max(np.abs(
-            patch.points[row] - curve.point3d(patch.t_vals)))))
+            patch.points[row] - point3d(curve, patch.t_vals)))))
         t0, t1 = curve.domain
         for t in np.linspace(t0 + 2 * h, t1 - 2 * h, 17):
             f_t = (surface_point(curve, t + h, 0.0)

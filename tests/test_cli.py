@@ -327,6 +327,36 @@ def test_singularity_on_path_exits_2_without_traceback(command, capsys, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", ["0.009", "1e-3"])
+def test_cycloid_beside_a_real_zero_generates_and_verifies(delta, tmp_path, capsys):
+    # the cusp at t = 0 is a real zero delta before the window: no column reaches it
+    curve = ["--curve", "cycloid", "--delta", delta]
+    assert main(["generate", *curve, "--out", str(tmp_path / "out")]) == 0
+    assert main(["verify", *curve]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("curve", [["--curve", "cycloid", "--delta", "1e-12"],
+                                   ["--curve", "epitrochoid", "--k", "2",
+                                    "--lambda", "0.33333333333400003"]])
+def test_s_fraction_one_past_a_tiny_cap_exits_2_naming_the_cap(curve, tmp_path, capsys):
+    # the cap's slack is relative: at a distance near 1e-12 an absolute 1e-12
+    # let --s-fraction 1.0 pass the 0.9 cap
+    out = tmp_path / "out"
+    assert main(["generate", *curve, "--s-fraction", "1.0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds the usable strip half-width" in err
+    assert not out.exists()
+
+
+def test_degenerate_metric_exits_1_without_traceback(capsys):
+    # at delta = 1e-5 the speed near the ends is 1e-5, and EG - F^2 falls below
+    # verify's absolute floor: a one-line failure, not a traceback
+    assert main(["verify", "--curve", "cycloid", "--delta", "1e-5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("verification failed: EG - F^2 = ")
+
+
 @pytest.mark.parametrize("command", ["generate", "verify"])
 def test_grid_too_large_for_memory_exits_2_without_traceback(command, capsys, tmp_path,
                                                               monkeypatch):

@@ -10,9 +10,8 @@ from bjorling.continuation import (
     _zero_set,
     find_strip,
     singularity_scan,
-    speed_squared,
     strip_branch,
-    strip_sqrt_array,
+    velocity,
 )
 from bjorling.curves import (
     PHASE_COS,
@@ -32,7 +31,7 @@ from conftest import continue_sqrt, epi
 
 def _along(curve, vertices, w, h=1e-2):
     # sqrt(speed^2) continued along a polyline, steps of at most h per segment
-    f = lambda z: speed_squared(curve, z)
+    f = lambda z: velocity(curve, z.real, z.imag)[2]
     for a, b in zip(vertices, vertices[1:]):
         w = continue_sqrt(f, a, b, w, int(math.ceil(abs(b - a) / h)))
     return complex(w)
@@ -40,10 +39,10 @@ def _along(curve, vertices, w, h=1e-2):
 
 def test_speed_squared_values():
     curve = epi(2, 0.5)
-    assert abs(speed_squared(curve, 0.0) - 4.0) < 1e-12
-    assert abs(speed_squared(make_circle(), 0.3 + 0.2j) - 1.0) < 1e-14
+    assert abs(velocity(curve, 0.0, 0.0)[2] - 4.0) < 1e-12
+    assert abs(velocity(make_circle(), 0.3, 0.2)[2] - 1.0) < 1e-14
     z0 = 1j * math.log(1.5) / 3.0
-    assert abs(speed_squared(curve, z0)) < 1e-12
+    assert abs(velocity(curve, z0.real, z0.imag)[2]) < 1e-12
 
 
 def test_speed_squared_closed_form_off_axis(rng):
@@ -52,7 +51,7 @@ def test_speed_squared_closed_form_off_axis(rng):
     a = lam * (k + 1)
     z = rng.uniform(0, 2 * math.pi, 20) + 1j * rng.uniform(-0.2, 0.2, 20)
     closed = (k + 2) ** 2 * (1 + a * a - 2 * a * np.cos((k + 1) * z))
-    assert np.max(np.abs(speed_squared(curve, z) - closed)) < 1e-9
+    assert np.max(np.abs(velocity(curve, z.real, z.imag)[2] - closed)) < 1e-9
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -64,12 +63,12 @@ def test_speed_squared_closed_form_on_the_cap_line(k, d):
     curve = epi(k, a / (k + 1))
     z = np.linspace(0.0, 2 * math.pi, 97) + 1j * find_strip(curve).cap
     closed = (k + 2) ** 2 * (1 + a * a - 2 * a * np.cos((k + 1) * z))
-    assert np.max(np.abs(speed_squared(curve, z) - closed) / np.abs(closed)) < 2e-14
+    assert np.max(np.abs(velocity(curve, z.real, z.imag)[2] - closed) / np.abs(closed)) < 2e-14
 
 
 def test_continue_sqrt_constant_for_circle():
     curve = make_circle()
-    f = lambda z: speed_squared(curve, z)
+    f = lambda z: velocity(curve, z.real, z.imag)[2]
     # every point of the path 0 -> 1 + 0.5i -> 2, each continued from 0 in one call
     u = np.linspace(0.0, 1.0, 41)
     z = np.concatenate([u * (1.0 + 0.5j), 1.0 + 0.5j + u * (1.0 - 0.5j)])
@@ -82,7 +81,7 @@ def test_continue_sqrt_constant_for_circle():
 def test_sqrt_real_axis_loop_returns_to_seed():
     curve = epi(2, 0.5)
     t = np.linspace(0.0, 2 * math.pi, 64)
-    w = continue_sqrt(lambda z: speed_squared(curve, z), 0j, t, 2.0 + 0j, 629)
+    w = continue_sqrt(lambda z: velocity(curve, z.real, z.imag)[2], 0j, t, 2.0 + 0j, 629)
     assert abs(w[-1] - 2.0) < 1e-10
     # on the axis the continued root stays the positive one
     assert np.all(w.real > 0)
@@ -94,7 +93,7 @@ def test_sqrt_winding_around_simple_zero_flips_sign():
     loop = (0j, 0.1 + 0.05j, 0.1 + 0.25j, -0.1 + 0.25j, -0.1 + 0.05j, 0j)
     w = _along(curve, loop, 2.0 + 0j)
     assert abs(w - (-2.0)) < 1e-9
-    assert abs(w ** 2 - speed_squared(curve, 0.0)) < 1e-12
+    assert abs(w ** 2 - velocity(curve, 0.0, 0.0)[2]) < 1e-12
     assert abs(z0.imag - 0.13515503603605478) < 1e-12
 
 
@@ -112,7 +111,8 @@ def test_sqrt_sign_flip_random_epitrochoids(seed_trial):
     r = 0.45 * s0
     corners = tuple(z0 + r * np.exp(1j * th) for th in
                     (-2.356, -0.785, 0.785, 2.356))  # square around the zero
-    seed = complex(strip_sqrt_array(curve, corners[0]))
+    c = corners[0]
+    seed = complex(strip_branch(curve, c.real, c.imag, velocity(curve, c.real, c.imag)[2]))
     w = _along(curve, corners + (corners[0],), seed, h=min(1e-2, r / 4))
     assert abs(w + seed) < 1e-8 * max(1.0, abs(seed))
 
@@ -188,9 +188,9 @@ def test_strip_branch_closed_form_equals_vertical_continuation(curve):
     # principal root's cut
     t, s_max = _zero_clear_columns(curve, 97)
     z = t[None, :] + 1j * np.linspace(-s_max, s_max, 41)[:, None]
-    f = lambda p: speed_squared(curve, p)
+    f = lambda p: velocity(curve, p.real, p.imag)[2]
     stepped = continue_sqrt(f, z.real, z, np.sqrt(f(z.real + 0j)), 400)
-    assert np.array_equal(strip_sqrt_array(curve, z), stepped)
+    assert np.array_equal(strip_branch(curve, z.real, z.imag, f(z)), stepped)
 
 
 def test_strip_branch_past_double_zeros_is_entire():
@@ -202,11 +202,12 @@ def test_strip_branch_past_double_zeros_is_entire():
     t = np.linspace(-0.5, 0.5, 41)
     z = t[np.abs(t) > 0.02][None, :] + 1j * np.linspace(-3.0, 3.0, 61)[:, None]
     root = (1 + z * z) * (4 + z * z)
-    w = strip_sqrt_array(curve, z)
+    sp = velocity(curve, z.real, z.imag)[2]
+    w = strip_branch(curve, z.real, z.imag, sp)
     assert np.max(np.abs(w - root)) < 1e-12 * np.max(np.abs(root))
     assert np.any(np.abs(np.sqrt(root * root) - w) > 1.0)
     # the axis form: each zero's two factors pass the tracked cut bit
-    on_axes = strip_branch(curve, z.real[:1], z.imag[:, :1], speed_squared(curve, z))
+    on_axes = strip_branch(curve, z.real[:1], z.imag[:, :1], sp)
     assert np.array_equal(on_axes, w)
 
 
@@ -226,7 +227,7 @@ def test_strip_branch_on_the_cut_of_np_sqrt():
     t, s = lo[keep], s[keep]
     z = t + 1j * s
     root = (1 + z * z) * (4 + z * z)
-    sp = speed_squared(curve, z)
+    sp = velocity(curve, t, s)[2]
     w = strip_branch(curve, t, s, sp)
     assert t.size > 40 and np.all(sp.real < 0)
     assert np.max(np.abs(w - root) / np.abs(root)) < 1e-12
@@ -246,10 +247,10 @@ def test_strip_branch_equals_the_product_of_principal_roots(curve):
     t, s_max = _zero_clear_columns(curve, 193)
     s = np.linspace(-s_max, s_max, 65)
     z = t[None, :] + 1j * s[:, None]
-    sp = speed_squared(curve, z)
+    sp = velocity(curve, z.real, z.imag)[2]
     oracle = _principal_root_branch(curve, t[None, :], s[:, None], sp)
     assert np.array_equal(strip_branch(curve, t[None, :], s[:, None], sp), oracle)
-    assert np.array_equal(strip_sqrt_array(curve, z), oracle)
+    assert np.array_equal(strip_branch(curve, z.real, z.imag, sp), oracle)
     if curve.label == "double zeros":
         assert np.count_nonzero(oracle != np.sqrt(sp)) > 100
 
@@ -454,11 +455,12 @@ def test_mixed_trig_and_monomial_series_rejected():
 
 def test_strip_sqrt_positive_on_axis_and_consistent():
     curve = epi(2, 0.5)
-    w = complex(strip_sqrt_array(curve, 1.2))
+    w = complex(strip_branch(curve, 1.2, 0.0, velocity(curve, 1.2, 0.0)[2]))
     assert w.imag == 0 and w.real > 0
     z = 0.7 + 0.09j
-    w = complex(strip_sqrt_array(curve, z))
-    assert abs(w * w - speed_squared(curve, z)) < 1e-12 * abs(speed_squared(curve, z))
+    sp = velocity(curve, z.real, z.imag)[2]
+    w = complex(strip_branch(curve, z.real, z.imag, sp))
+    assert abs(w * w - sp) < 1e-12 * abs(sp)
     # matches path continuation along a different (homotopic) route
     assert abs(w - _along(curve, (0j, 0.7 + 0j, z), 2.0 + 0j)) < 1e-10
 
@@ -468,13 +470,15 @@ def test_strip_sqrt_array_matches_scalar_on_grid():
     curve = epi(3, 0.6)
     s_max = 0.8 * math.log(2.4) / 4.0
     z = np.linspace(0.0, 2 * math.pi, 13)[None, :] + 1j * np.linspace(-s_max, s_max, 5)[:, None]
-    w = strip_sqrt_array(curve, z)
+    sp = velocity(curve, z.real, z.imag)[2]
+    w = strip_branch(curve, z.real, z.imag, sp)
     assert w.shape == z.shape
-    scalar = np.array([[complex(strip_sqrt_array(curve, p)) for p in row] for row in z])
+    scalar = np.array([[complex(strip_branch(curve, p.real, p.imag,
+                                             velocity(curve, p.real, p.imag)[2]))
+                        for p in row] for row in z])
     assert np.max(np.abs(w - scalar)) < 1e-12
-    sp = speed_squared(curve, z)
     assert np.max(np.abs(w * w - sp) / np.abs(sp)) < 1e-12
-    assert np.all(strip_sqrt_array(curve, z.real).real > 0)
+    assert np.all(strip_branch(curve, z.real, 0.0, velocity(curve, z.real, 0.0)[2]).real > 0)
 
 
 @pytest.mark.parametrize("curve", [make_cycloid(), make_parabola(), epi(3, 0.6),
@@ -485,9 +489,9 @@ def test_strip_branch_on_axes_equals_the_materialized_grid(curve):
     t, s_max = _zero_clear_columns(curve, 41)
     s = np.linspace(-s_max, s_max, 17)
     z = t[None, :] + 1j * s[:, None]
-    sp = speed_squared(curve, z)
+    sp = velocity(curve, z.real, z.imag)[2]
     assert np.array_equal(strip_branch(curve, t[None, :], s[:, None], sp),
-                          strip_sqrt_array(curve, z))
+                          strip_branch(curve, z.real, z.imag, sp))
 
 
 def test_strip_branch_on_axes_refuses_the_same_points():
@@ -495,13 +499,27 @@ def test_strip_branch_on_axes_refuses_the_same_points():
     curve = epi(2, 0.5)
     for t, s in (([0.0], [0.2]), ([0.5, -0.005], [0.01, -0.2])):
         t, s = np.array(t)[None, :], np.array(s)[:, None]
-        sp = speed_squared(curve, t + 1j * s)
+        sp, z = velocity(curve, t, s)[2], t + 1j * s
         with pytest.raises(SingularityOnPath):
             strip_branch(curve, t, s, sp)
         with pytest.raises(SingularityOnPath):
-            strip_sqrt_array(curve, t + 1j * s)
+            strip_branch(curve, z.real, z.imag, sp)
     t, s = np.array([[0.011]]), np.array([[0.2]])
-    assert np.isfinite(strip_branch(curve, t, s, speed_squared(curve, t + 1j * s))).all()
+    assert np.isfinite(strip_branch(curve, t, s, velocity(curve, t, s)[2])).all()
+
+
+def test_real_zero_blocks_only_the_column_at_its_foot():
+    # the cycloid's cusps t = 2 pi n are real zeros, and a vertical segment meets
+    # one only at its foot: columns 1e-9 beside it take Catalan's root 2 sin(z/2)
+    curve = make_cycloid(1e-6)
+    t = np.array([1e-9, 1e-3, 0.5, 2 * math.pi - 1e-9])
+    s = np.array([[0.4], [1e-3], [-0.4]])
+    w = strip_branch(curve, t, s, velocity(curve, t, s)[2])
+    root = 2.0 * np.sin(0.5 * (t + 1j * s))
+    assert np.max(np.abs(w - root) / np.abs(root)) < 1e-14
+    for foot in (0.0, 2 * math.pi):
+        with pytest.raises(SingularityOnPath, match="passes the speed\\^2 zero at 0j"):
+            strip_branch(curve, foot, 0.3, velocity(curve, foot, 0.3)[2])
 
 
 def _lattice_distance(k, h, t_lo, t_hi):
@@ -559,6 +577,6 @@ def test_generic_zero_set_has_the_true_period(k):
         # inside the cap both zero sets give bitwise the same branch
         t = np.linspace(*curve.domain, 61)
         s = np.linspace(-strip.cap, strip.cap, 9)
-        sp = speed_squared(curve, t[None, :] + 1j * s[:, None])
+        sp = velocity(curve, t[None, :], s[:, None])[2]
         assert np.array_equal(strip_branch(curve, t[None, :], s[:, None], sp),
                               strip_branch(fork, t[None, :], s[:, None], sp))

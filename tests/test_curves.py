@@ -9,7 +9,6 @@ from bjorling.curves import (
     PlanarCurve,
     TrigPolySeries,
     curve_from_config,
-    epitrochoid_from_radii,
     make_circle,
     make_cycloid,
     make_parabola,
@@ -44,14 +43,6 @@ def test_epitrochoid_rejects_cusped_parameter():
         EpitrochoidParams(k=2, lam=-0.5)
     with pytest.raises(InvalidCurveParameters):
         EpitrochoidParams(k=0, lam=0.5)
-
-
-def test_epitrochoid_from_radii_rescales():
-    # r_c = 1, r_m = 1/3 -> k = 2; result is the canonical (k+1)-scaled curve
-    curve = epitrochoid_from_radii(1.0, 1.0 / 3.0, 0.5)
-    assert curve.epitrochoid == EpitrochoidParams(k=2, lam=0.5)
-    with pytest.raises(InvalidCurveParameters):
-        epitrochoid_from_radii(1.0, 0.4, 0.5)
 
 
 def test_reference_curves():

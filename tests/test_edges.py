@@ -1,24 +1,6 @@
 import json
 
-import numpy as np
 import pytest
-
-from bjorling.weierstrass import DivisionNearZero, data_from_phi
-
-
-class _StubTriple:
-    """Null-triple stand-in whose phi1 - i*phi2 vanishes at z = 0."""
-
-    def __call__(self, z):
-        z = complex(z)
-        return np.array([z, 0j, 1.0 + 0j])
-
-
-def test_division_near_zero_at_pole_of_g():
-    data = data_from_phi(_StubTriple())
-    with pytest.raises(DivisionNearZero):
-        data.g(0.0)
-    assert abs(data.g(1.0) - 1.0) < 1e-15
 
 
 def test_toml_config_when_supported(tmp_path):

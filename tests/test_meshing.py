@@ -22,6 +22,7 @@ from bjorling.meshing import (
 from bjorling.schwarz import surface_patch
 
 from conftest import epi
+from oracles import point3d
 
 
 def unit_quad():
@@ -50,7 +51,7 @@ def test_sample_mesh_epitrochoid_geodesic_row_matches_curve():
     row = mesh.tags["geodesic_row"]
     pts = mesh.vertices[row]
     t = mesh.attributes["t"][row]
-    expect = curve.point3d(t)
+    expect = point3d(curve, t)
     assert np.max(np.abs(pts - expect)) < 1e-9
     # 3-lobed closed outline
     assert abs(pts[0, 0] - 2.5) < 1e-9

@@ -13,12 +13,12 @@ from bjorling.schwarz import (
     QuadratureFailure,
     StripTooWide,
     phi,
-    planar_normal,
     surface_patch,
     surface_point,
 )
 
 from conftest import epi
+from oracles import cycloid_f3, parabola_f3, planar_normal, point3d
 
 
 def catenoid(t, s):
@@ -94,7 +94,7 @@ def test_surface_patch_rows_and_anchor():
     patch = surface_patch(curve, (0.0, 2 * math.pi), (-1.0, 1.0), 33, 9)
     row = patch.geodesic_row
     assert row is not None
-    expect = curve.point3d(patch.t_vals)
+    expect = point3d(curve, patch.t_vals)
     assert np.max(np.abs(patch.points[row] - expect)) < 1e-10
     # full catenoid, translated back to the raw integral anchor
     T, S = np.meshgrid(patch.t_vals, patch.s_vals)
@@ -111,7 +111,7 @@ def test_surface_patch_strip_clamp():
         surface_patch(curve, (0.0, 2 * math.pi), (-1.5 * cap, 1.5 * cap), 16, 5)
     patch = surface_patch(curve, (0.0, 2 * math.pi), (-cap, cap), 64, 9)
     row = patch.geodesic_row
-    assert np.max(np.abs(patch.points[row] - curve.point3d(patch.t_vals))) < 1e-9
+    assert np.max(np.abs(patch.points[row] - point3d(curve, patch.t_vals))) < 1e-9
 
 
 def test_surface_patch_rejects_a_strip_for_another_curve_or_window():
@@ -299,6 +299,30 @@ def test_asymmetric_patch_matches_closed_forms(k, lam, name):
     assert np.max(np.abs(patch.points[..., :2] - planar)) < 4e-15 * scale
     direct = phi(curve, patch.t_vals[None, :], patch.s_vals[:, None])
     assert np.max(np.abs(patch.phi - direct)) < 4e-15 * np.max(np.abs(direct))
+
+
+F3_ORACLES = {"cycloid": cycloid_f3, "parabola": parabola_f3}
+
+
+@pytest.mark.parametrize("curve", [make_cycloid(d) for d in (0.1, 0.5, 0.009, 1e-3, 1e-6)]
+                         + [make_parabola(h) for h in (0.3, 2.0, 50.0, 1e4)],
+                         ids=lambda c: c.label)
+@pytest.mark.parametrize("lo", [-1.0, -0.2, 0.1])
+def test_np_roots_curves_match_closed_form_f3(curve, lo):
+    # the curves whose zeros come from np.roots, over (lo cap, cap): the cycloid against
+    # Catalan's surface, down to a real zero 1e-6 before the window, and the parabola
+    # against -Im F(t + is) with F' = sqrt(1 + 4z^2)
+    exact = F3_ORACLES[curve.label.split("(")[0]]
+    cap = find_strip(curve).cap
+    patch = surface_patch(curve, curve.domain, (lo * cap, cap), 256, 33)
+    T, S = np.meshgrid(patch.t_vals, patch.s_vals)
+    expect = exact(T, S)
+    bound = 1e-13 * np.max(np.abs(expect))
+    f3 = patch.points[..., 2]
+    assert np.max(np.abs(f3 - expect)) < bound
+    # f3 x (1 + 1e-9) on the largest column fails the oracle
+    f3[:, np.argmax(np.max(np.abs(expect), axis=0))] *= 1.0 + 1e-9
+    assert np.max(np.abs(f3 - expect)) >= bound
 
 
 def test_patch_work_counters(monkeypatch):

@@ -6,16 +6,10 @@ import pytest
 from bjorling.curves import make_circle
 from bjorling.continuation import find_strip
 from bjorling.schwarz import phi
-from bjorling.weierstrass import (
-    data_from_curve,
-    data_from_phi,
-    gauss_map_check,
-    metric_density,
-    period_residual,
-    stereographic,
-)
+from bjorling.weierstrass import data_from_curve, period_residual
 
 from conftest import EPI_PARAMS, epi
+from oracles import data_from_phi, gauss_map_check, metric_density, stereographic
 
 
 def strip_points(curve, rng, n=100):
