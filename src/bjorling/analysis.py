@@ -17,7 +17,9 @@ divisor degrees that the tests check against it.
 
 The metric density (1+|g|^2)^2 |eta|^2 vanishes quadratically (in the local
 coordinate w) at every root of v^{k+1} = a and v^{k+1} = 1/a: the surface
-fails to immerse there, at finite intrinsic distance from the geodesic.
+fails to immerse there, at finite intrinsic distance from the geodesic.  The
+exponent 2 is read off each point's winding counts; the density itself is never
+evaluated here (``tests/oracles.py`` holds it, to check the exponents against).
 
 Orders of zeros and poles are counted numerically by the argument principle,
 never read off symbolically: each is the winding number of a single-valued
@@ -79,81 +81,31 @@ class VModel:
     def genus(self) -> int:
         return self.k + self.e
 
-    @property
-    def eta_constant(self) -> complex:
-        return -1j * (self.k + 2)
-
     def punctures(self) -> tuple[str, ...]:
         origin = ("(0,0)",) if self.e else ("(0,+sqrt(a))", "(0,-sqrt(a))")
         return origin + ("(inf,inf)",)
-
-    def _w_squared(self, v, vk):
-        """w^2 at v with vk = v^{k+1}."""
-        return v**self.e * ((1.0 - self.a * vk) * (self.a - vk))
-
-    def w_squared_prime(self, v):
-        return self._w_squared_prime(v, v ** (self.k + 1), (self.k + 1) * v**self.k)
-
-    def _w_squared_prime(self, v, vk, vk_d):
-        """(w^2)' at v with vk = v^{k+1} and vk_d = (k+1) v^k."""
-        a, e = self.a, self.e
-        q = 1.0 - a * vk
-        r = a - vk
-        return e * q * r + v**e * ((-a * vk_d) * r + q * (-vk_d))
-
-    def _resolved_numerator(self, v):
-        """(d, alt, A) with d = v^{k+1} - a, alt = 1 - a v^{k+1} and the numerator
-        A = v^{p+e} alt of the pole-resolved g = A / w, None where |d| > |alt|."""
-        vk = v ** (self.k + 1)
-        d, alt = vk - self.a, 1.0 - self.a * vk
-        if abs(d) <= abs(alt):
-            return d, alt, v ** (self.p_exponent + self.e) * alt
-        return d, alt, None
-
-    def eta_coeff(self, v):
-        """eta = eta_coeff(v) dv."""
-        return self._eta_coeff(v ** (self.k + 1), v ** (self.k + 3))
-
-    def _eta_coeff(self, vk, vk3):
-        """eta_coeff with vk = v^{k+1} and vk3 = v^{k+3}."""
-        return self.eta_constant * (vk - self.a) / vk3
 
     def loop_squares(self, v, at_infinity: bool, ramified: bool):
         """g^2 and (eta/dl)^2 at v, stacked on a new leading axis, from one power
         v^{k+1} (slow in numpy from 100 on); neither takes a branch of w.
 
-        g^2 = w^2 (v^p / (v^{k+1} - a))^2.  (eta/dl)^2 = eta_coeff(v)^2 (dv/dl)^2 in
-        the local coordinate l: v - v0, or u = 1/v at infinity with (dv/du)^2 = v^4;
-        where ramified, the square root of that coordinate, with (dv/dw)^2 = 4p/p'^2
-        (p = w^2) and (du/dtau)^2 = 4/v.  v^k and v^{k+3} come from v^{k+1}."""
+        g^2 = w^2 (v^p / (v^{k+1} - a))^2.  (eta/dl)^2 = (eta/dv)^2 (dv/dl)^2 in the
+        local coordinate l: v - v0, or u = 1/v at infinity with (dv/du)^2 = v^4;
+        where ramified, the square root of that coordinate, with (dv/dw)^2 = 4P/P'^2
+        (P = w^2) and (du/dtau)^2 = 4/v.  v^k and v^{k+3} come from v^{k+1}."""
+        a, e = self.a, self.e
         vk = v ** (self.k + 1)
-        w2 = self._w_squared(v, vk)
-        g2 = w2 * (v**self.p_exponent / (vk - self.a)) ** 2
-        eta2 = self._eta_coeff(vk, vk * v * v) ** 2
+        q, r = 1.0 - a * vk, a - vk
+        w2 = v**e * (q * r)
+        g2 = w2 * (v**self.p_exponent / (vk - a)) ** 2
+        eta2 = (-1j * (self.k + 2) * (vk - a) / (vk * v * v)) ** 2
         if at_infinity:
             eta2 = eta2 * v**4 * (4.0 / v if ramified else 1.0)
         elif ramified:
-            p_prime = self._w_squared_prime(v, vk, (self.k + 1) * vk / v)
+            vk_d = (self.k + 1) * vk / v  # (v^{k+1})'
+            p_prime = e * q * r + v**e * ((-a * vk_d) * r + q * (-vk_d))
             eta2 = eta2 * (4.0 * (w2 / p_prime) / p_prime)
         return np.stack((g2, eta2))
-
-    def metric_density(self, v, w) -> float:
-        """Conformal factor of (1/4)(1+|g|^2)^2 eta etabar in the local coordinate.
-
-        At branch points (w = 0) the local coordinate is w and |dv/dw| =
-        |2w / p'(v)| supplies the quadratic vanishing; the a-family 0/0 is
-        cancelled algebraically via the curve relation before evaluating.
-        """
-        p_prime = self.w_squared_prime(v)
-        d, alt, A = self._resolved_numerator(v)
-        if A is not None:
-            # a-family-safe form: g = A/w, eta dv/dw = -2 Ceta w^3 / (...)
-            pref = 2.0 * abs(self.eta_constant) / abs(
-                v ** (self.k + 3 + self.e) * alt * p_prime)
-            return 0.25 * (abs(w) * pref * (abs(w) ** 2 + abs(A) ** 2)) ** 2
-        gv = -w * v**self.p_exponent / d
-        eta_tau = self.eta_coeff(v) * (2.0 * w / p_prime)
-        return 0.25 * (1.0 + abs(gv) ** 2) ** 2 * abs(eta_tau) ** 2
 
 
 def v_model(k: int, lam: float) -> VModel:
@@ -397,12 +349,10 @@ def obstruction_report(model: VModel) -> DegeneracyReport:
     g, 0)) from that point's own winding counts: 2 (3 - 2) on the a-family, 2 * 1 on
     the 1/a-family.  These exponents are the witness of the degeneration;
     ``test_vanishing_exponent_is_two`` checks them against the density's decay.
-    ``density_at_points`` is no witness: ``metric_density(v0, 0.0)`` multiplies
-    by w = 0 in both of its forms, so it is exactly 0.0 for every (k, lambda).
+    ``density_at_points`` is read off the same counts: 0.0 where the exponent is
+    positive (the density vanishes at the point), nan where it is not.
     """
     specials = (0j,) + degeneracy_points(model)
-    pts = specials[1:]
-    dens = tuple(model.metric_density(v0, 0.0) for v0 in pts)
     g_orders, eta_orders = _loop_orders(model, specials, range(1, len(specials)),
                                         True).tolist()
     expos = tuple(2 * (eta_order + 2 * min(g_order, 0))
@@ -413,8 +363,8 @@ def obstruction_report(model: VModel) -> DegeneracyReport:
         a=model.a,
         genus=model.genus,
         punctures=model.punctures(),
-        points=pts,
-        density_at_points=dens,
+        points=specials[1:],
+        density_at_points=tuple(0.0 if e > 0 else math.nan for e in expos),
         vanishing_exponents=expos,
         vanishing_order=min(expos),
         intrinsic_distance=intrinsic_distance(model),

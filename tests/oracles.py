@@ -1,8 +1,10 @@
 """Test oracles: checks of the package that no command of it calls.
 
 Weierstrass data recovered from a null triple, the conformal factor and the Gauss
-map from a patch normal, the v-model's Gauss map and its w along the geodesic
-(with their pullback to the strip data), the divisor degrees of an order table,
+map from a patch normal, the v-model's functions (w^2, (w^2)', eta's coefficient, the
+Gauss map and the metric density, each from powers of v of its own, as
+``VModel.loop_squares`` shares one), its w along the geodesic (with the pullback of
+g and eta to the strip data), the divisor degrees of an order table,
 the planar normal and curve points in R^3, and the closed-form f3 of the cycloid
 (Catalan's surface) and of the parabola.
 """
@@ -80,6 +82,35 @@ def gauss_map_check(curve: PlanarCurve, t_samples, h: float = 1e-3) -> float:
     return worst
 
 
+def w_squared(model: VModel, v):
+    """w^2 = v^e (1 - a v^{k+1})(a - v^{k+1})."""
+    vk = v ** (model.k + 1)
+    return v**model.e * ((1.0 - model.a * vk) * (model.a - vk))
+
+
+def w_squared_prime(model: VModel, v):
+    """(w^2)' = e q r + v^e (q' r + q r') with q = 1 - a v^{k+1}, r = a - v^{k+1}."""
+    a, e = model.a, model.e
+    vk, vk_d = v ** (model.k + 1), (model.k + 1) * v**model.k
+    q, r = 1.0 - a * vk, a - vk
+    return e * q * r + v**e * ((-a * vk_d) * r + q * (-vk_d))
+
+
+def eta_coeff(model: VModel, v):
+    """eta = eta_coeff(model, v) dv = -i (k+2) (v^{k+1} - a) / v^{k+3} dv."""
+    return -1j * (model.k + 2) * (v ** (model.k + 1) - model.a) / v ** (model.k + 3)
+
+
+def _resolved_numerator(model: VModel, v):
+    """(d, alt, A) with d = v^{k+1} - a, alt = 1 - a v^{k+1} and the numerator
+    A = v^{p+e} alt of the pole-resolved g = A / w, None where |d| > |alt|."""
+    vk = v ** (model.k + 1)
+    d, alt = vk - model.a, 1.0 - model.a * vk
+    if abs(d) <= abs(alt):
+        return d, alt, v ** (model.p_exponent + model.e) * alt
+    return d, alt, None
+
+
 def model_g(model: VModel, v, w):
     """Gauss map on the v-model's surface; switches to the pole-resolved form near w = 0.
 
@@ -87,10 +118,28 @@ def model_g(model: VModel, v, w):
     a-family branch points g = v^{p+e} (1 - a v^{k+1}) / w, with the
     vanishing denominator eliminated.
     """
-    d, _, A = model._resolved_numerator(v)
+    d, _, A = _resolved_numerator(model, v)
     if A is not None:
         return A / w
     return -w * v**model.p_exponent / d
+
+
+def model_density(model: VModel, v, w) -> float:
+    """Conformal factor of (1/4)(1+|g|^2)^2 eta etabar in the local coordinate w.
+
+    |dv/dw| = |2w / (w^2)'(v)| supplies the quadratic vanishing at the branch points
+    (w = 0); there the a-family's 0/0 is cancelled through the curve relation, as in
+    ``model_g``, before evaluating.
+    """
+    p_prime = w_squared_prime(model, v)
+    d, alt, A = _resolved_numerator(model, v)
+    if A is not None:
+        # a-family-safe form: g = A/w, eta dv/dw = -2 Ceta w^3 / (...), Ceta = -i (k+2)
+        pref = 2.0 * (model.k + 2) / abs(v ** (model.k + 3 + model.e) * alt * p_prime)
+        return 0.25 * (abs(w) * pref * (abs(w) ** 2 + abs(A) ** 2)) ** 2
+    gv = -w * v**model.p_exponent / d
+    eta_tau = eta_coeff(model, v) * (2.0 * w / p_prime)
+    return 0.25 * (1.0 + abs(gv) ** 2) ** 2 * abs(eta_tau) ** 2
 
 
 def w_on_geodesic(model: VModel, t):
@@ -119,7 +168,7 @@ def pullback_residual(model: VModel, n_samples: int = 50) -> float:
                                         data.eta(ts).tolist()):
         v = cmath.exp(1j * t)
         worst = max(worst, abs(model_g(model, v, w) - (-1j) * g_strip),
-                    abs(v * model.eta_coeff(v) - eta_strip))
+                    abs(v * eta_coeff(model, v) - eta_strip))
     return worst
 
 

@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import threading
 
@@ -420,7 +421,7 @@ def test_analyze_large_lambda(capsys):
 
 
 @pytest.mark.parametrize("k,lam", [
-    # a^(1/(k+1)) or a^(-1/(k+1)) below 1e-12: the density's factors leave float range
+    # a^(1/(k+1)) or a^(-1/(k+1)) below 1e-12
     ("2", "1e-40"), ("3", "1e-60"), ("2", "1e-100"), ("2", "1e40"),
     # small a: the inner roots lie within 0.1 of the origin
     ("2", "1e-4"), ("8", "1e-10"),
@@ -444,6 +445,34 @@ def test_analyze_passes_wherever_table_does(capsys):
     assert failures == []
 
 
+@pytest.mark.parametrize("point", [0, 3])  # on the a-family and on the 1/a-family
+def test_analyze_fails_when_one_eta_order_drops(point, monkeypatch, tmp_path, capsys):
+    # one eta order one lower makes that point's exponent 2 (ord eta - 2) or 2 ord eta
+    # zero: analyze FAILs, and that point's density reads nan in the JSON
+    loop_orders = analysis._loop_orders
+
+    def shifted(*args):
+        orders = loop_orders(*args)
+        orders[1, point] -= 1
+        return orders
+
+    monkeypatch.setattr(analysis, "_loop_orders", shifted)
+    path = tmp_path / "analyze.json"
+    assert main(["analyze", "--k", "2", "--lambda", "0.5", "--json", str(path)]) == 1
+    assert "FAIL: degeneration witness out of tolerance" in capsys.readouterr().out
+    density = json.loads(path.read_text())["density_at_points"]
+    assert [math.isnan(x) for x in density] == [i == point for i in range(6)]
+    assert all(x == 0.0 for i, x in enumerate(density) if i != point)
+
+
+@pytest.mark.parametrize("distance", [math.inf, math.nan, 0.0])
+def test_analyze_fails_without_a_finite_positive_distance(distance, monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "intrinsic_distance", lambda model: distance)
+    assert main(["analyze", "--k", "2", "--lambda", "0.5"]) == 1
+    assert capsys.readouterr().out.strip().endswith(
+        "FAIL: degeneration witness out of tolerance")
+
+
 @pytest.mark.parametrize("k,lam,expect", [
     ("2", "0.5", {
         "table": "b5122b7abf9450376132809d5d24ef1fdc18c9ea271abeb32a9a79a804831206",
@@ -457,6 +486,13 @@ def test_analyze_passes_wherever_table_does(capsys):
     ("4", "0.4", {
         "table": "a450af3b71638e0fa05faf0e4f8baeeef8109e3fa5f8898666df2482fba56dcc",
         "analyze": "f14739cbd15217bc32edd2de05d0f4d6011698e92e9759ea8b630bacabc77eee"}),
+    # a = 1.3e40 and a = 1.3e-40: a >> 1 and a << 1
+    ("2", "4.3333333333333334e+39", {
+        "table": "e97f341a96ed2ead1f8134d8a107fb1c4c0c2c87d3b1d1d0715ae21da2e7668a",
+        "analyze": "af71b2b91bea649dad118c4f4aac6c2ded67e77101b9b11b180bf2beb7420b67"}),
+    ("2", "4.3333333333333337e-41", {
+        "table": "ee232cf5ed5e6d631a3d63d59384be909e4b85a646a7aca69cfbaf0c90f5b088",
+        "analyze": "f6126976f9f3fdc9f7756bd7dd53bae7778b6328e87b3481e6579f929445d79a"}),
 ])
 def test_analysis_json_bytes_pinned(k, lam, expect, tmp_path, capsys):
     # SHA-256 of the `table --json` and `analyze --json` files: any change to an
