@@ -50,6 +50,9 @@ from .schwarz import (
     PatchGrid,
     QuadratureFailure,
     StripTooWide,
+    WeierstrassData,
+    data_from_curve,
+    period_residual,
     phi,
     surface_patch,
     surface_point,
@@ -61,11 +64,6 @@ from .verify import (
     mean_curvature_residual,
     symmetry_residual,
     verification_report,
-)
-from .weierstrass import (
-    WeierstrassData,
-    data_from_curve,
-    period_residual,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,9 @@
 """Command-line front end: mesh generation, degeneration analysis, patch
 verification, and zero/pole table reproduction.
 
+``cmd_verify`` only checks its arguments and prints: the window, residuals,
+thresholds and pass/fail list are ``verify``'s, the half-width ``Strip``'s.
+
 Identical configuration produces byte-identical outputs; timestamps only
 appear behind --timestamp.
 
@@ -21,24 +24,15 @@ import sys
 
 import numpy as np
 
-from . import analysis, meshing, verify, weierstrass
+from . import analysis, meshing, verify
 from .continuation import SingularityOnPath, find_strip, velocity
 from .curves import InvalidCurveParameters, curve_from_config
-from .schwarz import QuadratureFailure, StripTooWide, surface_patch
+from .schwarz import QuadratureFailure, StripTooWide, period_residual, surface_patch
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
-
-# acceptance-grade thresholds used by `verify`
-THRESHOLDS = {
-    "null_residual": 1e-12,
-    "conformality_residual": 1e-6,
-    "max_mean_curvature": 1e-3,
-    "geodesic_residual": 1e-4,
-    "symmetry_residual": 1e-11,
-}
 
 
 def _add_curve_args(p: argparse.ArgumentParser) -> None:
@@ -110,19 +104,11 @@ def _check_patch_args(args) -> None:
         raise InvalidCurveParameters("--s-fraction must be in (0, 1]")
 
 
-def _halfwidth(strip, s_fraction: float) -> float:
-    """s_fraction x the distance to the nearest zero; 10/9 stands in for the
-    distance when the strip has no zero, so the default 0.9 gives 1."""
-    if math.isfinite(strip.distance):
-        return s_fraction * strip.distance
-    return s_fraction * 10.0 / 9.0
-
-
 def cmd_generate(args) -> int:
     _check_patch_args(args)
     curve = _build_curve(args)
     strip = find_strip(curve)
-    halfwidth = _halfwidth(strip, args.s_fraction)
+    halfwidth = strip.halfwidth(args.s_fraction)
     patch = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), args.nt, args.ns,
                           strip=strip)
     # min speed^2 over the patch's t-values at s = 0: positive, as find_strip certified
@@ -155,8 +141,7 @@ def cmd_generate(args) -> int:
         "outputs": [os.path.basename(p) for p in outputs],
     }
     if curve.closed:
-        summary["period_residual"] = float(np.max(np.abs(
-            weierstrass.period_residual(curve))))
+        summary["period_residual"] = float(np.max(np.abs(period_residual(curve))))
     summary_path = os.path.join(args.out, slug + "_summary.json")
     _write_json(summary, summary_path, args.timestamp)
     print("wrote %s" % ", ".join(outputs + [summary_path]))
@@ -207,62 +192,16 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _verify_window(curve, strip, halfwidth: float, nt: int):
-    """t-window sized so second-order stencils meet the curvature threshold.
-
-    A coarse probe patch estimates the ht^2 error constant; the window is
-    anchored at the domain start (a lobe waist for epitrochoids) and shrunk
-    only when the full domain cannot meet 2.5e-4, a quarter of the threshold,
-    at the requested nt.  A probe whose squared spacings are not finite and
-    positive (h^2 underflows or overflows), or whose error constant is not
-    finite, is invalid input.
-    """
-    t_lo, t_hi = curve.domain
-    length = t_hi - t_lo
-    ht, hs = length / 127.0, 2.0 * halfwidth / 64.0  # the probe's spacings
-    ht2, hs2 = ht * ht, hs * hs
-    if not (0.0 < min(ht2, hs2) and math.isfinite(max(ht2, hs2))):
-        raise InvalidCurveParameters(
-            "verify's window probe cannot resolve a domain of length %g and a strip "
-            "of half-width %g" % (length, halfwidth))
-    probe = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), 128, 65, strip=strip)
-    h_probe = verify.mean_curvature_residual(
-        probe.points, probe.t_vals[1] - probe.t_vals[0],
-        probe.s_vals[1] - probe.s_vals[0])
-    c_t = h_probe / ht2
-    if not math.isfinite(c_t):
-        raise InvalidCurveParameters(
-            "verify's window probe found no finite curvature error constant (%g)" % c_t)
-    if c_t <= 0:
-        return curve.domain
-    ext = (nt - 1) * math.sqrt(2.5e-4 / c_t)
-    if ext >= length:
-        return curve.domain
-    return (t_lo, t_lo + ext)
-
-
 def cmd_verify(args) -> int:
     _check_patch_args(args)
     if args.nt < 3:
         raise InvalidCurveParameters("verify's stencils need an interior column: --nt >= 3")
-    curve = _build_curve(args)
-    strip = find_strip(curve)
-    halfwidth = _halfwidth(strip, args.s_fraction)
-    ns = args.ns if args.ns % 2 == 1 else args.ns + 1  # keep s = 0 as a row
-    window = _verify_window(curve, strip, halfwidth, args.nt)
-    patch = surface_patch(curve, window, (-halfwidth, halfwidth), args.nt, ns, strip=strip)
-    report = verify.verification_report(curve, patch)
+    report = verify.verify_curve(_build_curve(args), args.nt, args.ns, args.s_fraction)
     if args.json:
         _write_json(report.to_json_dict(), args.json, args.timestamp)
-    failed = []
-    for name, bound in THRESHOLDS.items():
-        value = getattr(report, name)
-        if value is None:
-            continue
-        status = "PASS" if value < bound else "FAIL"
-        if status == "FAIL":
-            failed.append(name)
-        print("%-24s %.3e  (< %.0e)  %s" % (name, value, bound, status))
+    for name, value, bound, passed in report.checks():
+        print("%-24s %.3e  (< %.0e)  %s" % (name, value, bound, "PASS" if passed else "FAIL"))
+    failed = report.failed()
     if failed:
         print("FAIL: %s" % ", ".join(failed))
         return EXIT_THRESHOLD

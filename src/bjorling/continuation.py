@@ -291,6 +291,12 @@ class Strip:
         """Largest usable |Im z|: 0.9 times the distance."""
         return 0.9 * self.distance
 
+    def halfwidth(self, fraction: float) -> float:
+        """fraction x the distance, or x 10/9 when there is no zero (so 0.9 gives 1)."""
+        if math.isfinite(self.distance):
+            return fraction * self.distance
+        return fraction * 10.0 / 9.0
+
 
 def find_strip(curve: PlanarCurve, t_range=None) -> Strip:
     """The strip around t_range (default: the domain), from one zero scan.

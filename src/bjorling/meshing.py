@@ -40,7 +40,6 @@ class SurfaceMesh:
     offsets: np.ndarray                       # (F + 1,) int64, offsets[0] = 0
     indices: np.ndarray                       # (offsets[-1],) int64 vertex indices
     attributes: dict[str, np.ndarray] = field(default_factory=dict)
-    tags: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
@@ -99,10 +98,8 @@ def sample_mesh(patch: PatchGrid) -> SurfaceMesh:
     with np.errstate(divide="ignore"):
         abs_g = (np.abs(patch.phi[:, :, 2]) / np.abs(den)).reshape(-1)
     ss, ts = (g.reshape(-1) for g in np.meshgrid(patch.s_vals, patch.t_vals, indexing="ij"))
-    row = patch.geodesic_row
-    tags = {} if row is None else {"geodesic_row": list(range(row * nt_, (row + 1) * nt_))}
     return SurfaceMesh(vertices, 4 * np.arange(len(corner) + 1), indices,
-                       {"t": ts, "s": ss, "density": density, "abs_g": abs_g}, tags)
+                       {"t": ts, "s": ss, "density": density, "abs_g": abs_g})
 
 
 def clip_halfspace(mesh: SurfaceMesh, normal, offset: float) -> SurfaceMesh:

@@ -34,14 +34,17 @@ nodes, on the grid and at single points come from one helper on ``velocity`` and
 a (1, nt) t and an (ns, 1) s give the grid from 1-D factors.  A patch must stay
 inside ``Strip.cap`` of the curve's ``Strip`` from ``continuation.find_strip``,
 which also makes the one regularity decision: it refuses a window with a zero
-of speed^2 on it.  ``verify``'s null residual is relative,
-max |sum phi_i^2| / sum |phi_i|^2, the sum's own rounding.
+of speed^2 on it.  ``PatchGrid.distinct_rows`` lists one row per distinct |s|.
+The Weierstrass data of Phi = ((1 - g^2) eta/2, i (1 + g^2) eta/2, g eta) are
+g = i W/Q = i sqrt(P/Q) and eta = Q dz = (x' - i y') dz (``data_from_curve``), and
+``period_residual`` is the real period of Phi around a closed curve.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,9 +58,6 @@ ROUNDING_SAFETY = 16.0
 CC_FIRST_N = 32
 CC_MAX_N = 1024
 BLOCK_POINTS = 1 << 15
-# whole grid rows per block of the residual checks, which copy a block into contiguous
-# component planes (components, rows, nt) whose temporaries then stay in cache
-BLOCK_ROWS = 32
 
 
 class QuadratureFailure(RuntimeError):
@@ -66,11 +66,6 @@ class QuadratureFailure(RuntimeError):
 
 class StripTooWide(ValueError):
     """Requested |Im z| exceeds 0.9x the distance to the nearest speed^2 zero."""
-
-
-def _plane_dot(u, v):
-    """u . v over component planes u[i], v[i], summed left to right as np.sum sums 3 terms."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _strip_parts(curve: PlanarCurve, t, s):
@@ -88,6 +83,42 @@ def phi(curve: PlanarCurve, t, s):
     identically; on the real axis phi3 is purely imaginary with positive imaginary part."""
     p, q, w = _strip_parts(curve, t, s)
     return np.stack([0.5 * (p + q), 0.5j * (q - p), 1j * w], axis=-1)
+
+
+@dataclass
+class WeierstrassData:
+    """Evaluable pair (g, eta/dz) on the strip."""
+
+    g: Callable
+    eta: Callable
+
+
+def data_from_curve(curve: PlanarCurve) -> WeierstrassData:
+    """Weierstrass data on the strip straight from the curve series: eta = Q and
+    g = i W/Q, with W the strip branch of sqrt(P Q)."""
+
+    def eta(z):
+        return velocity(curve, np.real(z), np.imag(z))[1]
+
+    def g(z):
+        _, q, w = _strip_parts(curve, np.real(z), np.imag(z))
+        out = 1j * w / q
+        return complex(out) if out.ndim == 0 else out
+
+    return WeierstrassData(g=g, eta=eta)
+
+
+def period_residual(curve: PlanarCurve) -> np.ndarray:
+    """Re of the loop integral of Phi over the closed curve at s = 0.
+
+    Phi1 and Phi2 integrate to x and y exactly and Re Phi3 = 0 on the axis, so
+    the residual is (x(t_hi) - x(t_lo), y(t_hi) - y(t_lo), 0).
+    """
+    if not curve.closed:
+        raise ValueError("period residual is defined for closed curves")
+    t_lo, t_hi = curve.domain
+    (x0, y0), (x1, y1) = curve.eval(t_lo), curve.eval(t_hi)
+    return np.array([x1 - x0, y1 - y0, 0.0])
 
 
 def surface_point(curve: PlanarCurve, t: float, s: float,
@@ -130,38 +161,17 @@ class PatchGrid:
         """E = G = (1/2) sum |phi_i|^2 on the grid."""
         return 0.5 * np.sum(np.abs(self.phi) ** 2, axis=-1)
 
-    def _distinct_rows(self):
-        """Phi at the rows with s >= 0 and at those with s < 0 whose -s is no row, by blocks of
-        BLOCK_ROWS.  The other rows are reflections of these, which leave E, G, |F|,
+    @property
+    def distinct_rows(self) -> list[int]:
+        """The rows with s >= 0 and those with s < 0 whose -s is no row: one per distinct
+        |s|.  The other rows are reflections of these, which leave E, G, |F|,
         |sum phi_i^2| and sum |phi_i|^2 bitwise unchanged."""
         s, twins = self.s_vals.tolist(), set(self.s_vals.tolist())
-        rows = [l for l, v in enumerate(s) if v >= 0 or -v not in twins]
-        return (self.phi[rows[r:r + BLOCK_ROWS]] for r in range(0, len(rows), BLOCK_ROWS))
-
-    def null_residual(self) -> float:
-        """max |sum phi_i^2| / sum |phi_i|^2 at one row per distinct |s|: relative to its rounding."""
-        r = -math.inf
-        for p in self._distinct_rows():
-            r = np.max(np.abs(p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2)
-                       / np.einsum("...j,...j", p.view(float), p.view(float)), initial=r)
-        return float(r)
-
-    def conformality_residuals(self) -> tuple[float, float]:
-        """(max |E-G|/E, max |F|/E) from the exact first fundamental form, at one row per
-        distinct |s|, on component planes of Re phi_i = (f_t)_i and Im phi_i = -(f_s)_i."""
-        eg = f = -math.inf
-        for p in self._distinct_rows():
-            v = np.ascontiguousarray(np.moveaxis(p.view(float), -1, 0))
-            ft, fs = v[0::2], v[1::2]
-            E, F, G = _plane_dot(ft, ft), _plane_dot(ft, fs), _plane_dot(fs, fs)
-            eg = np.max(np.abs(E - G) / E, initial=eg)
-            f = np.max(np.abs(F) / E, initial=f)
-        return float(eg), float(f)
+        return [l for l, v in enumerate(s) if v >= 0 or -v not in twins]
 
 
 def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
-                  tol: float = DEFAULT_QUAD_TOL, workers: int = 1,
-                  strip: Strip | None = None) -> PatchGrid:
+                  workers: int = 1, strip: Strip | None = None) -> PatchGrid:
     """Sample the anchored Schwarz surface on a t x s grid.
 
     The planar coordinates are Re x and Re y on the grid, so the row s = 0
@@ -200,7 +210,7 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
         s_vals = 0.5 * (s_vals - s_vals[::-1])
 
     def half(t, levels):
-        f3 = _column_integrals(curve, t, levels, tol)
+        f3 = _column_integrals(curve, t, levels, DEFAULT_QUAD_TOL)
         return np.stack([curve.x.grid(t, levels).real, curve.y.grid(t, levels).real, f3], axis=-1)
 
     # rows with s < 0 hold (f1, f2, -f3) of their |s|

@@ -1,4 +1,5 @@
-"""Independent differential-geometry checks on sampled patches.
+"""Independent differential-geometry checks on sampled patches, and the ``verify``
+decision: its t-window (``verify_window``), its residuals and their ``THRESHOLDS``.
 
 Mean curvature and the geodesic property are re-derived from patch points by
 central differences only, so they act as an oracle against the construction
@@ -16,14 +17,64 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PlanarCurve
-from .schwarz import BLOCK_ROWS, PatchGrid, _plane_dot, phi
+from .continuation import Strip, find_strip
+from .curves import InvalidCurveParameters, PlanarCurve
+from .schwarz import PatchGrid, phi, surface_patch
 
+# acceptance-grade bounds, in the order ``verify`` prints them
+THRESHOLDS = {
+    "null_residual": 1e-12,
+    "conformality_residual": 1e-6,
+    "max_mean_curvature": 1e-3,
+    "geodesic_residual": 1e-4,
+    "symmetry_residual": 1e-11,
+}
 _W_FLOOR = 1e-14
+# whole grid rows per block of the residual checks, which copy a block into contiguous
+# component planes (components, rows, nt) whose temporaries then stay in cache
+BLOCK_ROWS = 32
 
 
 class DegenerateMetric(ArithmeticError):
     """EG - F^2 fell below 1e-14 at an interior vertex."""
+
+
+def _plane_dot(u, v):
+    """u . v over component planes u[i], v[i], summed left to right as np.sum sums 3 terms."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _spacings(patch: PatchGrid) -> tuple[float, float]:
+    """(ht, hs), the patch's grid steps in t and s."""
+    return patch.t_vals[1] - patch.t_vals[0], patch.s_vals[1] - patch.s_vals[0]
+
+
+def _distinct_blocks(patch: PatchGrid):
+    """Phi at ``patch.distinct_rows``, by blocks of BLOCK_ROWS rows."""
+    rows = patch.distinct_rows
+    return (patch.phi[rows[r:r + BLOCK_ROWS]] for r in range(0, len(rows), BLOCK_ROWS))
+
+
+def null_residual(patch: PatchGrid) -> float:
+    """max |sum phi_i^2| / sum |phi_i|^2 at one row per distinct |s|: relative to its rounding."""
+    r = -math.inf
+    for p in _distinct_blocks(patch):
+        r = np.max(np.abs(p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2)
+                   / np.einsum("...j,...j", p.view(float), p.view(float)), initial=r)
+    return float(r)
+
+
+def conformality_residuals(patch: PatchGrid) -> tuple[float, float]:
+    """(max |E-G|/E, max |F|/E) from the exact first fundamental form, at one row per
+    distinct |s|, on component planes of Re phi_i = (f_t)_i and Im phi_i = -(f_s)_i."""
+    eg = f = -math.inf
+    for p in _distinct_blocks(patch):
+        v = np.ascontiguousarray(np.moveaxis(p.view(float), -1, 0))
+        ft, fs = v[0::2], v[1::2]
+        E, F, G = _plane_dot(ft, ft), _plane_dot(ft, fs), _plane_dot(fs, fs)
+        eg = np.max(np.abs(E - G) / E, initial=eg)
+        f = np.max(np.abs(F) / E, initial=f)
+    return float(eg), float(f)
 
 
 def mean_curvature_residual(points: np.ndarray, ht: float, hs: float) -> float:
@@ -71,30 +122,26 @@ def geodesic_residual(curve: PlanarCurve, patch: PatchGrid) -> float:
     row = patch.geodesic_row
     if row is None or row == 0 or row == len(patch.s_vals) - 1:
         raise ValueError("patch must contain s = 0 as an interior row")
-    ht = patch.t_vals[1] - patch.t_vals[0]
-    hs = patch.s_vals[1] - patch.s_vals[0]
-    P = patch.points
-    ft = (P[row, 2:] - P[row, :-2]) / (2.0 * ht)
-    fs = (P[row + 1, 1:-1] - P[row - 1, 1:-1]) / (2.0 * hs)
+    ht, hs = _spacings(patch)
+    P = np.moveaxis(patch.points, -1, 0)    # component planes (3, ns, nt)
+    ft = (P[:, row, 2:] - P[:, row, :-2]) / (2.0 * ht)
+    fs = (P[:, row + 1, 1:-1] - P[:, row - 1, 1:-1]) / (2.0 * hs)
     d2 = curve.derivative().derivative()
     t_int = patch.t_vals[1:-1]
-    acc = np.stack([d2.x(t_int), d2.y(t_int), np.zeros_like(t_int)], axis=-1)
-    def dot(u, v):  # over the last axis, as component planes
-        return _plane_dot(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0))
-
+    acc = np.stack([d2.x(t_int), d2.y(t_int), np.zeros_like(t_int)])
     # tangential component: solve the 2x2 Gram system per sample
-    e = dot(ft, ft)
-    f = dot(ft, fs)
-    g = dot(fs, fs)
-    bt = dot(acc, ft)
-    bs = dot(acc, fs)
+    e = _plane_dot(ft, ft)
+    f = _plane_dot(ft, fs)
+    g = _plane_dot(fs, fs)
+    bt = _plane_dot(acc, ft)
+    bs = _plane_dot(acc, fs)
     det = e * g - f * f
     alpha = (bt * g - bs * f) / det
     beta = (bs * e - bt * f) / det
-    tangential = alpha[..., None] * ft + beta[..., None] * fs
-    unit_t = ft / np.linalg.norm(ft, axis=-1, keepdims=True)
-    sideways = tangential - dot(tangential, unit_t)[..., None] * unit_t
-    return float(np.max(np.linalg.norm(sideways, axis=-1)))
+    tangential = alpha * ft + beta * fs
+    unit_t = ft / np.sqrt(_plane_dot(ft, ft))
+    sideways = tangential - _plane_dot(tangential, unit_t) * unit_t
+    return float(np.max(np.sqrt(_plane_dot(sideways, sideways))))
 
 
 def symmetry_residual(curve: PlanarCurve, angle: float | None = None,
@@ -135,22 +182,24 @@ class VerificationReport:
     s_range: tuple[float, float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_mean_curvature": self.max_mean_curvature,
-            "geodesic_residual": self.geodesic_residual,
-            "conformality_residual": self.conformality_residual,
-            "symmetry_residual": self.symmetry_residual,
-            "null_residual": self.null_residual,
-            "grid": {"nt": self.nt, "ns": self.ns,
-                     "t_range": list(self.t_range), "s_range": list(self.s_range)},
-        }
+        payload = {name: getattr(self, name) for name in THRESHOLDS}
+        payload["grid"] = {"nt": self.nt, "ns": self.ns,
+                           "t_range": list(self.t_range), "s_range": list(self.s_range)}
+        return payload
+
+    def checks(self) -> list[tuple[str, float, float, bool]]:
+        """(name, value, bound, passed) of each residual the curve has, in THRESHOLDS
+        order; a residual passes when it is below its bound, so nan fails."""
+        values = ((name, getattr(self, name), bound) for name, bound in THRESHOLDS.items())
+        return [(name, v, bound, v < bound) for name, v, bound in values if v is not None]
+
+    def failed(self) -> list[str]:
+        """The names of the residuals that did not pass, in THRESHOLDS order."""
+        return [name for name, _, _, passed in self.checks() if not passed]
 
 
 def verification_report(curve: PlanarCurve, patch: PatchGrid) -> VerificationReport:
     """Bundle of all residuals for one sampled patch."""
-    ht = patch.t_vals[1] - patch.t_vals[0]
-    hs = patch.s_vals[1] - patch.s_vals[0]
-    conf = max(patch.conformality_residuals())
     if curve.epitrochoid is not None:
         sym = symmetry_residual(curve)
     elif curve.label == "circle":
@@ -158,13 +207,55 @@ def verification_report(curve: PlanarCurve, patch: PatchGrid) -> VerificationRep
     else:
         sym = None
     return VerificationReport(
-        max_mean_curvature=mean_curvature_residual(patch.points, ht, hs),
+        max_mean_curvature=mean_curvature_residual(patch.points, *_spacings(patch)),
         geodesic_residual=geodesic_residual(curve, patch),
-        conformality_residual=conf,
+        conformality_residual=max(conformality_residuals(patch)),
         symmetry_residual=sym,
-        null_residual=patch.null_residual(),
+        null_residual=null_residual(patch),
         nt=len(patch.t_vals),
         ns=len(patch.s_vals),
         t_range=(float(patch.t_vals[0]), float(patch.t_vals[-1])),
         s_range=(float(patch.s_vals[0]), float(patch.s_vals[-1])),
     )
+
+
+def verify_window(curve: PlanarCurve, strip: Strip, halfwidth: float, nt: int):
+    """t-window sized so second-order stencils meet the curvature threshold.
+
+    A coarse probe patch estimates the ht^2 error constant; the window is
+    anchored at the domain start (a lobe waist for epitrochoids) and shrunk
+    only when the full domain cannot meet 2.5e-4, a quarter of the threshold,
+    at the requested nt.  A probe whose squared spacings are not finite and
+    positive (h^2 underflows or overflows), or whose error constant is not
+    finite, is invalid input.
+    """
+    t_lo, t_hi = curve.domain
+    length = t_hi - t_lo
+    ht, hs = length / 127.0, 2.0 * halfwidth / 64.0  # the probe's spacings
+    ht2, hs2 = ht * ht, hs * hs
+    if not (0.0 < min(ht2, hs2) and math.isfinite(max(ht2, hs2))):
+        raise InvalidCurveParameters(
+            "verify's window probe cannot resolve a domain of length %g and a strip "
+            "of half-width %g" % (length, halfwidth))
+    probe = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), 128, 65, strip=strip)
+    c_t = mean_curvature_residual(probe.points, *_spacings(probe)) / ht2
+    if not math.isfinite(c_t):
+        raise InvalidCurveParameters(
+            "verify's window probe found no finite curvature error constant (%g)" % c_t)
+    if c_t <= 0:
+        return curve.domain
+    ext = (nt - 1) * math.sqrt(2.5e-4 / c_t)
+    if ext >= length:
+        return curve.domain
+    return (t_lo, t_lo + ext)
+
+
+def verify_curve(curve: PlanarCurve, nt: int, ns: int, s_fraction: float) -> VerificationReport:
+    """The report of ``bjorling verify``: an nt x ns patch (ns made odd, so s = 0 is a
+    row) over ``verify_window``, of half-width ``Strip.halfwidth(s_fraction)``."""
+    strip = find_strip(curve)
+    halfwidth = strip.halfwidth(s_fraction)
+    ns = ns if ns % 2 == 1 else ns + 1
+    window = verify_window(curve, strip, halfwidth, nt)
+    patch = surface_patch(curve, window, (-halfwidth, halfwidth), nt, ns, strip=strip)
+    return verification_report(curve, patch)

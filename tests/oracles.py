@@ -17,8 +17,7 @@ import numpy as np
 from bjorling.analysis import OrderTable, VModel, _point_classes
 from bjorling.continuation import velocity
 from bjorling.curves import EpitrochoidParams, PlanarCurve, make_epitrochoid
-from bjorling.schwarz import surface_point
-from bjorling.weierstrass import WeierstrassData, data_from_curve
+from bjorling.schwarz import WeierstrassData, data_from_curve, surface_point
 
 
 def point3d(curve: PlanarCurve, t):

@@ -19,9 +19,13 @@ from bjorling.analysis import (
 from bjorling.cli import main
 from bjorling.curves import make_circle, make_cycloid, make_parabola
 from bjorling.continuation import find_strip
-from bjorling.schwarz import phi, surface_patch, surface_point
-from bjorling.verify import mean_curvature_residual, symmetry_residual
-from bjorling.weierstrass import data_from_curve, period_residual
+from bjorling.schwarz import data_from_curve, period_residual, phi, surface_patch, surface_point
+from bjorling.verify import (
+    conformality_residuals,
+    mean_curvature_residual,
+    null_residual,
+    symmetry_residual,
+)
 
 from conftest import EPI_PARAMS, epi, metric_length_by_quadrature
 from oracles import planar_normal, point3d
@@ -67,8 +71,8 @@ def test_criterion_02_null_and_conformality():
     for curve in all_test_curves():
         s = safe_smax(curve)
         patch = surface_patch(curve, curve.domain, (-s, s), 64, 9)
-        worst_null = max(worst_null, patch.null_residual())
-        worst_conf = max(worst_conf, *patch.conformality_residuals())
+        worst_null = max(worst_null, null_residual(patch))
+        worst_conf = max(worst_conf, *conformality_residuals(patch))
     report(2, "null/conformality", worst_null < 1e-12 and worst_conf < 1e-6,
            "null %.2e, conf %.2e" % (worst_null, worst_conf))
 

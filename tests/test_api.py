@@ -1,3 +1,5 @@
+import ast
+import os
 import types
 
 import bjorling
@@ -60,3 +62,20 @@ def test_public_names_are_pinned():
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert exported == PUBLIC_NAMES
+
+
+def test_no_module_imports_a_private_name():
+    # a name with a leading underscore belongs to its module: another module that
+    # needs it means the decision it encodes lives in two places
+    package = os.path.dirname(bjorling.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            found += ["%s: from %s%s import %s" % (name, "." * node.level, node.module or "",
+                                                   alias.name)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.level > 0
+                      for alias in node.names if alias.name.startswith("_")]
+    assert found == []

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from bjorling import analysis, cli, continuation, meshing, schwarz
+from bjorling import analysis, cli, continuation, meshing, schwarz, verify
 from bjorling.cli import main
 from bjorling.continuation import find_strip
 from bjorling.meshing import export_csv, sample_mesh
@@ -57,6 +57,45 @@ def test_generate_output_bytes_pinned(argv, expect, tmp_path):
     assert got == expect
 
 
+@pytest.mark.parametrize("argv,expect", [
+    (["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5", "--nt", "24", "--ns", "7"],
+     {"epitrochoid_k2_lam0p5_summary.json":
+          "3b9c2be636874cfea8f097f24f13688b0ffc6fc41de56daa98908c6cab99bd5c"}),
+    (["--curve", "cycloid", "--nt", "32", "--ns", "9"],
+     {"cycloid_summary.json": "95c3faef6e50332124337b10bde1a23fb8c9be69eae51451d38c72260f171f4c"}),
+])
+def test_generate_summary_bytes_pinned(argv, expect, tmp_path):
+    # SHA-256 of the run summary of test_generate_output_bytes_pinned's cases: the
+    # strip half-width, the distance, the margin and the period residual
+    out = tmp_path / "run"
+    assert main(["generate"] + argv + ["--clip", "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expect}
+    assert got == expect
+
+
+@pytest.mark.parametrize("argv,stdout,payload", [
+    (["--curve", "cycloid", "--delta", "0.1"],
+     "e83b2aa85d055371bcb154fc6d50495424889077f04006bf37508015265b2fd0",
+     "f11f03151e18e69664d85abb80f2c406a77f665a65b6547afb197a7d49401db0"),
+    (["--curve", "epitrochoid", "--k", "2", "--lambda", "0.4634", "--nt", "256", "--ns", "129"],
+     "a266cce3575c40ead0e3b95980979e842e6f05bf8026e604d149a5ca00397cbf",
+     "1db78bda9b2d4c4d0659eed5f66e195ffbb480f40696cd2ecba0b94d36f707d9"),
+    (["--curve", "circle", "--nt", "128", "--ns", "17"],
+     "1c7ddacdd3f0bce95676428af49831bc53b77aaf874d5b4306eff847fb628a81",
+     "2673c46dace03ebfdcadc11c2e336d6bbcdf502e21b12009f1f29c4a52bc5f0a"),
+    (["--curve", "parabola"],
+     "98fb49dc72204d3e89b6cfc79a022505cf8cd44a8e34365d9af6f47a297366e1",
+     "9fcda89ad6e93631ca4e58a54db66067a16180aad32f203ac6886267fc7fff04"),
+])
+def test_verify_output_bytes_pinned(argv, stdout, payload, tmp_path, capsys):
+    # SHA-256 of verify's stdout and of its --json file: any change to a residual, a
+    # threshold, the window or the report's layout fails here
+    path = tmp_path / "v.json"
+    assert main(["verify"] + argv + ["--json", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == payload
+
+
 def test_csv_output_bytes_pinned(tmp_path):
     # SHA-256 of the CSV export of the epi(2, 0.5) 24x7 patch at the full cap
     curve = epi(2, 0.5)
@@ -67,12 +106,11 @@ def test_csv_output_bytes_pinned(tmp_path):
 
 
 def test_cli_starts_no_thread(tmp_path, monkeypatch, capsys):
-    # the CLI is serial whatever the environment says: a worker count of 2 would
-    # put the two column blocks of these patches on threads
+    # the CLI is serial: a worker count of 2 would put the two column blocks of these
+    # patches on threads
     def no_threads(*args, **kwargs):
         raise AssertionError("the CLI started a thread")
 
-    monkeypatch.setenv("BJORLING_THREADS", "2")
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
     monkeypatch.setattr(threading.Thread, "start", no_threads)
     curve = ["--curve", "epitrochoid", "--k", "2", "--lambda", "0.5", "--nt", "24"]
@@ -318,7 +356,8 @@ def test_singularity_on_path_exits_2_without_traceback(command, capsys, tmp_path
     def on_path(*args, **kwargs):
         raise continuation.SingularityOnPath("the vertical path to 1 passes the speed^2 zero")
 
-    monkeypatch.setattr(cli, "surface_patch", on_path)
+    # generate builds its patch in cli, verify in verify
+    monkeypatch.setattr(cli if command == "generate" else verify, "surface_patch", on_path)
     out = tmp_path / "out"
     argv = [command, "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5"]
     assert main(argv + (["--out", str(out)] if command == "generate" else [])) == 2
@@ -365,7 +404,7 @@ def test_grid_too_large_for_memory_exits_2_without_traceback(command, capsys, tm
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
 
-    monkeypatch.setattr(cli, "surface_patch", no_memory)
+    monkeypatch.setattr(cli if command == "generate" else verify, "surface_patch", no_memory)
     out = tmp_path / "out"
     argv = [command, "--curve", "circle", "--nt", "100000000000", "--ns", "33"]
     assert main(argv + (["--out", str(out)] if command == "generate" else [])) == 2

@@ -34,21 +34,23 @@ def unit_quad():
 
 
 def test_sample_mesh_counts_and_tags():
-    mesh = sample_mesh(surface_patch(make_circle(), (0, 2 * math.pi), (-1.0, 1.0), 64, 17))
+    patch = surface_patch(make_circle(), (0, 2 * math.pi), (-1.0, 1.0), 64, 17)
+    mesh = sample_mesh(patch)
     assert len(mesh.vertices) == 64 * 17
     assert len(mesh.faces) == 63 * 16
     assert set(mesh.attributes) == {"t", "s", "density", "abs_g"}
-    assert len(mesh.tags["geodesic_row"]) == 64
+    assert patch.geodesic_row == 8
     # catenoid density on the geodesic row is speed^2 = 1
-    row = mesh.tags["geodesic_row"]
+    row = slice(8 * 64, 9 * 64)
     assert np.allclose(mesh.attributes["density"][row], 1.0, atol=1e-12)
     assert np.allclose(mesh.attributes["abs_g"][row], 1.0, atol=1e-12)
 
 
 def test_sample_mesh_epitrochoid_geodesic_row_matches_curve():
     curve = epi(2, 0.5)
-    mesh = sample_mesh(surface_patch(curve, (0, 2 * math.pi), (-0.1, 0.1), 48, 9))
-    row = mesh.tags["geodesic_row"]
+    patch = surface_patch(curve, (0, 2 * math.pi), (-0.1, 0.1), 48, 9)
+    mesh = sample_mesh(patch)
+    row = slice(patch.geodesic_row * 48, (patch.geodesic_row + 1) * 48)
     pts = mesh.vertices[row]
     t = mesh.attributes["t"][row]
     expect = point3d(curve, t)

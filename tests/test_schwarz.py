@@ -16,6 +16,7 @@ from bjorling.schwarz import (
     surface_patch,
     surface_point,
 )
+from bjorling.verify import conformality_residuals, null_residual
 
 from conftest import epi
 from oracles import cycloid_f3, parabola_f3, planar_normal, point3d
@@ -75,9 +76,9 @@ def test_null_residual_reads_an_error_in_phi3(curve):
     # 1e-12 verify threshold; the exact triple sits at its rounding floor
     cap = min(find_strip(curve).cap, 0.9)
     patch = surface_patch(curve, curve.domain, (-cap, cap), 64, 17)
-    assert patch.null_residual() < 1e-15
+    assert null_residual(patch) < 1e-15
     patch.phi[..., 2] *= 1.0 + 1e-9
-    assert 0.9e-9 < patch.null_residual() < 1.1e-9
+    assert 0.9e-9 < null_residual(patch) < 1.1e-9
 
 
 def test_planar_normal():
@@ -243,7 +244,7 @@ def test_conformality_residuals_machine_level(test_curve):
     cap = find_strip(test_curve).cap
     s_max = 0.7 * cap if math.isfinite(cap) else 0.7
     patch = surface_patch(test_curve, test_curve.domain, (-s_max, s_max), 24, 5)
-    r_eg, r_f = patch.conformality_residuals()
+    r_eg, r_f = conformality_residuals(patch)
     assert r_eg < 1e-6 and r_f < 1e-6
 
 

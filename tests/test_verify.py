@@ -6,11 +6,14 @@ import pytest
 from bjorling import cli, schwarz, verify
 from bjorling.curves import make_circle, make_cycloid, make_parabola
 from bjorling.continuation import find_strip
-from bjorling.schwarz import BLOCK_ROWS, PatchGrid, surface_patch
+from bjorling.schwarz import PatchGrid, surface_patch
 from bjorling.verify import (
+    BLOCK_ROWS,
     DegenerateMetric,
+    conformality_residuals,
     geodesic_residual,
     mean_curvature_residual,
+    null_residual,
     symmetry_residual,
     verification_report,
 )
@@ -128,7 +131,7 @@ def test_verify_evaluates_phi_for_its_final_patch_only(monkeypatch, capsys):
     points = {"nodes": 0, "phi": 0}
     inside = [False]
     probe = {}
-    velocity, phi, window = schwarz.velocity, schwarz.phi, cli._verify_window
+    velocity, phi, window = schwarz.velocity, schwarz.phi, verify.verify_window
 
     def counting_velocity(curve, t, s):
         points["phi" if inside[0] else "nodes"] += int(np.broadcast(t, s).size)
@@ -151,7 +154,7 @@ def test_verify_evaluates_phi_for_its_final_patch_only(monkeypatch, capsys):
     monkeypatch.setattr(schwarz, "velocity", counting_velocity)
     monkeypatch.setattr(schwarz, "phi", counting_phi)
     monkeypatch.setattr(verify, "phi", counting_phi)
-    monkeypatch.setattr(cli, "_verify_window", counting_window)
+    monkeypatch.setattr(verify, "verify_window", counting_window)
     assert cli.main(["verify", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
                      "--nt", "64", "--ns", "33"]) == cli.EXIT_OK
     capsys.readouterr()
@@ -256,7 +259,7 @@ def test_blocked_conformality_equals_the_whole_grid_at_every_seam(ns):
         eg, f = _whole_grid_conformality(patch.phi)
         assert np.unravel_index(np.argmax(eg), eg.shape) == (row, 5)
         assert np.unravel_index(np.argmax(f), f.shape) == (row, 11)
-        assert patch.conformality_residuals() == (float(np.max(eg)), float(np.max(f)))
+        assert conformality_residuals(patch) == (float(np.max(eg)), float(np.max(f)))
 
 
 def _whole_grid_null(phi):
@@ -279,8 +282,8 @@ def test_residuals_at_distinct_abs_s_equal_the_whole_grid(curve, ns, lo, hi):
     cap = cap if math.isfinite(cap) else 1.0
     patch = surface_patch(curve, curve.domain, (lo * cap, hi * cap), 64, ns)
     eg, f = _whole_grid_conformality(patch.phi)
-    assert patch.conformality_residuals() == (float(np.max(eg)), float(np.max(f)))
-    assert patch.null_residual() == float(np.max(_whole_grid_null(patch.phi)))
+    assert conformality_residuals(patch) == (float(np.max(eg)), float(np.max(f)))
+    assert null_residual(patch) == float(np.max(_whole_grid_null(patch.phi)))
 
 
 @pytest.mark.parametrize("curve", FAMILIES, ids=lambda c: c.label)
@@ -288,7 +291,7 @@ def test_residuals_at_distinct_abs_s_equal_the_whole_grid(curve, ns, lo, hi):
 def test_curvature_on_real_patches_equals_the_whole_grid(curve, nt, ns):
     # 128 x 65 is verify's window probe, 256 x 129 its default patch
     strip = find_strip(curve)
-    halfwidth = cli._halfwidth(strip, 0.5)
+    halfwidth = strip.halfwidth(0.5)
     patch = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), nt, ns, strip=strip)
     ht, hs = patch.t_vals[1] - patch.t_vals[0], patch.s_vals[1] - patch.s_vals[0]
     H, _ = _whole_grid_curvature(patch.points, ht, hs)

@@ -5,8 +5,7 @@ import pytest
 
 from bjorling.curves import make_circle
 from bjorling.continuation import find_strip
-from bjorling.schwarz import phi
-from bjorling.weierstrass import data_from_curve, period_residual
+from bjorling.schwarz import data_from_curve, period_residual, phi
 
 from conftest import EPI_PARAMS, epi
 from oracles import data_from_phi, gauss_map_check, metric_density, stereographic
