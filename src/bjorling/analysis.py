@@ -212,6 +212,22 @@ class OrderTable:
         return {"k": self.k, "lambda": self.lam,
                 "rows": [r.to_json_dict() for r in self.rows]}
 
+    def checks(self) -> list[tuple[OrderRow, int, int | None, bool]]:
+        """(row, expected g order, expected eta order, passed) of each row, the
+        expected orders from `expected_orders`; an eta order expected as None
+        is informational and does not decide the row."""
+        expected = expected_orders(self.k)
+        out = []
+        for row in self.rows:
+            want_g, want_eta = expected[row.point]
+            out.append((row, want_g, want_eta, row.g_order == want_g
+                        and (want_eta is None or row.eta_order == want_eta)))
+        return out
+
+    def failures(self) -> int:
+        """The number of rows that do not match their expected orders."""
+        return sum(not passed for *_, passed in self.checks())
+
 
 LABEL_ORIGIN_EVEN = "(0,0)"
 LABEL_ORIGIN_ODD = "(0,+-sqrt(a))"
@@ -326,6 +342,12 @@ class DegeneracyReport:
             "vanishing_order": self.vanishing_order,
             "intrinsic_distance": self.intrinsic_distance,
         }
+
+    def passed(self) -> bool:
+        """The witness holds: every vanishing exponent is 2 and the distance to
+        the degeneration is finite and positive."""
+        return (all(e == 2 for e in self.vanishing_exponents)
+                and math.isfinite(self.intrinsic_distance) and self.intrinsic_distance > 0)
 
 
 def intrinsic_distance(model: VModel) -> float:

@@ -1,8 +1,10 @@
 """Command-line front end: mesh generation, degeneration analysis, patch
 verification, and zero/pole table reproduction.
 
-``cmd_verify`` only checks its arguments and prints: the window, residuals,
-thresholds and pass/fail list are ``verify``'s, the half-width ``Strip``'s.
+``cmd_verify``, ``cmd_table`` and ``cmd_analyze`` only check their arguments
+and print: the window, residuals, thresholds and pass/fail list are
+``verify``'s, the expected orders and the witness's pass condition
+``analysis``'s, the half-width ``Strip``'s.
 
 Identical configuration produces byte-identical outputs; timestamps only
 appear behind --timestamp.
@@ -149,23 +151,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    model = analysis.v_model(args.k, args.lam)
-    table = analysis.order_table(model)
-    expected = analysis.expected_orders(args.k)
-    failures = 0
-    for row in table.rows:
-        want_g, want_eta = expected[row.point]
-        ok = row.g_order == want_g and (want_eta is None or row.eta_order == want_eta)
-        failures += not ok
+    table = analysis.order_table(analysis.v_model(args.k, args.lam))
+    for row, want_g, want_eta, passed in table.checks():
         eta_note = ("%+d (informational)" % row.eta_order if want_eta is None
                     else "%+d (expect %+d)" % (row.eta_order, want_eta))
         print("%-22s g %+d (expect %+d)   eta %s   %s"
-              % (row.point, row.g_order, want_g, eta_note, "PASS" if ok else "FAIL"))
+              % (row.point, row.g_order, want_g, eta_note, "PASS" if passed else "FAIL"))
     if args.json:
         _write_json(table.to_json_dict(), args.json, args.timestamp)
-    print("table k=%d lambda=%g: %s" % (args.k, args.lam,
-                                        "PASS" if failures == 0 else "FAIL"))
-    return EXIT_OK if failures == 0 else EXIT_THRESHOLD
+    failed = table.failures()
+    print("table k=%d lambda=%g: %s" % (args.k, args.lam, "FAIL" if failed else "PASS"))
+    return EXIT_THRESHOLD if failed else EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -182,10 +178,7 @@ def cmd_analyze(args) -> int:
         "%d" % e for e in report.vanishing_exponents))
     print("intrinsic distance to nearest degeneration: %.9f"
           % report.intrinsic_distance)
-    ok = (all(e == 2 for e in report.vanishing_exponents)
-          and math.isfinite(report.intrinsic_distance)
-          and report.intrinsic_distance > 0)
-    if not ok:
+    if not report.passed():
         print("FAIL: degeneration witness out of tolerance")
         return EXIT_THRESHOLD
     print("PASS")

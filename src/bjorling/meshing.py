@@ -15,10 +15,13 @@ The OBJ and CSV writers assemble their text as numpy byte matrices, whose 0
 bytes are dropped at the end.  `vertex_cells` is the one place a float
 becomes text: every value is written exactly as ``FLOAT_FMT % value``, as a
 sign byte and the text of |value|, and each distinct |value| (bit pattern) is
-formatted once per call.  `generate` builds one table for the mesh and its
-half-cut, which share most vertices, and a symmetric patch repeats most of
-its own |values| (its rows with s < 0 mirror those with s > 0, f3 negated).
-OBJ face lines gather the digits of each vertex number, laid out once.
+formatted once per call.  `_cell_text` writes the digits of each |value| in
+[1e-4, 1e16) with numpy, from an exact (Dekker) product, and leaves the rest
+(zeros, subnormals, exponent notation, inf and nan) to one % call.
+`generate` builds one table for the mesh and its half-cut, which share most
+vertices, and a symmetric patch repeats most of its own |values| (its rows
+with s < 0 mirror those with s > 0, f3 negated).  OBJ face lines gather the
+digits of each vertex number, laid out once.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ from .schwarz import PatchGrid
 FLOAT_FMT = "%.17g"
 CELL = 24   # a sign byte, then the longest %.17g text of a non-negative double
 PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", 3)])  # packed, 13 bytes a triangle
+_POW10 = np.array([float(10 ** q) for q in range(23)])  # exact doubles up to 1e22
+_SPLIT = float(2 ** 27 + 1)                               # Veltkamp's splitter
+_PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]  # of E = -1 .. -4
+_ROWS = np.arange(CELL - 1, dtype=np.uint8)[:, None]
+_QUADS = (np.arange(10 ** 4) // np.array([[1000], [100], [10], [1]]) % 10
+          + ord("0")).astype(np.uint8)                    # column q: the 4 digits of q
 
 
 @dataclass
@@ -105,18 +114,20 @@ def sample_mesh(patch: PatchGrid) -> SurfaceMesh:
 def clip_halfspace(mesh: SurfaceMesh, normal, offset: float) -> SurfaceMesh:
     """Keep the side normal.x >= offset; crossing faces are split at the plane.
 
-    New vertices are interpolated on crossing edges (attributes included) and
-    shared between adjacent faces; they are numbered in the order their edges
-    are first met, face by face, and interpolated in that first orientation.
-    Faces left with fewer than 3 corners are dropped.
+    New vertices are interpolated on crossing edges, those whose ends lie
+    strictly on opposite sides (attributes included), and shared between
+    adjacent faces; they are numbered in the order their edges are first met,
+    face by face, and interpolated in that first orientation.  A vertex on the
+    plane is kept as it is, so it gets no copy.  Faces left with fewer than 3
+    corners are dropped.
     """
     dist = mesh.vertices @ np.asarray(normal, dtype=float) - offset
-    keep = dist >= 0.0
+    side = np.sign(dist)
     n = len(mesh.vertices)
     face, nxt = _corners(mesh)
     i, j = mesh.indices, mesh.indices[nxt]
-    kept = keep[i]
-    cut = kept != keep[j]
+    kept = side[i] >= 0
+    cut = side[i] * side[j] < 0
 
     # one new vertex per cut edge, (i, j) and (j, i) alike
     ci, cj = i[cut], j[cut]
@@ -147,12 +158,74 @@ def mesh_area(mesh: SurfaceMesh) -> float:
     return float(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1).sum())
 
 
-def _cell_text(values: list[float]) -> np.ndarray:
-    """(m, CELL - 1) bytes: ``FLOAT_FMT % v`` of each value, 0-padded.  The one
-    % call that turns floats into text."""
-    text = ("%-23.17g" * len(values) % tuple(values)).encode()
-    cells = np.frombuffer(text, dtype=np.uint8).reshape(len(values), CELL - 1).copy()
-    cells[cells == ord(" ")] = 0
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """(p, err) with p = fl(a b) and p + err = a b exactly: Dekker's product on
+    Veltkamp's halves (Numer. Math. 18, 1971), with no FMA, for products that
+    neither overflow nor underflow."""
+    ca, cb = _SPLIT * a, _SPLIT * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _decade(p: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """-1, 0 or +1 as the exact p + err lies below, in or above [1e16, 1e17).
+    Both ends are doubles, and |err| is at most half of p's ulp, which is 2
+    next to 1e16 and 16 next to 1e17."""
+    below = (p < 1e16) | ((p == 1e16) & (err < 0))
+    above = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    return above.astype(np.int64) - below
+
+
+def _cell_text(values: np.ndarray) -> np.ndarray:
+    """(m, CELL - 1) bytes: the text of ``FLOAT_FMT % v`` for each v >= 0 or
+    nan, with 0 bytes where it has no character.
+
+    A v in [1e-4, 1e16) has a fixed-point text.  Its 17 significant digits are
+    N = v 10^(16-E) rounded half-even, with E = floor(log10 v), and N comes
+    from the exact product p + err of `_two_product`: p >= 1e16 > 2^53 is an
+    even integer, so p + rint(err) rounds half-even as % does.  N never rounds
+    up to 1e17: the largest double below each 10^j, j = -3 .. 16, is at least
+    8e-17 of 10^j away, and that carry needs 5e-18.  The digits follow "0.0…"
+    when E < 0 and hold the point after digit E otherwise; the fraction's
+    trailing zeros, and the point when no fraction is left, are 0 bytes.
+    Every other value (0, subnormals, the exponent notation below 1e-4 and
+    from 1e16 up, inf, nan) goes through one % call.  The text is built one
+    byte position (a row of ``text``) at a time across all values, so that
+    each numpy pass runs over the whole set.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    fixed = (values >= 1e-4) & (values < 1e16)
+    v = np.where(fixed, values, 1.0)   # the other rows are overwritten by %
+    e = np.floor(np.log10(v)).astype(np.int64)
+    p, err = _two_product(v, _POW10[16 - e])
+    shift = _decade(p, err)   # log10 rounds, so E is one off next to a power of 10
+    if shift.any():
+        e += shift
+        p, err = _two_product(v, _POW10[16 - e])
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    digits = np.zeros((18, len(v)), dtype=np.uint8)   # row 17 stays 0
+    high, low = np.divmod(n, 10 ** 8)
+    lead, high = np.divmod(high, 10 ** 8)
+    digits[0] = lead + ord("0")
+    for k, quad in enumerate(np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4)):
+        digits[1 + 4 * k:5 + 4 * k] = np.take(_QUADS, quad, axis=1)
+    row = _ROWS[:18]
+    last = np.max((digits > ord("0")) * row, axis=0)   # the last nonzero digit
+    digits *= row <= np.maximum(last, e)
+    text = np.empty((CELL - 1, len(v)), dtype=np.uint8)
+    text[:5] = _PREFIX * (_ROWS[:5] < np.where(e < 0, 1 - e, 0))
+    point = np.where(e >= 0, e + 1, 18)   # E < 0: the prefix holds it
+    body = text[5:]
+    body[:] = digits * (row < point)
+    body[1:] += digits[:-1] * (row[1:] > point)
+    body += (row == point) * np.where(last > e, ord("."), 0).astype(np.uint8)
+    cells = text.T
+    slow = np.flatnonzero(~fixed)
+    rest = values[slow].tolist()
+    other = np.frombuffer(("%-23.17g" * len(rest) % tuple(rest)).encode(), dtype=np.uint8)
+    cells[slow] = (other * (other != ord(" "))).reshape(len(rest), CELL - 1)
     return cells
 
 
@@ -175,8 +248,8 @@ def vertex_cells(*tables) -> list[np.ndarray]:
     rank = np.empty(len(keys), dtype=np.int64)
     rank[order] = np.cumsum(first) - 1
     distinct = np.zeros((np.count_nonzero(first), CELL), dtype=np.uint8)
-    distinct[:, 1:] = _cell_text(ranked[first].view(np.float64).tolist())
-    cells = distinct[rank]
+    distinct[:, 1:] = _cell_text(ranked[first].view(np.float64))
+    cells = np.take(distinct, rank, axis=0)
     cells[:, 0] = np.where(np.signbit(values) & ~np.isnan(values), ord("-"), 0)
     bounds = np.cumsum([0] + [len(f) for f in flat]).tolist()
     return [cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
@@ -210,7 +283,7 @@ def _face_lines(mesh: SurfaceMesh) -> bytes:
     out = np.zeros((len(mesh.indices), width + 3), dtype=np.uint8)
     out[mesh.offsets[:-1], 0] = ord("f")
     out[:, 1] = ord(" ")
-    out[:, 2:-1] = digits[mesh.indices]
+    out[:, 2:-1] = np.take(digits, mesh.indices, axis=0)
     out[mesh.offsets[1:] - 1, -1] = ord("\n")
     return out[out != 0].tobytes()
 

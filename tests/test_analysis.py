@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import pathlib
@@ -293,6 +294,26 @@ def test_order_table_parametric(k, lam):
             assert row.flagged
 
 
+@pytest.mark.parametrize("k,lam", [(2, 0.5), (1, 0.6)])
+def test_order_checks_fail_each_moved_order(k, lam):
+    # the verdict `table` prints: a row fails when its g order, or an eta order
+    # that expected_orders states, moves by one; the odd-k eta order at infinity
+    # is informational and decides nothing
+    table = order_table(v_model(k, lam))
+    expected = expected_orders(k)
+    assert [(row, g, eta) for row, g, eta, _ in table.checks()] == [
+        (row,) + expected[row.point] for row in table.rows]
+    assert table.failures() == 0
+    for i, row in enumerate(table.rows):
+        for name in ("g_order", "eta_order"):
+            moved = dataclasses.replace(row, **{name: getattr(row, name) + 1})
+            other = dataclasses.replace(table, rows=table.rows[:i] + (moved,) + table.rows[i + 1:])
+            informational = name == "eta_order" and expected[row.point][1] is None
+            assert [passed for *_, passed in other.checks()] == [
+                j != i or informational for j in range(len(table.rows))]
+            assert other.failures() == (0 if informational else 1)
+
+
 @pytest.mark.parametrize("k,lam", DIVISOR_SWEEP)
 def test_order_table_divisor_degrees(k, lam):
     m = v_model(k, lam)
@@ -420,6 +441,20 @@ def test_obstruction_report(k, lam):
     payload = rep.to_json_dict()
     assert payload["genus"] == rep.genus
     assert len(payload["points"]) == len(rep.points)
+
+
+@pytest.mark.parametrize("change,passed", [
+    ({}, True),
+    ({"vanishing_exponents": (2, 2, 2, 2, 2, 0)}, False),
+    ({"vanishing_exponents": (4,) * 6}, False),
+    ({"intrinsic_distance": math.inf}, False),
+    ({"intrinsic_distance": math.nan}, False),
+    ({"intrinsic_distance": 0.0}, False),
+    ({"intrinsic_distance": -1.0}, False),
+])
+def test_witness_passes_only_with_exponents_two_and_a_finite_positive_distance(change, passed):
+    report = dataclasses.replace(obstruction_report(v_model(2, 0.5)), **change)
+    assert report.passed() is passed
 
 
 def test_analyze_large_lambda_radii():

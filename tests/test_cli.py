@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,13 +40,13 @@ def test_generate_circle(tmp_path, capsys):
         "epitrochoid_k2_lam0p5.ply":
             "2090911f72071b5b28b98145c432345b743b5ad5add1fe8fff975e74b80e5ca2",
         "epitrochoid_k2_lam0p5_halfcut.obj":
-            "5505b19c2248ec4d95b187785b703355bdec2a579a94d7244688700bb2f93aec",
+            "624f1814e4bf2fb1bc0c21d801bc7e82c6d7e8b37ec93059ae24df56f9c9eb2d",
     }),
     (["--curve", "cycloid", "--nt", "32", "--ns", "9"], {
         "cycloid.obj": "68775f5ad568fae3cbda82520608ec7ec48307016eaea6f90335a9a8b8a22b23",
         "cycloid.ply": "a0e829bccba0ba08ab11713fabbb5a6c58a1df321d3b536952d575da54def89e",
         "cycloid_halfcut.obj":
-            "3cf930dfca726db1dc6dc42c011b0fe101eb61584b3325ee73b25e1f3b4b3b58",
+            "6622f9811131e373cab49e7754ae71f96b67bbc037e13be77d4395daadaccb5c",
     }),
 ])
 def test_generate_output_bytes_pinned(argv, expect, tmp_path):
@@ -325,6 +326,19 @@ def test_table_pass(k, lam, extra, capsys, tmp_path):
 
 def test_table_rejects_bad_lambda(capsys):
     assert main(["table", "--k", "2", "--lambda", str(1.0 / 3.0)]) == 2
+
+
+def test_table_fails_when_one_order_moves(monkeypatch, capsys):
+    table = analysis.order_table(analysis.v_model(2, 0.5))
+    row = table.rows[1]
+    moved = dataclasses.replace(table, rows=(table.rows[0], dataclasses.replace(
+        row, g_order=row.g_order + 1)) + table.rows[2:])
+    monkeypatch.setattr(analysis, "order_table", lambda model: moved)
+    assert main(["table", "--k", "2", "--lambda", "0.5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.endswith("FAIL") for line in lines] == [False, True, False, False, True]
+    assert lines[1].startswith("(a^(1/(k+1)),0)        g +0 (expect -1)")
+    assert lines[-1] == "table k=2 lambda=0.5: FAIL"
 
 
 def test_table_nonconvergent_exits_1_without_traceback(monkeypatch, capsys):

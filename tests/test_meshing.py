@@ -6,8 +6,9 @@ import pytest
 
 from bjorling import meshing
 from bjorling.continuation import find_strip
-from bjorling.curves import make_circle
+from bjorling.curves import make_circle, make_cycloid, make_parabola
 from bjorling.meshing import (
+    CELL,
     FLOAT_FMT,
     SurfaceMesh,
     clip_halfspace,
@@ -100,6 +101,45 @@ def test_clip_catenoid_half():
     assert all(v[2] >= -1e-12 for v in half.vertices)
     assert 0 < len(half.faces) < len(mesh.faces)
     assert mesh_area(half) <= mesh_area(mesh)
+
+
+def zero_area_fan_triangles(mesh) -> int:
+    a, b, c = np.moveaxis(mesh.vertices[meshing._fan(mesh)], 1, 0)
+    return int(np.count_nonzero(np.linalg.norm(np.cross(b - a, c - a), axis=-1) == 0.0))
+
+
+@pytest.mark.parametrize("curve", [epi(2, 0.5), make_circle(), make_cycloid(), make_parabola()],
+                         ids=["epi", "circle", "cycloid", "parabola"])
+@pytest.mark.parametrize("nt,ns", [(24, 7), (256, 33)])
+def test_z_cut_of_a_symmetric_patch_keeps_its_seam_once(curve, nt, ns):
+    # f3 = 0 exactly on the s = 0 row, and f3 has one sign on each side of it:
+    # the z = 0 half-cut is that row and the rows on one side, with no cut
+    # vertex, no copy of a seam vertex and no face along the seam
+    distance = find_strip(curve).distance
+    h = 0.9 * distance if math.isfinite(distance) else 1.0
+    mesh = sample_mesh(surface_patch(curve, curve.domain, (-h, h), nt, ns))
+    half = clip_halfspace(mesh, (0.0, 0.0, 1.0), 0.0)
+    assert len(half.vertices) == nt * (ns + 1) // 2
+    assert len(half.offsets) - 1 == (nt - 1) * (ns - 1) // 2
+    assert zero_area_fan_triangles(half) == 0
+
+
+@pytest.mark.parametrize("normal,offset,area", [
+    ((1.0, 0.0, 0.0), 3.0, 8.0 * 5.0),             # along a grid column
+    ((1.0, 1.0, 0.0), 8.0, 8.0 * 8.0 / 2.0),       # along a grid diagonal
+    ((1.0, 2.0, 0.0), 8.0, 8.0 * 8.0 - 8.0 * 4.0 / 2.0),
+])
+def test_grid_cut_through_grid_vertices_makes_no_copy(normal, offset, area):
+    # integer grid [0, 8]^2: each plane holds grid vertices exactly, so the cut
+    # keeps those vertices once and adds a vertex only on edges it crosses
+    n = 8
+    vertices = [(i, j, 0.0) for j in range(n + 1) for i in range(n + 1)]
+    faces = [(j * (n + 1) + i, j * (n + 1) + i + 1, (j + 1) * (n + 1) + i + 1,
+              (j + 1) * (n + 1) + i) for j in range(n) for i in range(n)]
+    cut = clip_halfspace(SurfaceMesh.from_faces(vertices, faces), normal, offset)
+    assert len(np.unique(cut.vertices, axis=0)) == len(cut.vertices)
+    assert zero_area_fan_triangles(cut) == 0
+    assert mesh_area(cut) == area
 
 
 def test_oblique_clip_bytes_pinned(tmp_path):
@@ -204,6 +244,28 @@ def test_vertex_cells_equal_float_fmt(monkeypatch):
     (texted,) = formatted
     assert sorted(np.array(texted).view(np.int64).tolist()) == sorted(
         set(np.abs(values).view(np.int64).tolist()))
+
+
+def test_cell_text_equals_float_fmt_on_a_million_doubles():
+    # the fixed-point kernel and the % path it leaves to, against FLOAT_FMT % v
+    # value by value: every decade of %g's two notations and both roundings of
+    # a 17th digit, integers and half-integers whose text has trailing zeros
+    # in the integer part, and the doubles next to each power of 10
+    rng = np.random.default_rng(29)
+    powers = np.array([float("1e%d" % e) for e in range(-6, 19)])
+    values = np.concatenate([
+        rng.uniform(0.0, 10.0, 250_000),
+        10.0 ** rng.uniform(-300.0, 300.0, 250_000),
+        rng.integers(0, 2 ** 53, 200_000).astype(float),
+        rng.integers(0, 2 ** 52, 200_000) + 0.5,
+        rng.integers(1, 10 ** 4, 100_000) * 10.0 ** rng.integers(-4, 13, 100_000),
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    assert len(values) >= 1_000_000
+    cells = meshing._cell_text(values)
+    assert cells.shape == (len(values), CELL - 1)
+    rows = np.concatenate([cells, np.full((len(values), 1), ord("\n"), np.uint8)], axis=1)
+    want = "".join(FLOAT_FMT % v + "\n" for v in values.tolist()).encode()
+    assert rows[rows != 0].tobytes() == want
 
 
 def oracle_obj(mesh) -> bytes:
