@@ -19,7 +19,8 @@ f2 are even in s, f3 is odd, Phi1,2(t - is) = conj Phi1,2(t + is) and
 Phi3(t - is) = -conj Phi3(t + is).  A patch is computed at the distinct |s| of
 its rows and its rows with s < 0 are filled by that reflection.  ``surface_patch``
 computes only the points; the patch's Phi is evaluated on the first read of
-``PatchGrid.phi``, at the same |s| and by the same reflection, and cached there.
+``PatchGrid.level_phi``, at the distinct |s| only, and cached there, and
+``PatchGrid.phi`` fills the grid rows from it by the same reflection.
 
 Only f3 needs quadrature (Phi3 is purely imaginary on the axis, so the axis
 adds nothing): one real integral per grid column, by Clenshaw-Curtis
@@ -34,7 +35,7 @@ nodes, on the grid and at single points come from one helper on ``velocity`` and
 a (1, nt) t and an (ns, 1) s give the grid from 1-D factors.  A patch must stay
 inside ``Strip.cap`` of the curve's ``Strip`` from ``continuation.find_strip``,
 which also makes the one regularity decision: it refuses a window with a zero
-of speed^2 on it.  ``PatchGrid.distinct_rows`` lists one row per distinct |s|.
+of speed^2 on it.
 The Weierstrass data of Phi = ((1 - g^2) eta/2, i (1 + g^2) eta/2, g eta) are
 g = i W/Q = i sqrt(P/Q) and eta = Q dz = (x' - i y') dz (``data_from_curve``), and
 ``period_residual`` is the real period of Phi around a closed curve.
@@ -135,8 +136,8 @@ class PatchGrid:
 
     ``points[l, j]`` is f(t_vals[j] + i s_vals[l]); ``phi`` carries Phi at the
     same nodes so conformal quantities need no differencing.  Phi is evaluated
-    on its first read, at the distinct |s| and reflected as the points are, and
-    kept on the patch.
+    on its first read, at the distinct |s| (``level_phi``), and kept on the patch;
+    ``phi`` reflects it as the points are.
     """
 
     def __init__(self, curve: PlanarCurve, t_vals: np.ndarray, s_vals: np.ndarray,
@@ -144,12 +145,18 @@ class PatchGrid:
         self.curve, self.t_vals, self.s_vals, self.points = curve, t_vals, s_vals, points
 
     @functools.cached_property
+    def level_phi(self) -> np.ndarray:
+        """Phi (L, nt, 3) at the L distinct |s| of the rows, in increasing order."""
+        levels = np.array(sorted(set(np.abs(self.s_vals).tolist())))
+        # ``phi`` below is the module's function, which a method body sees, not the property
+        return _columns(self.t_vals, levels, lambda cols, levels: phi(
+            self.curve, self.t_vals[cols][None, :], levels[:, None]), lambda v: (), complex)
+
+    @functools.cached_property
     def phi(self) -> np.ndarray:
-        """Phi (ns, nt, 3) on the grid: the rows with s < 0 hold (conj Phi1, conj Phi2,
-        -conj Phi3) of their |s|, so Im Phi1, Im Phi2 and Re Phi3 change sign."""
-        # ``phi`` below is the module's function, which a method body sees, not this property
-        return _columns(self.t_vals, self.s_vals,
-                        lambda t, levels: phi(self.curve, t[None, :], levels[:, None]),
+        """Phi (ns, nt, 3) on the grid, each row ``level_phi`` of its |s|: the rows with s < 0
+        hold (conj Phi1, conj Phi2, -conj Phi3), so Im Phi1, Im Phi2 and Re Phi3 change sign."""
+        return _columns(self.t_vals, self.s_vals, lambda cols, levels: self.level_phi[:, cols],
                         lambda v: (v[..., :2].imag, v[..., 2].real), complex)
 
     @property
@@ -160,14 +167,6 @@ class PatchGrid:
     def conformal_factor(self) -> np.ndarray:
         """E = G = (1/2) sum |phi_i|^2 on the grid."""
         return 0.5 * np.sum(np.abs(self.phi) ** 2, axis=-1)
-
-    @property
-    def distinct_rows(self) -> list[int]:
-        """The rows with s >= 0 and those with s < 0 whose -s is no row: one per distinct
-        |s|.  The other rows are reflections of these, which leave E, G, |F|,
-        |sum phi_i^2| and sum |phi_i|^2 bitwise unchanged."""
-        s, twins = self.s_vals.tolist(), set(self.s_vals.tolist())
-        return [l for l, v in enumerate(s) if v >= 0 or -v not in twins]
 
 
 def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
@@ -209,7 +208,8 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     if s_lo == -s_hi:  # exact mirror pairs, and 0.0 in the middle of an odd ns
         s_vals = 0.5 * (s_vals - s_vals[::-1])
 
-    def half(t, levels):
+    def half(cols, levels):
+        t = t_vals[cols]
         f3 = _column_integrals(curve, t, levels, DEFAULT_QUAD_TOL)
         return np.stack([curve.x.grid(t, levels).real, curve.y.grid(t, levels).real, f3], axis=-1)
 
@@ -291,10 +291,10 @@ def _column_integrals(curve: PlanarCurve, t, levels, tol: float):
 
 
 def _columns(t_vals, s_vals, half, flip, dtype, workers: int = 1):
-    """(ns, nt, 3) values on the grid, by blocks of whole columns: ``half(t, levels)``
-    gives a block's values at the distinct |s| in increasing order, each row takes
-    those of its |s|, and in the rows with s < 0 the parts ``flip(values)`` lists
-    change sign.
+    """(ns, nt, 3) values on the grid, by blocks of whole columns: ``half(cols, levels)``
+    gives the values of the block's slice of columns at the distinct |s| in increasing
+    order, each row takes those of its |s|, and in the rows with s < 0 the parts
+    ``flip(values)`` lists change sign.
 
     A block holds about BLOCK_POINTS evaluation points (columns times distinct
     |s|), which bounds the temporaries of one evaluation; ``workers`` > 1 runs
@@ -311,7 +311,7 @@ def _columns(t_vals, s_vals, half, flip, dtype, workers: int = 1):
 
     def fill(cols):
         cols = slice(cols[0], cols[-1] + 1)
-        values = half(t_vals[cols], levels)
+        values = half(cols, levels)
         for out_row, row in enumerate(rows):
             out[out_row, cols] = values[row]
         for part in flip(out[low, cols]):

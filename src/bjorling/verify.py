@@ -6,8 +6,10 @@ central differences only, so they act as an oracle against the construction
 pipeline rather than consuming its Weierstrass data.  The symmetry check works
 on the null triple directly (it is a resolution-independent identity).  The
 curvature and conformality residuals run on ``BLOCK_ROWS`` grid rows at a time, copied into
-component planes: bitwise the whole grid's, by its operations in its order.  Conformality
-and the null residual read one row per distinct |s|, curvature every row (not mirror-exact).
+component planes: bitwise the whole grid's, by its operations in its order.  Every residual
+is taken at one row per distinct |s|: the null and conformality residuals read
+``PatchGrid.level_phi``, and curvature, whose s-stencils are mirror-exact, reads the rows
+from just below s = 0 up of a patch whose points are an exact mirror in s.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ THRESHOLDS = {
     "symmetry_residual": 1e-11,
 }
 _W_FLOOR = 1e-14
+PROBE_NT, PROBE_NS = 128, 65    # verify_window's probe patch, nt x ns
 # whole grid rows per block of the residual checks, which copy a block into contiguous
 # component planes (components, rows, nt) whose temporaries then stay in cache
 BLOCK_ROWS = 32
@@ -49,16 +52,16 @@ def _spacings(patch: PatchGrid) -> tuple[float, float]:
     return patch.t_vals[1] - patch.t_vals[0], patch.s_vals[1] - patch.s_vals[0]
 
 
-def _distinct_blocks(patch: PatchGrid):
-    """Phi at ``patch.distinct_rows``, by blocks of BLOCK_ROWS rows."""
-    rows = patch.distinct_rows
-    return (patch.phi[rows[r:r + BLOCK_ROWS]] for r in range(0, len(rows), BLOCK_ROWS))
+def _level_blocks(patch: PatchGrid):
+    """``patch.level_phi``, Phi at one row per distinct |s|, by blocks of BLOCK_ROWS rows."""
+    phi = patch.level_phi
+    return (phi[r:r + BLOCK_ROWS] for r in range(0, len(phi), BLOCK_ROWS))
 
 
 def null_residual(patch: PatchGrid) -> float:
     """max |sum phi_i^2| / sum |phi_i|^2 at one row per distinct |s|: relative to its rounding."""
     r = -math.inf
-    for p in _distinct_blocks(patch):
+    for p in _level_blocks(patch):
         r = np.max(np.abs(p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2)
                    / np.einsum("...j,...j", p.view(float), p.view(float)), initial=r)
     return float(r)
@@ -68,7 +71,7 @@ def conformality_residuals(patch: PatchGrid) -> tuple[float, float]:
     """(max |E-G|/E, max |F|/E) from the exact first fundamental form, at one row per
     distinct |s|, on component planes of Re phi_i = (f_t)_i and Im phi_i = -(f_s)_i."""
     eg = f = -math.inf
-    for p in _distinct_blocks(patch):
+    for p in _level_blocks(patch):
         v = np.ascontiguousarray(np.moveaxis(p.view(float), -1, 0))
         ft, fs = v[0::2], v[1::2]
         E, F, G = _plane_dot(ft, ft), _plane_dot(ft, fs), _plane_dot(fs, fs)
@@ -84,6 +87,14 @@ def mean_curvature_residual(points: np.ndarray, ht: float, hs: float) -> float:
     a minimal surface.  Taken over blocks of BLOCK_ROWS interior rows, as planes.
     """
     P = np.asarray(points, dtype=float)
+    mid = len(P) // 2
+    lo, hi = P[:mid + 1], P[:mid - 1:-1]    # rows 0..mid and ns-1 down to mid
+    # an exact mirror in s (rows l and ns-1-l equal in f1 and f2, opposite in f3, about a
+    # middle row with f3 = 0) gives mirror rows bitwise-equal |H|: keep rows mid - 1 on.
+    # Compared one component plane at a time, which numpy does at full speed
+    if len(P) % 2 and np.array_equal(lo[..., 0], hi[..., 0]) and np.array_equal(
+            lo[..., 1], hi[..., 1]) and np.array_equal(lo[..., 2], -hi[..., 2]):
+        P = P[mid - 1:]
     h, w_min = -math.inf, math.inf
     # an empty interior is one empty block, so np.min raises as on the whole grid
     for r in range(1, max(len(P) - 1, 2), BLOCK_ROWS):
@@ -96,8 +107,9 @@ def mean_curvature_residual(points: np.ndarray, ht: float, hs: float) -> float:
         if w_min < _W_FLOOR:
             continue
         ftt = (B[:, 1:-1, 2:] - 2.0 * B[:, 1:-1, 1:-1] + B[:, 1:-1, :-2]) / ht**2
-        fss = (B[:, 2:, 1:-1] - 2.0 * B[:, 1:-1, 1:-1] + B[:, :-2, 1:-1]) / hs**2
-        fts = (B[:, 2:, 2:] - B[:, 2:, :-2] - B[:, :-2, 2:] + B[:, :-2, :-2]) / (4.0 * ht * hs)
+        # s-stencils as differences of column neighbours, grouped to be mirror-exact in s
+        fss = ((B[:, 2:, 1:-1] - B[:, 1:-1, 1:-1]) + (B[:, :-2, 1:-1] - B[:, 1:-1, 1:-1])) / hs**2
+        fts = ((B[:, 2:, 2:] - B[:, :-2, 2:]) - (B[:, 2:, :-2] - B[:, :-2, :-2])) / (4.0 * ht * hs)
         # np.cross(ft, fs) and its np.linalg.norm, in their order of operations
         n = (ft[1] * fs[2] - ft[2] * fs[1], ft[2] * fs[0] - ft[0] * fs[2],
              ft[0] * fs[1] - ft[1] * fs[0])
@@ -231,13 +243,14 @@ def verify_window(curve: PlanarCurve, strip: Strip, halfwidth: float, nt: int):
     """
     t_lo, t_hi = curve.domain
     length = t_hi - t_lo
-    ht, hs = length / 127.0, 2.0 * halfwidth / 64.0  # the probe's spacings
+    ht, hs = length / (PROBE_NT - 1), 2.0 * halfwidth / (PROBE_NS - 1)  # the probe's spacings
     ht2, hs2 = ht * ht, hs * hs
     if not (0.0 < min(ht2, hs2) and math.isfinite(max(ht2, hs2))):
         raise InvalidCurveParameters(
             "verify's window probe cannot resolve a domain of length %g and a strip "
             "of half-width %g" % (length, halfwidth))
-    probe = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), 128, 65, strip=strip)
+    probe = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), PROBE_NT, PROBE_NS,
+                          strip=strip)
     c_t = mean_curvature_residual(probe.points, *_spacings(probe)) / ht2
     if not math.isfinite(c_t):
         raise InvalidCurveParameters(

@@ -77,7 +77,7 @@ def test_null_residual_reads_an_error_in_phi3(curve):
     cap = min(find_strip(curve).cap, 0.9)
     patch = surface_patch(curve, curve.domain, (-cap, cap), 64, 17)
     assert null_residual(patch) < 1e-15
-    patch.phi[..., 2] *= 1.0 + 1e-9
+    patch.level_phi[..., 2] *= 1.0 + 1e-9
     assert 0.9e-9 < null_residual(patch) < 1.1e-9
 
 

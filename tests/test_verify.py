@@ -151,16 +151,28 @@ def test_verify_evaluates_phi_for_its_final_patch_only(monkeypatch, capsys):
         finally:
             probe.update({key: points[key] - before[key] for key in points})
 
+    report = verify.verification_report
+    final = []
+
+    def keeping_report(curve, patch):
+        final.append(patch)
+        return report(curve, patch)
+
     monkeypatch.setattr(schwarz, "velocity", counting_velocity)
     monkeypatch.setattr(schwarz, "phi", counting_phi)
     monkeypatch.setattr(verify, "phi", counting_phi)
     monkeypatch.setattr(verify, "verify_window", counting_window)
+    monkeypatch.setattr(verify, "verification_report", keeping_report)
+    nt, ns = 64, 33
     assert cli.main(["verify", "--curve", "epitrochoid", "--k", "2", "--lambda", "0.5",
-                     "--nt", "64", "--ns", "33"]) == cli.EXIT_OK
+                     "--nt", str(nt), "--ns", str(ns)]) == cli.EXIT_OK
     capsys.readouterr()
     assert probe["nodes"] > 0 and probe["phi"] == 0
-    # the final patch's 17 |s| levels by 64 columns, and symmetry_residual's two rows of 64
-    assert points["phi"] == 17 * 64 + 2 * 64
+    # the final patch's (ns + 1)/2 = 17 |s| levels by nt columns, and symmetry_residual's
+    # two rows of 64; the residuals read Phi at the levels, so the grid Phi is never built
+    assert points["phi"] == (ns + 1) // 2 * nt + 2 * 64
+    [patch] = final
+    assert "level_phi" in patch.__dict__ and "phi" not in patch.__dict__
 
 
 def test_geodesic_residual_resolution_independent():
@@ -182,8 +194,8 @@ def _whole_grid_curvature(P, ht, hs):
     ft = (P[1:-1, 2:] - P[1:-1, :-2]) / (2.0 * ht)
     fs = (P[2:, 1:-1] - P[:-2, 1:-1]) / (2.0 * hs)
     ftt = (P[1:-1, 2:] - 2.0 * P[1:-1, 1:-1] + P[1:-1, :-2]) / ht**2
-    fss = (P[2:, 1:-1] - 2.0 * P[1:-1, 1:-1] + P[:-2, 1:-1]) / hs**2
-    fts = (P[2:, 2:] - P[2:, :-2] - P[:-2, 2:] + P[:-2, :-2]) / (4.0 * ht * hs)
+    fss = ((P[2:, 1:-1] - P[1:-1, 1:-1]) + (P[:-2, 1:-1] - P[1:-1, 1:-1])) / hs**2
+    fts = ((P[2:, 2:] - P[:-2, 2:]) - (P[2:, :-2] - P[:-2, :-2])) / (4.0 * ht * hs)
     E, F, G = _dot(ft, ft), _dot(ft, fs), _dot(fs, fs)
     W = E * G - F * F
     n = np.cross(ft, fs)
@@ -255,8 +267,8 @@ def test_blocked_conformality_equals_the_whole_grid_at_every_seam(ns):
         b[row, 11] += 0.5 * a[row, 11]  # |F|/E about 0.5
         patch = PatchGrid(curve=make_circle(), t_vals=np.arange(nt), s_vals=np.arange(ns),
                           points=np.zeros((ns, nt, 3)))
-        patch.phi = a - 1j * b          # an instance value shadows the evaluated Phi
-        eg, f = _whole_grid_conformality(patch.phi)
+        patch.level_phi = a - 1j * b    # an instance value shadows the evaluated Phi
+        eg, f = _whole_grid_conformality(patch.level_phi)
         assert np.unravel_index(np.argmax(eg), eg.shape) == (row, 5)
         assert np.unravel_index(np.argmax(f), f.shape) == (row, 11)
         assert conformality_residuals(patch) == (float(np.max(eg)), float(np.max(f)))
@@ -284,6 +296,61 @@ def test_residuals_at_distinct_abs_s_equal_the_whole_grid(curve, ns, lo, hi):
     eg, f = _whole_grid_conformality(patch.phi)
     assert conformality_residuals(patch) == (float(np.max(eg)), float(np.max(f)))
     assert null_residual(patch) == float(np.max(_whole_grid_null(patch.phi)))
+
+
+def _row_curvature(P, ht, hs):
+    # max |H| on each interior row l, from its own three rows l - 1 .. l + 1
+    return [mean_curvature_residual(P[l - 1:l + 2], ht, hs) for l in range(1, len(P) - 1)]
+
+
+@pytest.mark.parametrize("curve", FAMILIES, ids=lambda c: c.label)
+@pytest.mark.parametrize("nt, ns", [(128, 65), (256, 129)])
+@pytest.mark.parametrize("frac", [0.05, 0.5, 0.9])
+def test_mirror_rows_give_equal_curvature(curve, nt, ns, frac):
+    # the s-stencils are mirror-exact: on a patch whose rows l and ns-1-l are mirrors,
+    # both rows have the same max |H| bit for bit, so the rows from just below s = 0 up
+    # give the all-rows maximum
+    strip = find_strip(curve)
+    halfwidth = strip.halfwidth(frac)
+    patch = surface_patch(curve, curve.domain, (-halfwidth, halfwidth), nt, ns, strip=strip)
+    ht, hs = patch.t_vals[1] - patch.t_vals[0], patch.s_vals[1] - patch.s_vals[0]
+    rows = _row_curvature(patch.points, ht, hs)
+    assert rows == rows[::-1]
+    assert mean_curvature_residual(patch.points, ht, hs) == max(rows)
+
+
+def test_curvature_stencils_difference_neighbours_near_a_cusp():
+    # (a + c) - 2b is mirror-exact too, but a + c rounds by eps |f|: on the cycloid 0.009
+    # from its cusp, at s-fraction 0.05, it read 1.8e-2 against the 1e-3 bound, where
+    # differences of same-sign neighbours read 3.1e-4
+    assert verify.verify_curve(make_cycloid(0.009), 256, 129, 0.05).max_mean_curvature < 1e-3
+
+
+@pytest.mark.parametrize("case", ["mirror", "asymmetric", "even_ns", "hand_built"])
+def test_curvature_halves_only_an_exact_mirror(case, monkeypatch):
+    # an exact mirror in s is read from the row below s = 0 up; any other patch on
+    # every interior row, at the whole grid's value
+    curve = epi(2, 0.5)
+    cap = find_strip(curve).cap
+    ns, lo, hi = {"asymmetric": (33, -0.25, 0.75), "even_ns": (34, -0.5, 0.5)}.get(
+        case, (33, -0.5, 0.5))
+    patch = surface_patch(curve, curve.domain, (lo * cap, hi * cap), 64, ns)
+    if case == "hand_built":
+        patch.points[3, 17, 2] += 1e-3     # below s = 0: no mirror, and the largest |H|
+    ht, hs = patch.t_vals[1] - patch.t_vals[0], patch.s_vals[1] - patch.s_vals[0]
+    H, _ = _whole_grid_curvature(patch.points, ht, hs)
+    assert mean_curvature_residual(patch.points, ht, hs) == float(np.max(np.abs(H)))
+    if case != "even_ns":            # verification_report needs an s = 0 row
+        assert verification_report(curve, patch).max_mean_curvature == float(np.max(np.abs(H)))
+    rows, copy = [], np.ascontiguousarray
+
+    def counting_copy(a):            # each curvature block: its interior rows
+        rows.append(a.shape[1] - 2)
+        return copy(a)
+
+    monkeypatch.setattr(np, "ascontiguousarray", counting_copy)
+    mean_curvature_residual(patch.points, ht, hs)
+    assert sum(rows) == ((ns - 1) // 2 if case == "mirror" else ns - 2)
 
 
 @pytest.mark.parametrize("curve", FAMILIES, ids=lambda c: c.label)
