@@ -26,16 +26,17 @@ Only f3 needs quadrature (Phi3 is purely imaginary on the axis, so the axis
 adds nothing): one real integral per grid column, by Clenshaw-Curtis
 (Numer. Math. 2, 1960).  The closed-form strip branch W is sampled at the
 Chebyshev points cos(pi k/n) of [0, max|s|], a DCT-I (one real FFT) gives the
-interpolant's coefficients, and the termwise integral is evaluated at every
-|s| level minus its value at s = 0.  W is analytic past the interval, so the
-coefficients fall geometrically (Trefethen, ATAP, ch. 8 and 19); columns whose
-series has not converged double n, reusing every sample.  P, Q and W at the
-nodes, on the grid and at single points come from one helper on ``velocity`` and
-``strip_branch``; ``phi(curve, t, s)`` takes t and s that broadcast together, so
-a (1, nt) t and an (ns, 1) s give the grid from 1-D factors.  A patch must stay
-inside ``Strip.cap`` of the curve's ``Strip`` from ``continuation.find_strip``,
-which also makes the one regularity decision: it refuses a window with a zero
-of speed^2 on it.
+interpolant's coefficients, and the termwise integral at every |s| level minus
+its value at s = 0 is one einsum contraction, which sums each column alone and in
+order whatever its block (never BLAS, which fuses and reorders the sum).  W is
+analytic past the interval, so the coefficients fall geometrically (Trefethen,
+ATAP, ch. 8 and 19); columns whose series has not converged double n, reusing
+every sample.  P, Q and W at the nodes, on the grid and at single points come
+from one helper on ``velocity`` and ``strip_branch``; ``phi(curve, t, s)`` takes
+t and s that broadcast together, so a (1, nt) t and an (ns, 1) s give the grid
+from 1-D factors.  A patch must stay inside ``Strip.cap`` of the curve's
+``Strip`` from ``continuation.find_strip``, which also makes the one regularity
+decision: it refuses a window with a zero of speed^2 on it.
 The Weierstrass data of Phi = ((1 - g^2) eta/2, i (1 + g^2) eta/2, g eta) are
 g = i W/Q = i sqrt(P/Q) and eta = Q dz = (x' - i y') dz (``data_from_curve``), and
 ``period_residual`` is the real period of Phi around a closed curve.
@@ -235,16 +236,15 @@ def _chebyshev_antiderivative(values):
 def _chebyshev_increments(coef, x, x0):
     """sum_j coef[j] (T_j(x) - T_j(x0)) for coef of shape (J, m) and x of shape (L,).
 
-    Accumulated term by term, so every column is summed in the same order
-    whichever columns share the call.
-    """
+    One unoptimised einsum over the T_j table sums each output alone, in order of j,
+    whichever columns share the call: bit for bit the loop in tests/oracles.py but for a
+    lone output (L = m = 1).  ``@`` and ``optimize=True`` reach BLAS, which fuses and reorders."""
     u = np.append(x, x0)
-    prev, cur = np.ones_like(u), u
-    out = np.zeros((len(x), coef.shape[1]))
-    for c in coef[1:]:
-        out += (cur[:-1] - cur[-1])[:, None] * c
-        prev, cur = cur, 2.0 * u * cur - prev
-    return out
+    t = np.empty((len(coef), len(u)))
+    t[0], t[1] = 1.0, u
+    for j in range(2, len(coef)):
+        t[j] = 2.0 * u * t[j - 1] - t[j - 2]
+    return np.einsum("jl,jm->lm", t[1:, :-1] - t[1:, -1:], coef[1:])
 
 
 def _column_integrals(curve: PlanarCurve, t, levels, tol: float):

@@ -5,8 +5,9 @@ map from a patch normal, the v-model's functions (w^2, (w^2)', eta's coefficient
 Gauss map and the metric density, each from powers of v of its own, as
 ``VModel.loop_squares`` shares one), its w along the geodesic (with the pullback of
 g and eta to the strip data), the divisor degrees of an order table,
-the planar normal and curve points in R^3, and the closed-form f3 of the cycloid
-(Catalan's surface) and of the parabola.
+the planar normal and curve points in R^3, the closed-form f3 of the cycloid
+(Catalan's surface), of the parabola and of the epitrochoid (Carlson's R_F and R_D),
+and the term-by-term sum that the column quadrature's contraction equals.
 """
 
 import cmath
@@ -195,3 +196,83 @@ def parabola_f3(t, s):
     z = t + 1j * s
     root = np.sqrt(1.0 + 4.0 * z * z)
     return -(0.5 * z * root + 0.25 * np.arcsinh(2.0 * z)).imag
+
+
+def _carlson_rf(x, y, z):
+    """Carlson's R_F(x, y, z) by duplication (Numer. Algorithms 10, 1995; DLMF 19.36(i)), for
+    complex arguments off the cut (-inf, 0], at most one of them 0: principal roots.  Each
+    step divides the spread by 4, so 60 steps end any finite start; a NaN ends as NaN."""
+    for _ in range(60):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        ave = (x + y + z) / 3.0
+        dx, dy = (ave - x) / ave, (ave - y) / ave
+        dz = -dx - dy
+        if max(np.max(np.abs(d)) for d in (dx, dy, dz)) < 2.5e-3:   # truncation ~ 1e-17
+            break
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 / 44.0 * e3) * e2 + e3 / 14.0) / np.sqrt(ave)
+
+
+def _carlson_rd(x, y, z):
+    """Carlson's R_D(x, y, z) = R_J(x, y, z, z) by duplication, as ``_carlson_rf``."""
+    total, fac = 0.0, 1.0
+    for _ in range(60):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        total = total + fac / (sz * (z + lam))
+        fac *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        ave = 0.2 * (x + y + 3.0 * z)
+        dx, dy, dz = (ave - x) / ave, (ave - y) / ave, (ave - z) / ave
+        if max(np.max(np.abs(d)) for d in (dx, dy, dz)) < 1.5e-3:
+            break
+    ea, eb = dx * dy, dz * dz
+    ec, ed = ea - eb, ea - 6.0 * eb
+    ee = ed + 2.0 * ec
+    series = 1.0 + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 9.0 / 52.0 * dz * ee) \
+        + dz * (ee / 6.0 + dz * (-9.0 / 22.0 * ec + dz * 3.0 / 26.0 * ea))
+    return 3.0 * total + fac * series / (ave * np.sqrt(ave))
+
+
+def elliptic_e(phi, m):
+    """Incomplete elliptic integral of the second kind E(phi | m) = int_0^phi sqrt(1 - m
+    sin^2) for complex phi with |Re phi| <= pi/2, where cos^2 phi stays off R_F's cut:
+    sin phi R_F(c, d, 1) - (m/3) sin^3 phi R_D(c, d, 1), c = cos^2 phi, d = 1 - m sin^2 phi."""
+    sin, c = np.sin(phi), np.cos(phi) ** 2
+    d = 1.0 - m * sin * sin
+    return sin * _carlson_rf(c, d, 1.0) - m / 3.0 * sin ** 3 * _carlson_rd(c, d, 1.0)
+
+
+def epitrochoid_f3(k: int, lam: float, t, s):
+    """f3 of the epitrochoid in closed form.  W = (k+2) sqrt(1 + a^2 - 2a cos((k+1)z)), a =
+    lam (k+1), is (k+2)(1+a) sqrt(1 - m sin^2 phi) with m = 4a/(1+a)^2 and phi = pi/2 -
+    (k+1)z/2, so f3 = -int_0^s Re W(t + i sigma) d sigma = (2(k+2)(1+a)/(k+1)) Im E(phi | m).
+
+    f3 has period 2 pi/(k+1) in t and is even in t (W(-z) = W(z)), so t is first folded
+    into [0, pi/(k+1)]: Re phi then lies in [0, pi/2], and at a lobe waist t = 2 pi j/(k+1)
+    it is the double nearest pi/2, just below it, so cos phi > 0 keeps cos^2 phi on the
+    inner side of R_F's cut.  Reducing Re phi by n pi instead (E(phi + n pi) = E(phi) +
+    2n E(m)) puts the far waists on an odd multiple of pi/2 with rounding picking the side:
+    at k = 12 the waists from t = 4.35 to 2 pi then get f3 with the wrong sign.
+    """
+    a = lam * (k + 1)
+    period = 2.0 * math.pi / (k + 1)
+    t = np.mod(t, period)
+    t = np.minimum(t, period - t)
+    phi = 0.5 * math.pi - 0.5 * (k + 1) * (t + 1j * np.asarray(s, dtype=float))
+    return 2.0 * (k + 2) * (1.0 + a) / (k + 1) * elliptic_e(phi, 4.0 * a / (1.0 + a) ** 2).imag
+
+
+def chebyshev_increments_by_terms(coef, x, x0):
+    """sum_j coef[j] (T_j(x) - T_j(x0)) for coef (J, m) and x (L,), accumulated term by term:
+    one (L, m) multiply and one add per j, starting from +0.0, which is the order and the
+    rounding that ``schwarz._chebyshev_increments`` keeps for every output of its einsum."""
+    u = np.append(x, x0)
+    prev, cur = np.ones_like(u), u
+    out = np.zeros((len(x), coef.shape[1]))
+    for c in coef[1:]:
+        out += (cur[:-1] - cur[-1])[:, None] * c
+        prev, cur = cur, 2.0 * u * cur - prev
+    return out

@@ -19,7 +19,14 @@ from bjorling.schwarz import (
 from bjorling.verify import conformality_residuals, null_residual
 
 from conftest import epi
-from oracles import cycloid_f3, parabola_f3, planar_normal, point3d
+from oracles import (
+    chebyshev_increments_by_terms,
+    cycloid_f3,
+    epitrochoid_f3,
+    parabola_f3,
+    planar_normal,
+    point3d,
+)
 
 
 def catenoid(t, s):
@@ -198,6 +205,82 @@ def test_symmetric_patch_does_not_depend_on_its_blocks(curve, monkeypatch):
     assert _bits_equal(split.points, whole.points) and _bits_equal(split.phi, whole.phi)
 
 
+# the bench's dense_patch surface: epi(2, 0.4634) at 1024 x 129 on |s| <= 0.8 ln(3 lam)/3,
+# 65 levels x 1024 columns in blocks of 342, 341 and 341; sha256 of its points
+NARROW_STRIP_LAM = 0.4634
+NARROW_STRIP_SHA = "f1440f81b8415e5787a7e9bb2de98d7e327599f85151df064ddc2ab5e4f1ce9c"
+
+
+def _narrow_strip_patch():
+    curve = epi(2, NARROW_STRIP_LAM)
+    halfwidth = 0.8 * math.log(3.0 * NARROW_STRIP_LAM) / 3.0
+    return surface_patch(curve, curve.domain, (-halfwidth, halfwidth), 1024, 129)
+
+
+def test_narrow_strip_patch_does_not_depend_on_its_blocks(monkeypatch):
+    widths = []
+    column_integrals = schwarz._column_integrals
+
+    def recording(curve, t, levels, tol):
+        widths.append(len(t))
+        return column_integrals(curve, t, levels, tol)
+
+    monkeypatch.setattr(schwarz, "_column_integrals", recording)
+    whole = _narrow_strip_patch()
+    assert widths == [342, 341, 341]
+    assert hashlib.sha256(whole.points.tobytes()).hexdigest() == NARROW_STRIP_SHA
+    monkeypatch.setattr(schwarz, "BLOCK_POINTS", 1)
+    split = _narrow_strip_patch()
+    assert len(widths) == 3 + 1024
+    assert _bits_equal(split.points, whole.points)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 341, 342, 1024])
+@pytest.mark.parametrize("L", [1, 2, 17, 33, 65, 129])
+def test_chebyshev_increments_equal_the_term_loop_bitwise(L, m):
+    """The einsum contraction against the term-by-term loop, bit for bit, for geometrically
+    decaying random coefficients at every J the column quadrature uses.  x starts at x0 = -1
+    (the s = 0 level) when L > 1, and the bytes are compared, so +0.0 and -0.0 differ.  The one
+    exception is a lone output, (L, m) = (1, 1): einsum sums it by a reduction kernel, in
+    another order, so it is held within 4 ulp of sum_j |c_j| |T_j(x) - T_j(x0)| at x = 1,
+    the only x of ``surface_point`` (its one level is the top of [0, |s|]).  At x = 0.3 one
+    draw differed by 5.5 such ulp at J = 1026, inside the loop's own (J - 1) eps bound."""
+    rng = np.random.default_rng(1000 * L + m)
+    x = np.linspace(-1.0, 1.0, L) if L > 1 else np.array([1.0 if m == 1 else 0.3])
+    for J in (34, 66, 130, 258, 514, CC_MAX_N + 2):
+        coef = rng.standard_normal((J, m)) * 0.9 ** np.arange(J)[:, None]
+        got = schwarz._chebyshev_increments(coef, x, -1.0)
+        expect = chebyshev_increments_by_terms(coef, x, -1.0)
+        if (L, m) != (1, 1):
+            assert _bits_equal(got, expect), J
+            continue
+        # |T_j(1) - T_j(-1)| = 1 - (-1)^j
+        scale = np.sum(np.abs(coef[:, 0]) * (1.0 - (-1.0) ** np.arange(J)))
+        assert abs(got[0, 0] - expect[0, 0]) <= 4.0 * np.spacing(scale)
+
+
+def test_chebyshev_increments_of_real_patches_equal_the_term_loop(monkeypatch):
+    # the narrow strip's three blocks at J = 34, and full-cap patches whose columns
+    # double n to J = 66 and 130 (and leave none at J = 34 for epi(2, 30): m = 0)
+    calls = []
+    increments = schwarz._chebyshev_increments
+
+    def recording(coef, x, x0):
+        out = increments(coef, x, x0)
+        expect = chebyshev_increments_by_terms(coef, x, x0)
+        calls.append((coef.shape, _bits_equal(out, expect)))
+        return out
+
+    monkeypatch.setattr(schwarz, "_chebyshev_increments", recording)
+    _narrow_strip_patch()
+    for curve in (epi(2, 0.35), epi(2, 30.0)):
+        cap = find_strip(curve).cap
+        surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
+    assert all(equal for _, equal in calls)
+    shapes = [shape for shape, _ in calls]
+    assert {J for J, _ in shapes} == {34, 66, 130} and (34, 0) in shapes
+
+
 def test_block_bound_counts_the_distinct_levels(monkeypatch):
     # a symmetric 256 x 129 patch is evaluated at 65 |s| levels: 16640 points,
     # one block under BLOCK_POINTS, though its 33024 rows x columns are two
@@ -248,20 +331,6 @@ def test_conformality_residuals_machine_level(test_curve):
     assert r_eg < 1e-6 and r_f < 1e-6
 
 
-def _f3_closed_form(k, lam, t, s, panels=16, order=40):
-    # -int_0^s Re W(t + i sigma) d sigma with W = (k+2) sqrt(1 + a^2 - 2a cos((k+1)z)):
-    # the principal root is the strip branch, composite Gauss-Legendre in sigma
-    a = lam * (k + 1)
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    total = np.zeros(np.broadcast(t, s).shape)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        z = t[..., None] + 1j * s[..., None] * (lo + 0.5 * (hi - lo) * (x + 1.0))
-        W = (k + 2) * np.sqrt(1.0 + a * a - 2.0 * a * np.cos((k + 1) * z))
-        total += 0.5 * (hi - lo) * np.sum(w * W.real, axis=-1)
-    return -s * total
-
-
 @pytest.mark.parametrize("k,lam", [(1, 30.0), (2, 0.5), (6, 0.9)]
                          + [(k, 10.0 ** d / (k + 1)) for k in (1, 2, 4) for d in range(1, 7)])
 def test_f3_matches_closed_form_up_to_strip_cap(k, lam):
@@ -271,9 +340,12 @@ def test_f3_matches_closed_form_up_to_strip_cap(k, lam):
     cap = find_strip(curve).cap
     patch = surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
     T, S = np.meshgrid(patch.t_vals, patch.s_vals)
-    expect = _f3_closed_form(k, lam, T, S)
-    err = np.abs(patch.points[..., 2] - expect) / np.maximum(1.0, np.abs(expect))
-    assert float(np.max(err)) < 1e-10
+    expect = epitrochoid_f3(k, lam, T, S)
+    f3, scale = patch.points[..., 2], np.maximum(1.0, np.abs(expect))
+    assert float(np.max(np.abs(f3 - expect) / scale)) < 1e-10
+    # f3 x (1 + 1e-9) on the largest column fails the oracle
+    f3[:, np.argmax(np.max(np.abs(expect), axis=0))] *= 1.0 + 1e-9
+    assert float(np.max(np.abs(f3 - expect) / scale)) >= 1e-10
 
 
 ASYMMETRIC_RANGES = {"(0.1,0.5)": lambda cap: (0.1, 0.5), "(0,cap)": lambda cap: (0.0, cap),
@@ -291,7 +363,7 @@ def test_asymmetric_patch_matches_closed_forms(k, lam, name):
     patch = surface_patch(curve, curve.domain, s_range, 128, 33)
     assert (patch.s_vals[0], patch.s_vals[-1]) == s_range
     T, S = np.meshgrid(patch.t_vals, patch.s_vals)
-    expect = _f3_closed_form(k, lam, T, S)
+    expect = epitrochoid_f3(k, lam, T, S)
     err = np.abs(patch.points[..., 2] - expect) / np.maximum(1.0, np.abs(expect))
     assert float(np.max(err)) < 1e-12
     x, y = curve.eval(T + 1j * S)
@@ -300,6 +372,20 @@ def test_asymmetric_patch_matches_closed_forms(k, lam, name):
     assert np.max(np.abs(patch.points[..., :2] - planar)) < 4e-15 * scale
     direct = phi(curve, patch.t_vals[None, :], patch.s_vals[:, None])
     assert np.max(np.abs(patch.phi - direct)) < 4e-15 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 40])
+@pytest.mark.parametrize("a", [0.5, 3.0])
+def test_epitrochoid_oracle_at_every_lobe_waist(k, a):
+    # nt = 4(k+1) + 1 over [0, 2 pi] puts a column on every lobe waist t = 2 pi j/(k+1),
+    # where Re phi sits on R_F's cut unless t is folded first, and on every crest between
+    curve = epi(k, a / (k + 1))
+    cap = find_strip(curve).cap
+    patch = surface_patch(curve, curve.domain, (-cap, cap), 4 * (k + 1) + 1, 17)
+    T, S = np.meshgrid(patch.t_vals, patch.s_vals)
+    expect = epitrochoid_f3(k, a / (k + 1), T, S)
+    err = np.abs(patch.points[..., 2] - expect) / np.maximum(1.0, np.abs(expect))
+    assert float(np.max(err)) < 1e-12
 
 
 F3_ORACLES = {"cycloid": cycloid_f3, "parabola": parabola_f3}
@@ -406,7 +492,7 @@ def test_strip_branch_certificate_is_exact():
     assert (hashlib.sha256(patch.phi.tobytes()).hexdigest()
             == "731a7f278d30fd9f7dd15607ad002b3a6931e6c93b635351e0c3e3d21ca1ab56")
     T, S = np.meshgrid(patch.t_vals, patch.s_vals)
-    assert np.max(np.abs(patch.points[..., 2] - _f3_closed_form(2, 0.35, T, S))) < 1e-12
+    assert np.max(np.abs(patch.points[..., 2] - epitrochoid_f3(2, 0.35, T, S))) < 1e-12
 
 
 def test_column_quadrature_fails_typed_past_the_largest_grid():
