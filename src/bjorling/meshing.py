@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .continuation import velocity
 from .schwarz import PatchGrid
 
 FLOAT_FMT = "%.17g"
@@ -96,16 +97,23 @@ def _fan(mesh: SurfaceMesh) -> np.ndarray:
 
 
 def sample_mesh(patch: PatchGrid) -> SurfaceMesh:
-    """Quad mesh over the patch's grid with density and |g| vertex attributes."""
+    """Quad mesh over the patch's grid with density and |g| vertex attributes.
+
+    Both come from |P| and |Q| of one ``velocity`` call on the grid, with no W: the
+    conformal factor (1/2) sum |Phi_i|^2 = (|P| + |Q|)^2/4 and |g| = |i W/Q| =
+    sqrt(|P|/|Q|).  Rebuilding Q as Phi1 - i Phi2 = (P + Q)/2 + (Q - P)/2 would
+    cancel where |P| >> |Q|.
+    """
     ns_, nt_ = patch.points.shape[:2]
     vertices = patch.points.reshape(ns_ * nt_, 3).copy()
     corner = (np.arange(ns_ - 1, dtype=np.int64)[:, None] * nt_
               + np.arange(nt_ - 1, dtype=np.int64)).reshape(-1, 1)
     indices = (corner + np.array([0, 1, nt_ + 1, nt_], dtype=np.int64)).reshape(-1)
-    density = patch.conformal_factor().reshape(-1)
-    den = patch.phi[:, :, 0] - 1j * patch.phi[:, :, 1]
+    p, q, _ = velocity(patch.curve, patch.t_vals[None, :], patch.s_vals[:, None])
+    abs_p, abs_q = np.abs(p).reshape(-1), np.abs(q).reshape(-1)
+    density = 0.25 * (abs_p + abs_q) ** 2
     with np.errstate(divide="ignore"):
-        abs_g = (np.abs(patch.phi[:, :, 2]) / np.abs(den)).reshape(-1)
+        abs_g = np.sqrt(abs_p / abs_q)
     ss, ts = (g.reshape(-1) for g in np.meshgrid(patch.s_vals, patch.t_vals, indexing="ij"))
     return SurfaceMesh(vertices, 4 * np.arange(len(corner) + 1), indices,
                        {"t": ts, "s": ss, "density": density, "abs_g": abs_g})

@@ -16,11 +16,11 @@ exactly where it can be:
 
 The series are real, so x(conj z) = conj x(z) and W(conj z) = conj W(z): f1 and
 f2 are even in s, f3 is odd, Phi1,2(t - is) = conj Phi1,2(t + is) and
-Phi3(t - is) = -conj Phi3(t + is).  A patch is computed at the distinct |s| of
-its rows and its rows with s < 0 are filled by that reflection.  ``surface_patch``
+Phi3(t - is) = -conj Phi3(t + is).  A patch's points are computed at the distinct
+|s| of its rows, and its rows with s < 0 take f3 negated.  ``surface_patch``
 computes only the points; the patch's Phi is evaluated on the first read of
-``PatchGrid.level_phi``, at the distinct |s| only, and cached there, and
-``PatchGrid.phi`` fills the grid rows from it by the same reflection.
+``PatchGrid.level_phi``, at the distinct |s| only, and cached there.  No grid of
+Phi is built: the mesh attributes need only |P| and |Q| (``meshing.sample_mesh``).
 
 Only f3 needs quadrature (Phi3 is purely imaginary on the axis, so the axis
 adds nothing): one real integral per grid column, by Clenshaw-Curtis
@@ -135,10 +135,9 @@ def surface_point(curve: PlanarCurve, t: float, s: float,
 class PatchGrid:
     """Sampled Schwarz surface patch with its exact null-triple values.
 
-    ``points[l, j]`` is f(t_vals[j] + i s_vals[l]); ``phi`` carries Phi at the
-    same nodes so conformal quantities need no differencing.  Phi is evaluated
-    on its first read, at the distinct |s| (``level_phi``), and kept on the patch;
-    ``phi`` reflects it as the points are.
+    ``points[l, j]`` is f(t_vals[j] + i s_vals[l]); ``level_phi`` carries Phi at the
+    distinct |s| of the rows, so conformal quantities need no differencing.  It is
+    evaluated on its first read and kept on the patch.
     """
 
     def __init__(self, curve: PlanarCurve, t_vals: np.ndarray, s_vals: np.ndarray,
@@ -149,25 +148,13 @@ class PatchGrid:
     def level_phi(self) -> np.ndarray:
         """Phi (L, nt, 3) at the L distinct |s| of the rows, in increasing order."""
         levels = np.array(sorted(set(np.abs(self.s_vals).tolist())))
-        # ``phi`` below is the module's function, which a method body sees, not the property
         return _columns(self.t_vals, levels, lambda cols, levels: phi(
-            self.curve, self.t_vals[cols][None, :], levels[:, None]), lambda v: (), complex)
-
-    @functools.cached_property
-    def phi(self) -> np.ndarray:
-        """Phi (ns, nt, 3) on the grid, each row ``level_phi`` of its |s|: the rows with s < 0
-        hold (conj Phi1, conj Phi2, -conj Phi3), so Im Phi1, Im Phi2 and Re Phi3 change sign."""
-        return _columns(self.t_vals, self.s_vals, lambda cols, levels: self.level_phi[:, cols],
-                        lambda v: (v[..., :2].imag, v[..., 2].real), complex)
+            self.curve, self.t_vals[cols][None, :], levels[:, None]), complex)
 
     @property
     def geodesic_row(self) -> int | None:
         idx = int(np.argmin(np.abs(self.s_vals)))
         return idx if abs(self.s_vals[idx]) < 1e-12 else None
-
-    def conformal_factor(self) -> np.ndarray:
-        """E = G = (1/2) sum |phi_i|^2 on the grid."""
-        return 0.5 * np.sum(np.abs(self.phi) ** 2, axis=-1)
 
 
 def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
@@ -178,18 +165,17 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
     (when present) is the input curve itself; f3 comes from one Clenshaw-Curtis
     integral per column over [0, max|s|].  Everything is evaluated at the
     distinct |s| only, and the rows with s < 0 are its reflection: f1 and f2
-    copied, f3 negated.  Only the points are computed here: the patch's ``phi``
-    is evaluated on its first read (Phi1 and Phi2 conjugated, Phi3 conjugated
-    and negated in those rows) and cached, so a caller that reads only points
-    never pays for it.  When s_range is symmetric, s_vals[ns-1-l] == -s_vals[l]
-    and the middle row of an odd ns is s = 0.0, so the two halves are bitwise
-    mirrors.  ``workers`` > 1 splits the columns over threads with bitwise the
-    same result; it is kept only for the benchmark's thread probe, and the CLI
-    runs serial.  ``strip`` is the curve's strip over a t-window covering t_range
-    (found here when not given; ValueError when it belongs to another curve or
-    window).  Raises StripTooWide when |s| exceeds ``strip.cap``, and
-    InvalidCurveParameters when the curve is not regular on t_range or the patch
-    leaves float range.
+    copied, f3 negated.  Only the points are computed here: the patch's
+    ``level_phi`` is evaluated on its first read and cached, so a caller that
+    reads only points never pays for it.  When s_range is symmetric,
+    s_vals[ns-1-l] == -s_vals[l] and the middle row of an odd ns is s = 0.0, so
+    the two halves are bitwise mirrors.  ``workers`` > 1 splits the columns over
+    threads with bitwise the same result; it is kept only for the benchmark's
+    thread probe, and the CLI runs serial.  ``strip`` is the curve's strip over a
+    t-window covering t_range (found here when not given; ValueError when it
+    belongs to another curve or window).  Raises StripTooWide when |s| exceeds
+    ``strip.cap``, and InvalidCurveParameters when the curve is not regular on
+    t_range or the patch leaves float range.
     """
     if nt < 2 or ns < 2:
         raise ValueError("nt and ns must be at least 2")
@@ -214,8 +200,7 @@ def surface_patch(curve: PlanarCurve, t_range, s_range, nt: int, ns: int,
         f3 = _column_integrals(curve, t, levels, DEFAULT_QUAD_TOL)
         return np.stack([curve.x.grid(t, levels).real, curve.y.grid(t, levels).real, f3], axis=-1)
 
-    # rows with s < 0 hold (f1, f2, -f3) of their |s|
-    points = _columns(t_vals, s_vals, half, lambda v: (v[..., 2],), float, workers)
+    points = _columns(t_vals, s_vals, half, float, workers)
     return PatchGrid(curve=curve, t_vals=t_vals, s_vals=s_vals, points=points)
 
 
@@ -277,7 +262,8 @@ def _column_integrals(curve: PlanarCurve, t, levels, tol: float):
     while True:
         coef = half * _chebyshev_antiderivative(values)
         done = sum(np.abs(c) for c in coef[n // 2 + 1:]) <= np.maximum(tol, floor)
-        out[:, cols[done]] = _chebyshev_increments(coef[:, done], x, -1.0)
+        if np.any(done):
+            out[:, cols[done]] = _chebyshev_increments(coef[:, done], x, -1.0)
         if np.all(done):
             return out
         if 2 * n > CC_MAX_N:
@@ -290,11 +276,11 @@ def _column_integrals(curve: PlanarCurve, t, levels, tol: float):
         values, floor, n = both, np.maximum(floor[~done], fresh_floor), 2 * n
 
 
-def _columns(t_vals, s_vals, half, flip, dtype, workers: int = 1):
+def _columns(t_vals, s_vals, half, dtype, workers: int = 1):
     """(ns, nt, 3) values on the grid, by blocks of whole columns: ``half(cols, levels)``
     gives the values of the block's slice of columns at the distinct |s| in increasing
-    order, each row takes those of its |s|, and in the rows with s < 0 the parts
-    ``flip(values)`` lists change sign.
+    order, each row takes those of its |s|, and the rows with s < 0 take the third
+    component negated (f3 is odd in s).
 
     A block holds about BLOCK_POINTS evaluation points (columns times distinct
     |s|), which bounds the temporaries of one evaluation; ``workers`` > 1 runs
@@ -314,8 +300,7 @@ def _columns(t_vals, s_vals, half, flip, dtype, workers: int = 1):
         values = half(cols, levels)
         for out_row, row in enumerate(rows):
             out[out_row, cols] = values[row]
-        for part in flip(out[low, cols]):
-            np.negative(part, out=part)
+        np.negative(out[low, cols, 2], out=out[low, cols, 2])
 
     blocks = np.array_split(np.arange(len(t_vals)), min(len(t_vals), max(
         int(workers), -(-len(levels) * len(t_vals) // BLOCK_POINTS))))

@@ -7,7 +7,8 @@ Gauss map and the metric density, each from powers of v of its own, as
 g and eta to the strip data), the divisor degrees of an order table,
 the planar normal and curve points in R^3, the closed-form f3 of the cycloid
 (Catalan's surface), of the parabola and of the epitrochoid (Carlson's R_F and R_D),
-and the term-by-term sum that the column quadrature's contraction equals.
+the term-by-term sum that the column quadrature's contraction equals, and a patch's
+Phi on its whole grid, reflected from the distinct |s| where it is evaluated.
 """
 
 import cmath
@@ -275,4 +276,16 @@ def chebyshev_increments_by_terms(coef, x, x0):
     for c in coef[1:]:
         out += (cur[:-1] - cur[-1])[:, None] * c
         prev, cur = cur, 2.0 * u * cur - prev
+    return out
+
+
+def grid_phi(patch):
+    """Phi (ns, nt, 3) on the patch's whole grid, each row ``patch.level_phi`` at its |s|:
+    the series are real, so the rows with s < 0 hold (conj Phi1, conj Phi2, -conj Phi3),
+    which changes the sign of Im Phi1, Im Phi2 and Re Phi3 exactly."""
+    levels = sorted(set(np.abs(patch.s_vals).tolist()))
+    out = patch.level_phi[np.searchsorted(levels, np.abs(patch.s_vals))]
+    low = patch.s_vals < 0
+    out[low, :, :2] = np.conj(out[low, :, :2])
+    out[low, :, 2] = -np.conj(out[low, :, 2])
     return out

@@ -38,13 +38,13 @@ def test_generate_circle(tmp_path, capsys):
         "epitrochoid_k2_lam0p5.obj":
             "f32995f98afdfff190158d73273c5e52f405e51ed96a6d56036a09f038b27fce",
         "epitrochoid_k2_lam0p5.ply":
-            "2090911f72071b5b28b98145c432345b743b5ad5add1fe8fff975e74b80e5ca2",
+            "4e57cc2503791d89b2583c407df41d58b45ffe46598ce280a9e5c5a6050fa303",
         "epitrochoid_k2_lam0p5_halfcut.obj":
             "624f1814e4bf2fb1bc0c21d801bc7e82c6d7e8b37ec93059ae24df56f9c9eb2d",
     }),
     (["--curve", "cycloid", "--nt", "32", "--ns", "9"], {
         "cycloid.obj": "68775f5ad568fae3cbda82520608ec7ec48307016eaea6f90335a9a8b8a22b23",
-        "cycloid.ply": "a0e829bccba0ba08ab11713fabbb5a6c58a1df321d3b536952d575da54def89e",
+        "cycloid.ply": "48e1e465778dc04a0d8fe787cc46016471f436e904130430752d895a8036af42",
         "cycloid_halfcut.obj":
             "6622f9811131e373cab49e7754ae71f96b67bbc037e13be77d4395daadaccb5c",
     }),
@@ -103,7 +103,7 @@ def test_csv_output_bytes_pinned(tmp_path):
     h = find_strip(curve).cap
     export_csv(sample_mesh(surface_patch(curve, curve.domain, (-h, h), 24, 7)), tmp_path / "m.csv")
     assert (hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest()
-            == "90f6020129a6ca4820c1b654dd46861ffb73e2599ed0d163e505e55d103c7a13")
+            == "d8a6796678edae0e9a2bbcfe1ff6c4c8422692a6f830f04e9098f848321efa0f")
 
 
 def test_cli_starts_no_thread(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 
@@ -58,6 +59,40 @@ def test_sample_mesh_epitrochoid_geodesic_row_matches_curve():
     assert np.max(np.abs(pts - expect)) < 1e-9
     # 3-lobed closed outline
     assert abs(pts[0, 0] - 2.5) < 1e-9
+
+
+def _relative_error(got, expect) -> float:
+    return float(np.max(np.abs(got - expect) / np.abs(expect)))
+
+
+def _epitrochoid_abs_pq(k, lam, t, s):
+    # |P| and |Q| point by point, each from its own two terms:
+    # P = i(k+2)(e^{iz} - a e^{i(k+2)z}) and Q = -i(k+2)(e^{-iz} - a e^{-i(k+2)z}), a = (k+1)lam
+    a = (k + 1) * lam
+    out = []
+    for z in (complex(tj, sj) for tj, sj in zip(t.tolist(), s.tolist())):
+        p = 1j * (k + 2) * (cmath.exp(1j * z) - a * cmath.exp(1j * (k + 2) * z))
+        q = -1j * (k + 2) * (cmath.exp(-1j * z) - a * cmath.exp(-1j * (k + 2) * z))
+        out.append((abs(p), abs(q)))
+    return np.array(out).T
+
+
+def test_mesh_attributes_match_closed_forms():
+    # density = (|P| + |Q|)^2/4 and abs_g = sqrt(|P|/|Q|).  The circle's P = i e^{iz} and
+    # Q = -i e^{-iz} give abs_g = e^{-s} and density = cosh^2 s exactly
+    mesh = sample_mesh(surface_patch(make_circle(), (0, 2 * math.pi), (-3.0, 3.0), 256, 33))
+    s = mesh.attributes["s"]
+    assert _relative_error(mesh.attributes["abs_g"], np.exp(-s)) <= 1e-15
+    assert _relative_error(mesh.attributes["density"], np.cosh(s) ** 2) <= 1e-15
+    # epi(1, 30) at the full cap, where |P|/|Q| reaches 1.9e5: Q rebuilt as Phi1 - i Phi2 =
+    # (P + Q)/2 + (Q - P)/2 cancels there, and its abs_g was off by 1.5e-11
+    curve = epi(1, 30.0)
+    cap = find_strip(curve).cap
+    mesh = sample_mesh(surface_patch(curve, curve.domain, (-cap, cap), 256, 33))
+    abs_p, abs_q = _epitrochoid_abs_pq(1, 30.0, mesh.attributes["t"], mesh.attributes["s"])
+    assert np.max(abs_p / abs_q) > 1e5
+    assert _relative_error(mesh.attributes["abs_g"], np.sqrt(abs_p / abs_q)) <= 1e-14
+    assert _relative_error(mesh.attributes["density"], 0.25 * (abs_p + abs_q) ** 2) <= 1e-14
 
 
 def test_clip_keeps_positive_side():
@@ -156,7 +191,7 @@ def test_oblique_clip_bytes_pinned(tmp_path):
     got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ("cut.obj", "cut.ply")]
     assert got == ["0b0f9a50639d081d404af8dd06319aa5ff523b08e97ceac1879e4b6483649bfc",
-                   "bd4bd7cc856818cb773e9aef00f3a8af85107aded12a521d506cb51222a53e31"]
+                   "bc22f6c561924bb57f6bdf32988b24a6ec5d36bceacda4a1e47dc96597d5f661"]
 
 
 def test_obj_roundtrip(tmp_path):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from bjorling import schwarz
+from bjorling import meshing, schwarz
 from bjorling.continuation import SingularityOnPath, find_strip
 from bjorling.curves import PlanarCurve, TrigPolySeries, make_circle, make_cycloid, make_parabola
+from bjorling.meshing import sample_mesh
 from bjorling.schwarz import (
     CC_FIRST_N,
     CC_MAX_N,
@@ -23,6 +24,7 @@ from oracles import (
     chebyshev_increments_by_terms,
     cycloid_f3,
     epitrochoid_f3,
+    grid_phi,
     parabola_f3,
     planar_normal,
     point3d,
@@ -177,7 +179,7 @@ def test_symmetric_patch_is_its_own_reflection_bitwise(curve, ns):
     # and Phi3(t - is) = -conj Phi3(t + is), bit for bit
     cap = min(find_strip(curve).cap, 0.9)
     patch = surface_patch(curve, curve.domain, (-cap, cap), 48, ns)
-    s, pts, ph = patch.s_vals, patch.points, patch.phi
+    s, pts, ph = patch.s_vals, patch.points, grid_phi(patch)
     assert s[0] == -cap and s[-1] == cap
     # rows below the axis against their mirrors; an odd middle row is its own
     low, high = slice(0, ns // 2), slice(ns - 1, (ns - 1) // 2, -1)
@@ -192,7 +194,7 @@ def test_symmetric_patch_is_its_own_reflection_bitwise(curve, ns):
         assert np.all(pts[mid, :, 2] == 0.0)
         assert np.all(ph[mid, :, :2].imag == 0.0) and np.all(ph[mid, :, 2].real == 0.0)
     threaded = surface_patch(curve, curve.domain, (-cap, cap), 48, ns, workers=3)
-    assert _bits_equal(threaded.points, pts) and _bits_equal(threaded.phi, ph)
+    assert _bits_equal(threaded.points, pts) and _bits_equal(grid_phi(threaded), ph)
 
 
 @pytest.mark.parametrize("curve", [epi(2, 0.5), make_parabola()], ids=lambda c: c.label)
@@ -202,7 +204,8 @@ def test_symmetric_patch_does_not_depend_on_its_blocks(curve, monkeypatch):
     whole = surface_patch(curve, curve.domain, (-cap, cap), 48, 33)
     monkeypatch.setattr(schwarz, "BLOCK_POINTS", 1)
     split = surface_patch(curve, curve.domain, (-cap, cap), 48, 33)
-    assert _bits_equal(split.points, whole.points) and _bits_equal(split.phi, whole.phi)
+    assert _bits_equal(split.points, whole.points)
+    assert _bits_equal(grid_phi(split), grid_phi(whole))
 
 
 # the bench's dense_patch surface: epi(2, 0.4634) at 1024 x 129 on |s| <= 0.8 ln(3 lam)/3,
@@ -261,7 +264,8 @@ def test_chebyshev_increments_equal_the_term_loop_bitwise(L, m):
 
 def test_chebyshev_increments_of_real_patches_equal_the_term_loop(monkeypatch):
     # the narrow strip's three blocks at J = 34, and full-cap patches whose columns
-    # double n to J = 66 and 130 (and leave none at J = 34 for epi(2, 30): m = 0)
+    # double n to J = 66 and 130.  No column of epi(2, 30) is done at J = 34, and a
+    # resolution with none done makes no call (no m = 0 shape)
     calls = []
     increments = schwarz._chebyshev_increments
 
@@ -278,7 +282,7 @@ def test_chebyshev_increments_of_real_patches_equal_the_term_loop(monkeypatch):
         surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
     assert all(equal for _, equal in calls)
     shapes = [shape for shape, _ in calls]
-    assert {J for J, _ in shapes} == {34, 66, 130} and (34, 0) in shapes
+    assert {J for J, _ in shapes} == {34, 66, 130} and (34, 0) not in shapes
 
 
 def test_block_bound_counts_the_distinct_levels(monkeypatch):
@@ -371,7 +375,7 @@ def test_asymmetric_patch_matches_closed_forms(k, lam, name):
     scale = max(1.0, float(np.max(np.abs(planar))))
     assert np.max(np.abs(patch.points[..., :2] - planar)) < 4e-15 * scale
     direct = phi(curve, patch.t_vals[None, :], patch.s_vals[:, None])
-    assert np.max(np.abs(patch.phi - direct)) < 4e-15 * np.max(np.abs(direct))
+    assert np.max(np.abs(grid_phi(patch) - direct)) < 4e-15 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 40])
@@ -420,9 +424,9 @@ def test_patch_work_counters(monkeypatch):
     # both entry points of the series and at ``velocity``: a grid costs ns*nt points
     # like its pointwise evaluation.  No point goes through the series one by one:
     # regularity comes from the zero set
-    points = {"call": 0, "grid": 0, "velocity": 0, "phi": 0}
-    series_call, series_grid, velocity, grid_phi = TrigPolySeries.__call__, \
-        TrigPolySeries.grid, schwarz.velocity, schwarz.phi
+    points = {"call": 0, "grid": 0, "velocity": 0, "phi": 0, "strip_branch": 0}
+    series_call, series_grid, velocity, schwarz_phi, branch = TrigPolySeries.__call__, \
+        TrigPolySeries.grid, schwarz.velocity, schwarz.phi, schwarz.strip_branch
 
     def counting_call(self, z):
         points["call"] += int(np.size(z))
@@ -438,12 +442,18 @@ def test_patch_work_counters(monkeypatch):
 
     def counting_phi(curve, t, s):
         points["phi"] += int(np.broadcast(t, s).size)
-        return grid_phi(curve, t, s)
+        return schwarz_phi(curve, t, s)
+
+    def counting_branch(*args):
+        points["strip_branch"] += 1
+        return branch(*args)
 
     monkeypatch.setattr(TrigPolySeries, "__call__", counting_call)
     monkeypatch.setattr(TrigPolySeries, "grid", counting_grid)
     monkeypatch.setattr(schwarz, "velocity", counting_velocity)
+    monkeypatch.setattr(meshing, "velocity", counting_velocity)
     monkeypatch.setattr(schwarz, "phi", counting_phi)
+    monkeypatch.setattr(schwarz, "strip_branch", counting_branch)
     curve = epi(2, 0.5)
     cap = find_strip(curve).cap
     patch = surface_patch(curve, curve.domain, (-cap, cap), 256, 33)
@@ -453,11 +463,16 @@ def test_patch_work_counters(monkeypatch):
     assert points["grid"] == 2 * 17 * 256
     assert points["call"] + points["grid"] + points["velocity"] <= 35456
     assert points["call"] == 0
+    # the mesh takes |P| and |Q| from one ``velocity`` point per vertex, and no W
+    nodes, branches = points["velocity"], points["strip_branch"]
+    sample_mesh(patch)
+    assert points["velocity"] - nodes == 33 * 256 and points["strip_branch"] == branches
+    assert points["phi"] == 0 and "level_phi" not in patch.__dict__
     # the first read of Phi evaluates it at the 17 levels, the second is cached
     nodes = points["velocity"]
-    first = patch.phi
+    first = patch.level_phi
     assert points["velocity"] - nodes == points["phi"] == 17 * 256
-    assert patch.phi is first and points["velocity"] - nodes == 17 * 256
+    assert patch.level_phi is first and points["velocity"] - nodes == 17 * 256
 
 
 def test_column_near_a_zero_matches_patch_and_fails_typed():
@@ -489,7 +504,7 @@ def test_strip_branch_certificate_is_exact():
     patch = surface_patch(curve, curve.domain, (-strip.cap, strip.cap), 64, 17)
     # Phi needs no quadrature: these bytes pin the separable grid evaluation
     # and the reflection that fills the rows with s < 0
-    assert (hashlib.sha256(patch.phi.tobytes()).hexdigest()
+    assert (hashlib.sha256(grid_phi(patch).tobytes()).hexdigest()
             == "731a7f278d30fd9f7dd15607ad002b3a6931e6c93b635351e0c3e3d21ca1ab56")
     T, S = np.meshgrid(patch.t_vals, patch.s_vals)
     assert np.max(np.abs(patch.points[..., 2] - epitrochoid_f3(2, 0.35, T, S))) < 1e-12

@@ -19,6 +19,7 @@ from bjorling.verify import (
 )
 
 from conftest import epi
+from oracles import grid_phi
 
 
 def patch_for(curve, nt=128, ns=17, frac=0.5, t_range=None):
@@ -169,10 +170,10 @@ def test_verify_evaluates_phi_for_its_final_patch_only(monkeypatch, capsys):
     capsys.readouterr()
     assert probe["nodes"] > 0 and probe["phi"] == 0
     # the final patch's (ns + 1)/2 = 17 |s| levels by nt columns, and symmetry_residual's
-    # two rows of 64; the residuals read Phi at the levels, so the grid Phi is never built
+    # two rows of 64: the residuals read Phi at the levels only
     assert points["phi"] == (ns + 1) // 2 * nt + 2 * 64
     [patch] = final
-    assert "level_phi" in patch.__dict__ and "phi" not in patch.__dict__
+    assert "level_phi" in patch.__dict__
 
 
 def test_geodesic_residual_resolution_independent():
@@ -293,9 +294,10 @@ def test_residuals_at_distinct_abs_s_equal_the_whole_grid(curve, ns, lo, hi):
     cap = find_strip(curve).cap
     cap = cap if math.isfinite(cap) else 1.0
     patch = surface_patch(curve, curve.domain, (lo * cap, hi * cap), 64, ns)
-    eg, f = _whole_grid_conformality(patch.phi)
+    phi = grid_phi(patch)
+    eg, f = _whole_grid_conformality(phi)
     assert conformality_residuals(patch) == (float(np.max(eg)), float(np.max(f)))
-    assert null_residual(patch) == float(np.max(_whole_grid_null(patch.phi)))
+    assert null_residual(patch) == float(np.max(_whole_grid_null(phi)))
 
 
 def _row_curvature(P, ht, hs):
